@@ -61,6 +61,18 @@ def max_choi_dim() -> int:
         raise ValidationError(f"NSZCAP_MAX_DIM must be an integer, got {raw!r}") from exc
 
 
+def require_choi_dim(dim: int, limit: int | None = None):
+    """Raise :class:`DimensionLimitError` when a Choi dimension exceeds the guard.
+
+    ``limit`` defaults to :func:`max_choi_dim`, the ``NSZCAP_MAX_DIM`` setting.
+    """
+    hint = ""
+    if limit is None:
+        limit, hint = max_choi_dim(), " (override with NSZCAP_MAX_DIM)"
+    if dim > limit:
+        raise DimensionLimitError(f"Choi dimension {dim} exceeds the limit {limit}{hint}")
+
+
 @dataclass
 class CapacityResult:
     quantity: str
@@ -99,18 +111,33 @@ def _run(problem: SdpProblem, opts: SolverOptions | None, quantity: str) -> SdpS
 # Program builders
 # ---------------------------------------------------------------------------
 
-def _identity_marginal_coeff(d_A: int, d_B: int, b1: int, b2: int, kind: str) -> Coo:
-    """Functional ``<1_A (x) E, U>`` that reads Re/Im of ``(tr_A U)[b1, b2]``."""
-    rows = np.arange(d_A) * d_B
-    if b1 == b2:
-        return coo(rows + b1, rows + b1, np.ones(d_A))
-    ii = np.concatenate([rows + b1, rows + b2])
-    jj = np.concatenate([rows + b2, rows + b1])
+def _lifted_entry_coeff(d_A: int, d_B: int, i: int, j: int, kind: str, on: str) -> Coo:
+    """Entry functional lifted by an identity factor on the other system.
+
+    ``on="B"`` gives ``<1_A (x) E, U>``, which reads Re/Im of ``(tr_A U)[i, j]``;
+    ``on="A"`` gives ``<E (x) 1_B, U>``, which reads Re/Im of ``(tr_B U)[i, j]``.
+    """
+    base, step = (np.arange(d_A) * d_B, 1) if on == "B" else (np.arange(d_B), d_B)
+    p, q = base + i * step, base + j * step
+    d = len(base)
+    if i == j:
+        return coo(p, p, np.ones(d))
     if kind == "re":
-        vv = np.full(2 * d_A, 0.5)
+        vv = np.full(2 * d, 0.5)
     else:
-        vv = np.concatenate([np.full(d_A, 0.5j), np.full(d_A, -0.5j)])
-    return Coo(ii, jj, vv)
+        vv = np.concatenate([np.full(d, 0.5j), np.full(d, -0.5j)])
+    return Coo(np.concatenate([p, q]), np.concatenate([q, p]), vv)
+
+
+def _compressed_entry_coeff(theta, i: int, j: int, kind: str) -> np.ndarray:
+    """Dense functional ``theta A_e theta^dag``: reads Re/Im of ``(theta^dag X theta)[i, j]``."""
+    if i == j:
+        return np.outer(theta[:, i], theta[:, i].conj())
+    if kind == "re":
+        return 0.5 * (np.outer(theta[:, i], theta[:, j].conj())
+                      + np.outer(theta[:, j], theta[:, i].conj()))
+    return 0.5j * (np.outer(theta[:, i], theta[:, j].conj())
+                   - np.outer(theta[:, j], theta[:, i].conj()))
 
 
 def _support_complement_basis(P, real: bool):
@@ -154,7 +181,7 @@ def build_upsilon_problem(K: NCGraph, hat: bool):
             coeffs[S_BLK] = entry_coeff(a1, a2, kind, scale=-1.0)
         constraints.append((coeffs, 0.0))
     for (b1, b2, kind) in herm_entries(dB, real):
-        coeffs = {U_BLK: _identity_marginal_coeff(dA, dB, b1, b2, kind)}
+        coeffs = {U_BLK: _lifted_entry_coeff(dA, dB, b1, b2, kind, on="B")}
         if hat:
             coeffs[Y_BLK] = entry_coeff(b1, b2, kind)
         constraints.append((coeffs, 1.0 if b1 == b2 else 0.0))
@@ -167,33 +194,28 @@ def build_upsilon_problem(K: NCGraph, hat: bool):
                       name="upsilon_hat" if hat else "upsilon"), meta
 
 
-def _extract_upsilon_witnesses(sol: SdpSolution, meta):
+def _upsilon_result(K: NCGraph, hat: bool, opts) -> CapacityResult:
+    quantity = "upsilon_hat" if hat else "upsilon"
+    problem, meta = build_upsilon_problem(K, hat)
+    sol = _run(problem, opts, quantity)
     primal = {"S_A": np.asarray(sol.primal_blocks[0]),
               "U_AB": np.asarray(sol.primal_blocks[1])}
     a0, a1 = meta["coupling"]
     b0, b1 = meta["marginal"]
     V = -herm_from_entry_values(meta["n"], sol.dual_multipliers[a0:a1], meta["real"])
     T = herm_from_entry_values(meta["dB"], sol.dual_multipliers[b0:b1], meta["real"])
-    dual = {"T_B": T, "V_AB": V}
-    return primal, dual
+    return CapacityResult(quantity, sol.primal_value, primal, {"T_B": T, "V_AB": V},
+                          sol.gap, sol.status, sol.iterations)
 
 
 def upsilon(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
     """One-shot no-signalling-assisted zero-error capacity (message count)."""
-    problem, meta = build_upsilon_problem(K, hat=False)
-    sol = _run(problem, opts, "upsilon")
-    primal, dual = _extract_upsilon_witnesses(sol, meta)
-    return CapacityResult("upsilon", sol.primal_value, primal, dual, sol.gap,
-                          sol.status, sol.iterations)
+    return _upsilon_result(K, False, opts)
 
 
 def upsilon_hat(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
     """Activated one-shot capacity: borrow a noiseless channel, pay it back."""
-    problem, meta = build_upsilon_problem(K, hat=True)
-    sol = _run(problem, opts, "upsilon_hat")
-    primal, dual = _extract_upsilon_witnesses(sol, meta)
-    return CapacityResult("upsilon_hat", sol.primal_value, primal, dual, sol.gap,
-                          sol.status, sol.iterations)
+    return _upsilon_result(K, True, opts)
 
 
 def build_upsilon_hat_dual_problem(K: NCGraph):
@@ -217,30 +239,13 @@ def build_upsilon_hat_dual_problem(K: NCGraph):
 
     constraints = []
     for (a1, a2, kind) in herm_entries(dA, real):
-        rows = np.arange(dB)
-        if a1 == a2:
-            y1c = coo(a1 * dB + rows, a1 * dB + rows, np.ones(dB))
-        else:
-            ii = np.concatenate([a1 * dB + rows, a2 * dB + rows])
-            jj = np.concatenate([a2 * dB + rows, a1 * dB + rows])
-            if kind == "re":
-                vv = np.full(2 * dB, 0.5)
-            else:
-                vv = np.concatenate([np.full(dB, 0.5j), np.full(dB, -0.5j)])
-            y1c = Coo(ii, jj, vv)
-        coeffs = {Y2_BLK: entry_coeff(a1, a2, kind), Y1_BLK: y1c}
+        coeffs = {Y2_BLK: entry_coeff(a1, a2, kind),
+                  Y1_BLK: _lifted_entry_coeff(dA, dB, a1, a2, kind, on="A")}
         if a1 == a2:
             coeffs[T_BLK] = -np.eye(dB)
         constraints.append((coeffs, -1.0 if a1 == a2 else 0.0))
     for (i, j, kind) in herm_entries(r, real):
-        if i == j:
-            L = np.outer(theta[:, i], theta[:, i].conj())
-        elif kind == "re":
-            L = 0.5 * (np.outer(theta[:, i], theta[:, j].conj())
-                       + np.outer(theta[:, j], theta[:, i].conj()))
-        else:
-            L = 0.5j * (np.outer(theta[:, i], theta[:, j].conj())
-                        - np.outer(theta[:, j], theta[:, i].conj()))
+        L = _compressed_entry_coeff(theta, i, j, kind)
         constraints.append(({Y3_BLK: L, Y1_BLK: -L,
                              T_BLK: partial_trace(L, dA, dB, "first")}, 0.0))
 
@@ -339,14 +344,7 @@ def build_cq_problem(C: CqGraph, variant: str):
     if variant in ("upsilon", "hat"):
         for i, theta in thetas.items():
             for (b1, b2, kind) in herm_entries(theta.shape[1], real):
-                if b1 == b2:
-                    L = np.outer(theta[:, b1], theta[:, b1].conj())
-                elif kind == "re":
-                    L = 0.5 * (np.outer(theta[:, b1], theta[:, b2].conj())
-                               + np.outer(theta[:, b2], theta[:, b1].conj()))
-                else:
-                    L = 0.5j * (np.outer(theta[:, b1], theta[:, b2].conj())
-                                - np.outer(theta[:, b2], theta[:, b1].conj()))
+                L = _compressed_entry_coeff(theta, b1, b2, kind)
                 coeffs = {r_blk[i]: L, g_blk[i]: L}
                 if b1 == b2:
                     coeffs[0] = coo([i], [i], [-1.0])
@@ -420,18 +418,23 @@ class CriteriaInconsistency(RuntimeError):
 
 
 def thm9_criteria(K: NCGraph, strict_tol: float = STRICT_TOL,
-                  opts: SolverOptions | None = None) -> Thm9Report:
+                  opts: SolverOptions | None = None, value=None) -> Thm9Report:
     """Evaluate the four equivalent positivity criteria with declared tolerances.
 
     Strict operator inequalities are decided with margin ``strict_tol``; the
     criteria are provably equivalent, so a disagreement with decisive margins
     signals solver trouble and raises :class:`CriteriaInconsistency`.
+    ``value(name, K)`` supplies the capacities ``"aram"`` and ``"upsilon_hat"``
+    (e.g. ``CapacityCache.value``); by default they are solved here.
     """
+    if value is None:
+        def value(name, G):
+            return globals()[name](G, opts).value
     pb_margin = K.d_A - op_norm(K.P_B)
     trq = partial_trace(K.Q_AB, K.d_A, K.d_B, "first")
     trq_margin = float(np.linalg.eigvalsh(0.5 * (trq + trq.conj().T))[0])
-    aram_margin = aram(K, opts).value - 1.0
-    uhat_margin = upsilon_hat(K, opts).value - 1.0
+    aram_margin = value("aram", K) - 1.0
+    uhat_margin = value("upsilon_hat", K) - 1.0
     report = Thm9Report(
         aram_gt_1=aram_margin > strict_tol,
         pb_strict=pb_margin > strict_tol,
@@ -458,11 +461,8 @@ def find_n0(K: NCGraph, n_max: int, opts: SolverOptions | None = None,
     """Least tensor power with one-shot capacity at least 2, or None."""
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    limit = dim_limit if dim_limit is not None else max_choi_dim()
     for n in range(1, n_max + 1):
-        if K.dim ** n > limit:
-            raise DimensionLimitError(
-                f"Choi dimension {K.dim ** n} at power {n} exceeds the limit {limit}")
+        require_choi_dim(K.dim ** n, dim_limit)
         if upsilon(tensor_power(K, n), opts).value >= 2.0 - 1e-7:
             return n
     return None

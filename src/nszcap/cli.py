@@ -106,6 +106,8 @@ def _matrix_from_pairs(rows, what: str) -> np.ndarray:
         raise ValidationError(f"{what}: not a numeric nested array") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError(f"{what}: expected a matrix of [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what}: entries must be finite")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -204,14 +206,6 @@ def _serialize_witness(witness: dict) -> dict:
     return out
 
 
-def _check_dims(graph_dim: int):
-    limit = cap.max_choi_dim()
-    if graph_dim > limit:
-        raise ValidationError(
-            f"Choi dimension {graph_dim} exceeds the limit {limit} "
-            f"(override with NSZCAP_MAX_DIM)")
-
-
 def cmd_compute(args) -> int:
     kind, fn = QUANTITIES[args.quantity]
     channel = _load_channel(args)
@@ -223,7 +217,7 @@ def cmd_compute(args) -> int:
     else:
         cqg = None
         K = gs.ncgraph_from_channel(channel)
-    _check_dims(K.dim)
+    cap.require_choi_dim(K.dim)
 
     if kind == "bound":
         value = cap.superdense_bound(K)
@@ -317,14 +311,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except cap.DimensionLimitError as exc:
+    except (ValidationError, cap.DimensionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except np.linalg.LinAlgError as exc:
+        print(f"solver failure: linear algebra error ({exc})", file=sys.stderr)
         return EXIT_SOLVER
 
 

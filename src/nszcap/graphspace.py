@@ -59,6 +59,8 @@ class KrausChannel:
             if A.shape != (self.d_out, self.d_in):
                 raise ValidationError(
                     f"Kraus operator shape {A.shape} does not match ({self.d_out},{self.d_in})")
+            if not np.all(np.isfinite(A)):
+                raise ValidationError("Kraus operator has non-finite entries")
             ops.append(A)
         self.kraus = ops
         gram = sum(E.conj().T @ E for E in ops)
@@ -89,6 +91,8 @@ class NCGraph:
         n = self.d_A * self.d_B
         if P.shape != (n, n):
             raise ValidationError(f"P_AB shape {P.shape} does not match dims ({self.d_A},{self.d_B})")
+        if not np.all(np.isfinite(P)):
+            raise ValidationError("P_AB has non-finite entries")
         if herm_deviation(P) > PROJECTOR_TOL:
             raise ValidationError("P_AB is not Hermitian")
         if float(np.abs(P @ P - P).max()) > PROJECTOR_TOL:
@@ -128,6 +132,8 @@ class CqGraph:
                 d = A.shape[0]
             if A.shape != (d, d):
                 raise ValidationError("cq projections must share one output dimension")
+            if not np.all(np.isfinite(A)):
+                raise ValidationError("cq projection has non-finite entries")
             if herm_deviation(A) > PROJECTOR_TOL or float(np.abs(A @ A - A).max()) > PROJECTOR_TOL:
                 raise ValidationError("cq output is not a projector")
             ops.append(0.5 * (A + A.conj().T))
@@ -227,6 +233,8 @@ def cq_from_states(outputs, rank_tol: float = DEFAULT_RANK_TOL) -> CqGraph:
     projs = []
     for rho in outputs:
         A = as_matrix(rho)
+        if not np.all(np.isfinite(A)):
+            raise ValidationError("cq output state has non-finite entries")
         tr = float(np.real(np.trace(A)))
         if abs(tr - 1.0) > 1e-8:
             raise ValidationError(f"cq output state has trace {tr:.9f}, expected 1")

@@ -25,10 +25,6 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
-def dagger(M) -> np.ndarray:
-    return np.conj(np.asarray(M)).T
-
-
 def herm_deviation(M) -> float:
     """max_ij |M[i,j] - conj(M[j,i])|."""
     A = as_matrix(M)
@@ -36,9 +32,6 @@ def herm_deviation(M) -> float:
         return np.inf
     return float(np.abs(A - A.conj().T).max(initial=0.0))
 
-
-def is_hermitian(M, tol: float = 1e-12) -> bool:
-    return herm_deviation(M) <= tol
 
 def require_hermitian(M, tol: float = HERM_TOL, what: str = "matrix") -> np.ndarray:
     A = as_matrix(M)

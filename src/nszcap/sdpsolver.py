@@ -34,32 +34,6 @@ import scipy.linalg as sla
 
 from .matrixcore import ValidationError, herm_deviation
 
-try:
-    import numba
-
-    @numba.njit(cache=True)
-    def _schur_pairs_kernel(M, sk, sptr, fp, fq, fu, Wa):
-        ms = len(sk)
-        for a in range(ms):
-            ka = sk[a]
-            for b in range(a, ms):
-                acc = 0.0
-                for s in range(sptr[a], sptr[a + 1]):
-                    ps, qs, us = fp[s], fq[s], fu[s]
-                    for t in range(sptr[b], sptr[b + 1]):
-                        pt, qt, ut = fp[t], fq[t], fu[t]
-                        z = us * ut * Wa[qs, pt] * Wa[qt, ps] \
-                            + us * np.conj(ut) * Wa[qs, qt] * np.conj(Wa[ps, pt])
-                        acc += 2.0 * z.real
-                kb = sk[b]
-                M[ka, kb] += acc
-                if kb != ka:
-                    M[kb, ka] += acc
-
-    _HAVE_NUMBA = True
-except ImportError:          # pragma: no cover - numba is a soft dependency
-    _HAVE_NUMBA = False
-
 PSD = "psd-hermitian"
 NONNEG = "nonneg-diagonal"
 
@@ -197,8 +171,6 @@ class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
-    step_frac: float = 0.99   # cap on the fraction-to-boundary parameter
-    verbose: bool = False
 
 
 class SolverFailure(RuntimeError):
@@ -265,20 +237,13 @@ def entry_value(M, i: int, j: int, kind: str) -> float:
 def herm_from_entry_values(n: int, vals, real: bool = False) -> np.ndarray:
     """Assemble ``sum_e vals[e] A_e`` over the canonical entry functionals."""
     M = np.zeros((n, n), dtype=float if real else complex)
-    vals = np.asarray(vals, dtype=float)
-    pos = 0
-    for i in range(n):
-        M[i, i] = vals[pos]
-        pos += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = 0.5 * vals[pos]
-            pos += 1
-            if not real:
-                v = v + 0.5j * vals[pos]
-                pos += 1
-            M[i, j] += v
-            M[j, i] += np.conj(v)
+    for (i, j, kind), v in zip(herm_entries(n, real), np.asarray(vals, dtype=float)):
+        if i == j:
+            M[i, i] = v
+        else:
+            h = 0.5 * v if kind == "re" else 0.5j * v
+            M[i, j] += h
+            M[j, i] += np.conj(h)
     return M
 
 
@@ -287,6 +252,7 @@ def herm_from_entry_values(n: int, vals, real: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _DENSE_NNZ_THRESHOLD = 9  # coefficients above this many entries take the dense path
+_SCHUR_CHUNK = 4_000_000  # pair products per chunk of sparse Schur assembly
 
 
 def _cast(arr, dtype):
@@ -355,7 +321,7 @@ class _PsdBlockData:
         if self.dk.size:
             out += np.tensordot(y[self.dk].astype(self.dtype, copy=False), self.dA, axes=1)
 
-    def schur(self, W, M, chunk_budget: int = 4_000_000):
+    def schur(self, W, M):
         """M += the block's contribution <A_k, W A_l W>.
 
         For folded triplets the pairwise trace reduces to
@@ -382,15 +348,11 @@ class _PsdBlockData:
             S = self.fu.size
             starts = self.sptr[:-1]
             uc = np.conj(self.fu)
-            if _HAVE_NUMBA:
-                _schur_pairs_kernel(M, self.sk, self.sptr, self.fp, self.fq,
-                                    self.fu, np.ascontiguousarray(Wa))
-                return
             g0 = 0
             n_groups = len(starts)
             while g0 < n_groups:
                 g1 = g0
-                while g1 < n_groups and (self.sptr[g1 + 1] - self.sptr[g0]) * S <= chunk_budget:
+                while g1 < n_groups and (self.sptr[g1 + 1] - self.sptr[g0]) * S <= _SCHUR_CHUNK:
                     g1 += 1
                 g1 = max(g1, g0 + 1)
                 e0, e1 = self.sptr[g0], self.sptr[g1]
@@ -662,9 +624,6 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             best_score = score
             best = (pobj, dobj, [x.copy() for x in X], y.copy(),
                     [z.copy() for z in Z], relgap, pinf, dinf)
-        if opts.verbose:
-            print(f"  it {it:3d}  p {pobj:+.9e}  d {dobj:+.9e} "
-                  f" gap {relgap:.2e}  pinf {pinf:.2e}  dinf {dinf:.2e}  mu {mu:.2e}")
         if relgap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
             status = _STATUS_OPTIMAL
             best = (pobj, dobj, [x.copy() for x in X], y.copy(),
@@ -815,7 +774,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         if a_step < 1e-10 and b_step < 1e-10:
             status = _STATUS_NUMFAIL
             break
-        tau = min(opts.step_frac, 0.90 + 0.09 * min(a_step, b_step))
+        tau = min(0.99, 0.90 + 0.09 * min(a_step, b_step))
 
         for bi, bl in enumerate(blocks):
             if bl.kind == PSD:

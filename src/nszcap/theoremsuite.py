@@ -16,7 +16,7 @@ import numpy as np
 
 from . import capacities as cap
 from . import graphspace as gs
-from .capacities import DimensionLimitError
+from .capacities import DimensionLimitError, require_choi_dim
 from .matrixcore import ValidationError, partial_trace, permute_systems, tensor
 from .sdpsolver import SolverOptions
 
@@ -175,21 +175,23 @@ def cross_activation_witness(K1: gs.NCGraph, S1, U1, K2: gs.NCGraph, S2, U2):
 
 def check_lemma2(K: gs.NCGraph, ell: int, label: str = "",
                  cache: CapacityCache | None = None,
-                 dim_limit: int | None = None) -> TheoremCheck:
+                 dim_limit: int | None = None,
+                 tol: float = EQ_TOL) -> TheoremCheck:
     """Tensoring with a noiseless ell-channel multiplies the activated capacity."""
     cache = cache or CapacityCache()
-    _guard_dim(K.dim * ell * ell, dim_limit)
+    require_choi_dim(K.dim * ell * ell, dim_limit)
     uh = cache.upsilon_hat(K)
     lhs = cache.upsilon_hat(gs.tensor_graph(K, gs.delta(ell)))
     rhs = ell * uh
-    tol = EQ_TOL * ell * (1.0 + uh)
+    abs_tol = tol * ell * (1.0 + uh)
     return TheoremCheck("lemma2", f"{label or 'K'} x delta({ell})", lhs, rhs, "eq",
-                        tol, _compare(lhs, rhs, "eq", tol))
+                        abs_tol, _compare(lhs, rhs, "eq", abs_tol))
 
 
 def check_main_theorem(K: gs.NCGraph, label: str = "",
                        cache: CapacityCache | None = None,
-                       dim_limit: int | None = None) -> TheoremCheck:
+                       dim_limit: int | None = None,
+                       tol: float = EQ_TOL) -> TheoremCheck:
     """The activated capacity equals half the capacity after borrowing one bit.
 
     Besides comparing the two solver values, the explicit lifting of the
@@ -197,29 +199,30 @@ def check_main_theorem(K: gs.NCGraph, label: str = "",
     program.
     """
     cache = cache or CapacityCache()
-    _guard_dim(K.dim * 4, dim_limit)
+    require_choi_dim(K.dim * 4, dim_limit)
     KD = gs.tensor_graph(K, gs.delta(2))
     lhs = cache.upsilon(KD) / 2.0
     rhs = cache.upsilon_hat(K)
     res = cache.result("upsilon_hat", K)
     S2, U2 = activation_witness(K, res.primal_witness["S_A"], res.primal_witness["U_AB"])
     viol = max(cap.check_upsilon_witness(KD, S2, U2, hat=False).values())
-    passed = _compare(lhs, rhs, "eq", EQ_TOL) and viol <= 1e-6
+    passed = _compare(lhs, rhs, "eq", tol) and viol <= 1e-6
     return TheoremCheck("main_theorem", label or "K", lhs, rhs, "eq",
-                        EQ_TOL, passed,
+                        tol, passed,
                         note=f"lifted witness violation {viol:.1e}")
 
 
 def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
                    cache: CapacityCache | None = None,
-                   dim_limit: int | None = None) -> TheoremCheck:
+                   dim_limit: int | None = None,
+                   tol: float = EQ_TOL) -> TheoremCheck:
     """A channel with enough one-shot capacity activates an activatable one.
 
     When the hypothesis holds, the combined witness construction is also
     re-verified as a feasible point of the product program.
     """
     cache = cache or CapacityCache()
-    _guard_dim(K1.dim * K2.dim, dim_limit)
+    require_choi_dim(K1.dim * K2.dim, dim_limit)
     u2 = cache.upsilon(K2)
     uh1 = cache.upsilon_hat(K1)
     if u2 - 1.0 < 1.0 / uh1 - 1e-9:
@@ -234,52 +237,55 @@ def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
         K1, r1.primal_witness["S_A"], r1.primal_witness["U_AB"],
         K2, r2.primal_witness["S_A"], r2.primal_witness["U_AB"])
     viol = max(cap.check_upsilon_witness(K12, S, U, hat=False).values())
-    passed = _compare(lhs, rhs, "ge", EQ_TOL) and viol <= 1e-5
-    return TheoremCheck("theorem5", label, lhs, rhs, "ge", EQ_TOL, passed,
+    passed = _compare(lhs, rhs, "ge", tol) and viol <= 1e-5
+    return TheoremCheck("theorem5", label, lhs, rhs, "ge", tol, passed,
                         note=f"combined witness violation {viol:.1e}")
 
 
 def check_corollary6(K: gs.NCGraph, label: str = "",
                      cache: CapacityCache | None = None,
-                     dim_limit: int | None = None) -> TheoremCheck:
+                     dim_limit: int | None = None,
+                     tol: float = EQ_TOL) -> TheoremCheck:
     """Golden-ratio self-activation."""
     cache = cache or CapacityCache()
     u = cache.upsilon(K)
     if u < GOLDEN_RATIO - 1e-9:
         return TheoremCheck("corollary6", label, u, GOLDEN_RATIO, "ge", 0.0,
                             True, vacuous=True, note="one-shot value below golden ratio")
-    _guard_dim(K.dim ** 2, dim_limit)
+    require_choi_dim(K.dim ** 2, dim_limit)
     lhs = cache.upsilon(gs.tensor_graph(K, K))
     rhs = cache.upsilon_hat(K) * u
     return TheoremCheck("corollary6", label, lhs, rhs, "ge",
-                        EQ_TOL, _compare(lhs, rhs, "ge", EQ_TOL))
+                        tol, _compare(lhs, rhs, "ge", tol))
 
 
 def check_theorem7(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
                    cache: CapacityCache | None = None,
-                   dim_limit: int | None = None) -> TheoremCheck:
+                   dim_limit: int | None = None,
+                   tol: float = EQ_TOL) -> TheoremCheck:
     """Direct-sum additivity of the one-shot capacity into activated parts."""
     cache = cache or CapacityCache()
     D = gs.direct_sum(K1, K2)
-    _guard_dim(D.dim, dim_limit)
+    require_choi_dim(D.dim, dim_limit)
     lhs = cache.upsilon(D)
     rhs = cache.upsilon_hat(K1) + cache.upsilon_hat(K2)
     return TheoremCheck("theorem7", label, lhs, rhs, "eq",
-                        EQ_TOL, _compare(lhs, rhs, "eq", EQ_TOL))
+                        tol, _compare(lhs, rhs, "eq", tol))
 
 
 def check_theorem9(K: gs.NCGraph, label: str = "",
-                   cache: CapacityCache | None = None) -> TheoremCheck:
+                   cache: CapacityCache | None = None,
+                   tol: float = EQ_TOL) -> TheoremCheck:
     """Positivity criteria agree; dense-coding bound holds and is attained as
     the packing number of the dense-coding cq graph."""
     cache = cache or CapacityCache()
-    report = cap.thm9_criteria(K, opts=cache.opts)
+    report = cap.thm9_criteria(K, opts=cache.opts, value=cache.value)
     uh = cache.upsilon_hat(K)
     sdb = cap.superdense_bound(K)
     acq = cap.aram_cq(gs.superdense_cq(K), cache.opts).value
     agree = report.all_agree()
     bound_ok = uh >= sdb - 1e-6
-    attain_ok = abs(acq - sdb) <= EQ_TOL
+    attain_ok = abs(acq - sdb) <= tol
     passed = agree and bound_ok and attain_ok
     note = "" if passed else \
         f"agree={agree} bound_ok={bound_ok} attain_ok={attain_ok} margins={report.margins}"
@@ -303,32 +309,27 @@ def check_prop11(opts: SolverOptions | None = None) -> TheoremCheck:
 
 def check_sandwich(K: gs.NCGraph, n: int, label: str = "",
                    cache: CapacityCache | None = None,
-                   dim_limit: int | None = None) -> TheoremCheck:
+                   dim_limit: int | None = None,
+                   tol: float = EQ_TOL) -> TheoremCheck:
     """Finite tensor-power sandwich around the activated capacity."""
     cache = cache or CapacityCache()
     try:
         n0 = cap.find_n0(K, n, cache.opts, dim_limit)
     except DimensionLimitError as exc:
-        return TheoremCheck("sandwich", label, 0.0, 0.0, "le", EQ_TOL, True,
+        return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
                             vacuous=True, note=f"size guard: {exc}")
     if n0 is None:
-        return TheoremCheck("sandwich", label, 0.0, 0.0, "le", EQ_TOL, True,
+        return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
                             vacuous=True, note=f"n0 not found up to {n}")
-    _guard_dim(K.dim ** n, dim_limit)
+    require_choi_dim(K.dim ** n, dim_limit)
     mid = cache.upsilon(gs.tensor_power(K, n))
     lo = 2.0 * cache.upsilon_hat(gs.tensor_power(K, n - n0))
     hi = cache.upsilon_hat(gs.tensor_power(K, n))
-    lower_ok = _compare(lo, mid, "le", EQ_TOL)
-    upper_ok = _compare(mid, hi, "le", EQ_TOL)
+    lower_ok = _compare(lo, mid, "le", tol)
+    upper_ok = _compare(mid, hi, "le", tol)
     return TheoremCheck("sandwich", f"{label} n={n} n0={n0}", lo, hi, "le",
-                        EQ_TOL, lower_ok and upper_ok,
+                        tol, lower_ok and upper_ok,
                         note=f"middle={mid:.8f}")
-
-
-def _guard_dim(dim: int, dim_limit: int | None):
-    limit = dim_limit if dim_limit is not None else cap.max_choi_dim()
-    if dim > limit:
-        raise DimensionLimitError(f"Choi dimension {dim} exceeds the limit {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +381,8 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
               dim_limit: int | None = None, opts: SolverOptions | None = None,
               progress=None) -> SuiteReport:
     """Run every check on built-ins plus the seeded random instances."""
-    global EQ_TOL
     t0 = time.perf_counter()
-    saved_tol = EQ_TOL
-    if tolerance is not None:
-        EQ_TOL = tolerance
+    tol = EQ_TOL if tolerance is None else tolerance
     cache = CapacityCache(opts)
     checks = []
 
@@ -396,63 +394,60 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
     def want(name):
         return only is None or only == name
 
-    try:
-        ex4 = gs.ncgraph_from_channel(gs.example4_channel(0.75))
-        damp = gs.ncgraph_from_channel(gs.amplitude_damping_channel(0.75))
-        depol = gs.ncgraph_from_channel(gs.depolarizing_channel(2))
-        builtins = [("example4(0.75)", ex4), ("amplitude-damping(0.75)", damp)]
-        rand = [(s.label(), random_graph(s)) for s in map(_spec_from_seed, seeds)]
+    ex4 = gs.ncgraph_from_channel(gs.example4_channel(0.75))
+    damp = gs.ncgraph_from_channel(gs.amplitude_damping_channel(0.75))
+    depol = gs.ncgraph_from_channel(gs.depolarizing_channel(2))
+    builtins = [("example4(0.75)", ex4), ("amplitude-damping(0.75)", damp)]
+    rand = [(s.label(), random_graph(s)) for s in map(_spec_from_seed, seeds)]
 
-        if want("lemma2"):
-            for label, K in builtins + rand:
-                emit(check_lemma2(K, 2, label, cache, dim_limit))
-            emit(check_lemma2(gs.delta(2), 3, "delta(2)", cache, dim_limit))
-        if want("main_theorem"):
-            for label, K in builtins + rand:
-                emit(check_main_theorem(K, label, cache, dim_limit))
-            emit(check_main_theorem(gs.delta(2), "delta(2)", cache, dim_limit))
-        if want("theorem5"):
-            emit(check_theorem5(ex4, gs.delta(2), "example4(0.75) | delta(2)",
-                                cache, dim_limit))
-            emit(check_theorem5(ex4, gs.delta(1), "example4(0.75) | delta(1)",
-                                cache, dim_limit))
-            for i in range(0, len(rand) - 1, 2):
-                l1, K1 = rand[i]
-                l2, K2 = rand[i + 1]
-                emit(check_theorem5(K1, K2, f"{l1} | {l2}", cache, dim_limit))
-        if want("corollary6"):
-            emit(check_corollary6(gs.delta(2), "delta(2)", cache, dim_limit))
-            emit(check_corollary6(ex4, "example4(0.75)", cache, dim_limit))
-            # small inputs keep K (x) K solvable quickly when the hypothesis holds
-            for s in seeds[:4]:
-                rng = np.random.default_rng(s)
-                spec = RandomChannelSpec(2, int(rng.integers(2, 4)),
-                                         int(rng.integers(1, 3)), s)
-                emit(check_corollary6(random_graph(spec), spec.label(),
-                                      cache, dim_limit))
-        if want("theorem7"):
-            emit(check_theorem7(gs.delta(1), gs.delta(1), "delta(1) + delta(1)",
-                                cache, dim_limit))
-            emit(check_theorem7(ex4, ex4, "example4 + example4", cache, dim_limit))
-            for i in range(0, len(rand) - 1, 2):
-                l1, K1 = rand[i]
-                l2, K2 = rand[i + 1]
-                emit(check_theorem7(K1, K2, f"{l1} + {l2}", cache, dim_limit))
-        if want("theorem9"):
-            for label, K in builtins + [("depolarizing(2)", depol)] + rand:
-                emit(check_theorem9(K, label, cache))
-        if want("prop11"):
-            emit(check_prop11(opts))
-        if want("sandwich"):
-            emit(check_sandwich(gs.delta(2), 2, "delta(2)", cache, dim_limit))
-            # isometry channels have one-shot capacity >= 2, so n0 = 1
-            for s in seeds[:5]:
-                rng = np.random.default_rng(s)
-                spec = RandomChannelSpec(2, int(rng.integers(2, 4)), 1, s)
-                emit(check_sandwich(random_graph(spec), 2, spec.label(),
-                                    cache, dim_limit))
-    finally:
-        EQ_TOL = saved_tol
+    if want("lemma2"):
+        for label, K in builtins + rand:
+            emit(check_lemma2(K, 2, label, cache, dim_limit, tol))
+        emit(check_lemma2(gs.delta(2), 3, "delta(2)", cache, dim_limit, tol))
+    if want("main_theorem"):
+        for label, K in builtins + rand:
+            emit(check_main_theorem(K, label, cache, dim_limit, tol))
+        emit(check_main_theorem(gs.delta(2), "delta(2)", cache, dim_limit, tol))
+    if want("theorem5"):
+        emit(check_theorem5(ex4, gs.delta(2), "example4(0.75) | delta(2)",
+                            cache, dim_limit, tol))
+        emit(check_theorem5(ex4, gs.delta(1), "example4(0.75) | delta(1)",
+                            cache, dim_limit, tol))
+        for i in range(0, len(rand) - 1, 2):
+            l1, K1 = rand[i]
+            l2, K2 = rand[i + 1]
+            emit(check_theorem5(K1, K2, f"{l1} | {l2}", cache, dim_limit, tol))
+    if want("corollary6"):
+        emit(check_corollary6(gs.delta(2), "delta(2)", cache, dim_limit, tol))
+        emit(check_corollary6(ex4, "example4(0.75)", cache, dim_limit, tol))
+        # small inputs keep K (x) K solvable quickly when the hypothesis holds
+        for s in seeds[:4]:
+            rng = np.random.default_rng(s)
+            spec = RandomChannelSpec(2, int(rng.integers(2, 4)),
+                                     int(rng.integers(1, 3)), s)
+            emit(check_corollary6(random_graph(spec), spec.label(),
+                                  cache, dim_limit, tol))
+    if want("theorem7"):
+        emit(check_theorem7(gs.delta(1), gs.delta(1), "delta(1) + delta(1)",
+                            cache, dim_limit, tol))
+        emit(check_theorem7(ex4, ex4, "example4 + example4", cache, dim_limit, tol))
+        for i in range(0, len(rand) - 1, 2):
+            l1, K1 = rand[i]
+            l2, K2 = rand[i + 1]
+            emit(check_theorem7(K1, K2, f"{l1} + {l2}", cache, dim_limit, tol))
+    if want("theorem9"):
+        for label, K in builtins + [("depolarizing(2)", depol)] + rand:
+            emit(check_theorem9(K, label, cache, tol))
+    if want("prop11"):
+        emit(check_prop11(opts))
+    if want("sandwich"):
+        emit(check_sandwich(gs.delta(2), 2, "delta(2)", cache, dim_limit, tol))
+        # isometry channels have one-shot capacity >= 2, so n0 = 1
+        for s in seeds[:5]:
+            rng = np.random.default_rng(s)
+            spec = RandomChannelSpec(2, int(rng.integers(2, 4)), 1, s)
+            emit(check_sandwich(random_graph(spec), 2, spec.label(),
+                                cache, dim_limit, tol))
 
     order = {id(c): i for i, c in enumerate(checks)}
     checks.sort(key=lambda c: (c.name, c.instance, order[id(c)]))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from nszcap import graphspace as gs
+from nszcap import cli
 from nszcap.cli import (
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VERIFY,
     channel_to_document,
     document_to_channel,
@@ -113,6 +115,27 @@ class TestCompute:
                                "--quantity", "upsilon")
         assert code == EXIT_INPUT
         assert "d_out" in err or "kraus" in err
+
+    def test_nan_kraus_document(self, capsys, tmp_path):
+        doc = channel_to_document(gs.amplitude_damping_channel(0.5))
+        doc["kraus"][0][1][1] = ["nan", 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "compute", "--channel", str(path),
+                                 "--quantity", "upsilon")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_linalg_error_is_solver_failure(self, capsys, monkeypatch):
+        def broken(K, opts):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setitem(cli.QUANTITIES, "upsilon", ("nc", broken))
+        code, out, err = run_cli(capsys, "compute", "--builtin", "delta:l=2",
+                                 "--quantity", "upsilon")
+        assert code == EXIT_SOLVER
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert "did not converge" in err
 
     def test_missing_source(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--quantity", "upsilon")

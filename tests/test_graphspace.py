@@ -51,6 +51,13 @@ class TestKrausChannel:
         with pytest.raises(ValidationError):
             KrausChannel(2, 3, [np.eye(2)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        E = np.eye(2, dtype=complex)
+        E[0, 1] = bad
+        with pytest.raises(ValidationError):
+            KrausChannel(2, 2, [E], relaxed=True)
+
 
 class TestChoiMatrix:
     def test_identity_channel(self):
@@ -103,6 +110,13 @@ class TestNCGraphConstruction:
     def test_rejects_non_projector(self):
         with pytest.raises(ValidationError):
             NCGraph(2, 2, np.diag([0.5, 0.0, 0.0, 0.0]))
+
+    def test_rejects_nan_projection(self):
+        # NaN slips past every "deviation > tol" test, so it is rejected up front
+        P = np.diag([1.0, 0.0, 0.0, 0.0])
+        P[1, 2] = np.nan
+        with pytest.raises(ValidationError):
+            NCGraph(2, 2, P)
 
 
 class TestDelta:
@@ -196,6 +210,14 @@ class TestCqGraphs:
     def test_cq_from_states_validates_trace(self):
         with pytest.raises(ValidationError):
             cq_from_states([np.eye(2)])
+
+    def test_rejects_non_finite(self):
+        bad = np.diag([1.0, 0.0])
+        bad[0, 1] = bad[1, 0] = np.nan
+        with pytest.raises(ValidationError):
+            cq_from_states([bad])
+        with pytest.raises(ValidationError):
+            CqGraph([bad])
 
     def test_example4_states_become_projections(self):
         C = cq_from_states(example4_states(0.75))

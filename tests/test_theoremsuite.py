@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nszcap import capacities as cap
 from nszcap import graphspace as gs
 from nszcap.graphspace import NCGraph
 from nszcap.matrixcore import ValidationError
@@ -158,6 +159,20 @@ class TestTheorem9:
     def test_random(self, seed, cache):
         assert check_theorem9(rand_graph(seed, 2, 2, 2), f"rnd{seed}", cache).passed
 
+    def test_criteria_solves_go_through_cache(self, ex4, monkeypatch):
+        solved = []
+        original = cap.upsilon_hat
+
+        def counted(K, opts=None):
+            solved.append(K)
+            return original(K, opts)
+
+        monkeypatch.setattr(cap, "upsilon_hat", counted)
+        shared = CapacityCache()
+        check_lemma2(ex4, 2, "ex4", shared)
+        assert check_theorem9(ex4, "ex4", shared).passed
+        assert sum(K is ex4 for K in solved) == 1
+
 
 class TestProp11:
     def test_passes_with_margins(self):
@@ -214,6 +229,16 @@ class TestRunSuite:
     def test_unreasonable_tolerance_fails(self):
         report = run_suite(seeds=(), only="theorem7", tolerance=1e-13)
         assert report.failures
+
+    def test_tolerance_override_is_not_global(self):
+        # a check run while the suite is in progress keeps its own default
+        seen = []
+
+        def progress(_check):
+            seen.append(check_theorem7(gs.delta(1), gs.delta(1)).tolerance)
+
+        run_suite(seeds=(), only="prop11", tolerance=1e-13, progress=progress)
+        assert seen == [1e-5]
 
     def test_report_serializes(self):
         report = run_suite(seeds=(), only="prop11")
