@@ -29,7 +29,7 @@ from .sdpsolver import (
     NONNEG,
     PSD,
     Block,
-    Coo,
+    Entry,
     SdpProblem,
     SdpSolution,
     SolverFailure,
@@ -111,33 +111,20 @@ def _run(problem: SdpProblem, opts: SolverOptions | None, quantity: str) -> SdpS
 # Program builders
 # ---------------------------------------------------------------------------
 
-def _lifted_entry_coeff(d_A: int, d_B: int, i: int, j: int, kind: str, on: str) -> Coo:
+def _lifted_entry_coeff(d_A: int, d_B: int, i: int, j: int, kind: str, on: str) -> np.ndarray:
     """Entry functional lifted by an identity factor on the other system.
 
     ``on="B"`` gives ``<1_A (x) E, U>``, which reads Re/Im of ``(tr_A U)[i, j]``;
     ``on="A"`` gives ``<E (x) 1_B, U>``, which reads Re/Im of ``(tr_B U)[i, j]``.
     """
-    base, step = (np.arange(d_A) * d_B, 1) if on == "B" else (np.arange(d_B), d_B)
-    p, q = base + i * step, base + j * step
-    d = len(base)
-    if i == j:
-        return coo(p, p, np.ones(d))
-    if kind == "re":
-        vv = np.full(2 * d, 0.5)
-    else:
-        vv = np.concatenate([np.full(d, 0.5j), np.full(d, -0.5j)])
-    return Coo(np.concatenate([p, q]), np.concatenate([q, p]), vv)
+    if on == "B":
+        return np.kron(np.eye(d_A), entry_coeff(i, j, kind).to_dense(d_B))
+    return np.kron(entry_coeff(i, j, kind).to_dense(d_A), np.eye(d_B))
 
 
-def _compressed_entry_coeff(theta, i: int, j: int, kind: str) -> np.ndarray:
-    """Dense functional ``theta A_e theta^dag``: reads Re/Im of ``(theta^dag X theta)[i, j]``."""
-    if i == j:
-        return np.outer(theta[:, i], theta[:, i].conj())
-    if kind == "re":
-        return 0.5 * (np.outer(theta[:, i], theta[:, j].conj())
-                      + np.outer(theta[:, j], theta[:, i].conj()))
-    return 0.5j * (np.outer(theta[:, i], theta[:, j].conj())
-                   - np.outer(theta[:, j], theta[:, i].conj()))
+def _compressed_entry_coeff(theta, i: int, j: int, kind: str, scale: float = 1.0) -> Entry:
+    """Functional ``theta A_e theta^dag``: reads Re/Im of ``(theta^dag X theta)[i, j]``."""
+    return entry_coeff(i, j, kind, scale, frame=theta)
 
 
 def _support_complement_basis(P, real: bool):
@@ -244,10 +231,13 @@ def build_upsilon_hat_dual_problem(K: NCGraph):
         if a1 == a2:
             coeffs[T_BLK] = -np.eye(dB)
         constraints.append((coeffs, -1.0 if a1 == a2 else 0.0))
+    trA = np.einsum("abi,acj->ijbc", theta.reshape(dA, dB, r),  # tr_A(theta_i theta_j^dag)
+                    theta.conj().reshape(dA, dB, r))
     for (i, j, kind) in herm_entries(r, real):
         L = _compressed_entry_coeff(theta, i, j, kind)
-        constraints.append(({Y3_BLK: L, Y1_BLK: -L,
-                             T_BLK: partial_trace(L, dA, dB, "first")}, 0.0))
+        u = 0.5 * np.conj(L.weight)
+        constraints.append(({Y3_BLK: L, Y1_BLK: _compressed_entry_coeff(theta, i, j, kind, -1.0),
+                             T_BLK: u * trA[i, j] + np.conj(u) * trA[j, i]}, 0.0))
 
     meta = {"real": real, "n": n, "dA": dA, "dB": dB}
     return SdpProblem(blocks, objective, constraints, name="upsilon_hat_dual"), meta

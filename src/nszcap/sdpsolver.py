@@ -19,15 +19,18 @@ blocks directly; :func:`realify` provides the standard spectrum-preserving
 embedding into real symmetric matrices and is used by the test suite to
 cross-check PSD-ness in the real domain.
 
-Constraint coefficients may be given either as dense arrays or in a sparse
-triplet form (:class:`Coo`); problems built from entry-functional families
-(the common case here) stay sparse and the Schur complement is assembled by
-index arithmetic instead of per-constraint matrix products.
+Constraint coefficients are typed.  An :class:`Entry` reads one scaled real or
+imaginary entry of ``F^dag X F`` for a frame F (default: the identity).  The
+entries of one (block, frame) pair form a family with the closed-form Schur
+block ``M[e, f] = <E_e, Y E_f Y^dag>``, ``Y = F^dag W F`` (W lifted): row e is
+``Y^dag E_e Y``, two outer products of rows of Y, read at the entries f.  Other
+coefficients (:class:`Coo`, dense arrays) take one dense path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 import scipy.linalg as sla
@@ -110,7 +113,7 @@ class SdpProblem:
 
     blocks: list
     objective: list          # per block: dense Hermitian / real vector / None
-    constraints: list        # list of (coeffs: dict block->Coo|ndarray, rhs: float)
+    constraints: list        # list of (coeffs: dict block->Entry|Coo|ndarray, rhs: float)
     name: str = ""
 
     @property
@@ -138,12 +141,9 @@ class SdpProblem:
                 if blk.kind == NONNEG:
                     continue
                 na = blk.ambient_dim
-                if isinstance(A, Coo):
-                    D = A.to_dense(na)
-                else:
-                    D = np.asarray(A)
-                    if D.shape != (na, na):
-                        raise ValidationError(f"constraint {k}: coefficient shape mismatch")
+                D = A.to_dense(na) if isinstance(A, (Entry, Coo)) else np.asarray(A)
+                if D.shape != (na, na):
+                    raise ValidationError(f"constraint {k}: coefficient shape mismatch")
                 if herm_deviation(D) > herm_tol:
                     raise ValidationError(f"constraint {k}: coefficient is not Hermitian")
 
@@ -160,6 +160,9 @@ class SdpSolution:
     iterations: int
     primal_residual: float = 0.0
     dual_residual: float = 0.0
+    # seconds in "scaling" (NT), "schur" (assembly), "factor" (Cholesky), "newton"
+    # (both solves and right-hand sides), "step" (steps, residuals, stopping)
+    phase_s: dict = field(default_factory=dict)
 
     @property
     def optimal(self) -> bool:
@@ -219,15 +222,33 @@ def num_herm_entries(n: int, real: bool = False) -> int:
     return n * (n + 1) // 2 if real else n * n
 
 
-def entry_coeff(i: int, j: int, kind: str, scale: float = 1.0) -> Coo:
-    """Hermitian functional with ``<A, X> = scale * Re/Im X[i, j]``."""
-    if i == j:
-        if kind != "re":
-            raise ValidationError("diagonal entries have no imaginary part")
-        return coo([i], [i], [scale])
-    if kind == "re":
-        return coo([i, j], [j, i], [0.5 * scale, 0.5 * scale])
-    return coo([i, j], [j, i], [0.5j * scale, -0.5j * scale])
+@dataclass(frozen=True, eq=False)
+class Entry:
+    """Entry functional ``X -> scale * Re/Im (F^dag X F)[i, j]`` on a block's ambient
+    matrix X, for the ``frame`` isometry F (ambient x r; None: the identity)."""
+
+    i: int
+    j: int
+    kind: str
+    scale: float = 1.0
+    frame: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("re", "im") or (self.i == self.j and self.kind != "re"):
+            raise ValidationError("entry kind must be 're' or 'im', and 're' on the diagonal")
+
+    @property
+    def weight(self):
+        """``c`` with ``<A, X> = Re(c (F^dag X F)[i, j])``."""
+        return self.scale if self.kind == "re" else -1j * self.scale
+
+    def to_dense(self, n: int, dtype=complex) -> np.ndarray:
+        F = np.eye(n) if self.frame is None else np.asarray(self.frame)
+        A = 0.5 * np.conj(self.weight) * np.outer(F[:, self.i], np.conj(F[:, self.j]))
+        return _cast(A + np.conj(A).T, np.dtype(dtype))
+
+
+entry_coeff = Entry  # the builders' name: entry_coeff(i, j, kind, scale=1.0, frame=None)
 
 
 def entry_value(M, i: int, j: int, kind: str) -> float:
@@ -251,8 +272,7 @@ def herm_from_entry_values(n: int, vals, real: bool = False) -> np.ndarray:
 # Preprocessed per-block constraint data
 # ---------------------------------------------------------------------------
 
-_DENSE_NNZ_THRESHOLD = 9  # coefficients above this many entries take the dense path
-_SCHUR_CHUNK = 4_000_000  # pair products per chunk of sparse Schur assembly
+_SCHUR_BUDGET = 1 << 18  # frame-matrix entries per row group of entry-family Schur assembly
 
 
 def _cast(arr, dtype):
@@ -262,158 +282,179 @@ def _cast(arr, dtype):
     return arr.astype(dtype, copy=False)
 
 
-class _PsdBlockData:
-    """Constraint data for one PSD block.
+def _flat(A):
+    """Real view of matrices (..., n, n) as rows: ``_flat(A) @ _flat(B).T = Re <A, B>``."""
+    return A.reshape(A.shape[:-2] + (-1,)).view(np.float64)
 
-    Sparse coefficients keep their ambient-space triplets; dense coefficients
-    are stored compressed (``theta^dag A theta``) for based blocks.  The block
-    iterate itself always lives in the block's own ``dim``.
+
+def _ids(k):
+    """Increasing constraint ids ``k`` with their runs of consecutive ids, as
+    (M slice, position slice) pairs; None for the runs when there are over four."""
+    cuts = [0, *(np.flatnonzero(np.diff(k) != 1) + 1).tolist(), len(k)]
+    if len(cuts) > 5:
+        return k, None
+    return k, [(slice(k[a], k[b - 1] + 1), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+
+def _add(M, rows, cols, B):
+    """``M[rows, cols] += B`` for :func:`_ids` pairs; by slices over their runs."""
+    (rk, rr), (ck, cr) = rows, cols
+    if rr is None or cr is None:
+        M[np.ix_(rk, ck)] += B
+        return
+    for mr, br in rr:
+        for mc, bc in cr:
+            M[mr, mc] += B[br, bc]
+
+
+class _EntryFamily:
+    """The :class:`Entry` coefficients of one (block, frame) group.
+
+    Row ``e`` (constraint ``k[e]``) pairs with a block matrix V as
+    ``Re(c[e] (G V G^dag)[i[e], j[e]])``; ``G = F^dag basis`` maps block to frame
+    coordinates (None: the identity).  Its matrix is ``G^dag (u E_ij + h.c.) G``,
+    ``u = conj(c) / 2``."""
+
+    def __init__(self, entries, frame, block, dtype):
+        self.k, self.i, self.j, c = map(np.asarray, zip(*entries))
+        self.ids = _ids(self.k)
+        self.c = c = _cast(c, dtype)
+        self.ij = np.stack([self.i, self.j], axis=1)
+        self.u1 = np.stack([0.5 * np.conj(c), np.ones_like(c)], axis=1)[:, :, None]
+        F = None if frame is None else _cast(np.conj(np.asarray(frame)).T, dtype)
+        B = None if block.basis is None else _cast(np.asarray(block.basis), dtype)
+        self.G = None if frame is block.basis else B if F is None else F if B is None else F @ B
+        self.r = r = block.dim if self.G is None else self.G.shape[0]
+        # as columns, the family reads scale * Re/Im of entry (i, j) of a frame
+        # matrix: the offsets into its float view, and the scales
+        flat = self.i * r + self.j
+        self.flat = flat if np.isrealobj(c) else 2 * flat + (c.imag != 0)
+        scale = c.real - c.imag
+        self.s = None if np.all(scale == 1.0) else scale
+
+    def frame(self, V):
+        """Map block matrices (..., dim, dim) to frame coordinates."""
+        return V if self.G is None else self.G @ V @ np.conj(self.G).T
+
+    def read(self, Y):
+        """The family's values at frame matrices Y (..., r, r)."""
+        return (self.c * Y[..., self.i, self.j]).real
+
+    def scatter(self, y, out):
+        """Add to ``out`` a matrix whose Hermitian part is ``sum_e y[k_e] A_e``."""
+        acc = out if self.G is None else np.zeros((self.r, self.r), dtype=out.dtype)
+        np.add.at(acc, (self.i, self.j), np.conj(self.c) * y[self.k])
+        if self.G is not None:
+            out += np.conj(self.G).T @ acc @ self.G
+
+    def schur(self, other, W, M):
+        """M += ``<A_e, W A_f W>`` for rows e of this family and f of ``other``.
+
+        With ``X = G_1 W G_2^dag``, ``X^dag (u E_ij + conj(u) E_ji) X`` is
+        ``a b^T + conj(b) a^dag`` for ``a = u conj(X[i])``, ``b = X[j]``, one
+        (r x 2) @ (2 x r) product; the other family reads it at its entries.
+        Rows go in groups whose matrices hold at most ``_SCHUR_BUDGET`` entries.
+        """
+        X = W if self.G is None else self.G @ W
+        if other.G is not None:
+            X = X @ np.conj(other.G).T
+        r2 = X.shape[1]
+        step = max(1, _SCHUR_BUDGET // (r2 * r2))
+        for e0 in range(0, len(self.k), step):
+            e = slice(e0, e0 + step)
+            L = np.conj(X[self.ij[e]]) * self.u1[e]              # rows (a, conj(b))
+            R = np.matmul(L.transpose(0, 2, 1), np.conj(L[:, ::-1]))
+            B = R.reshape(len(L), -1).view(np.float64).take(other.flat, axis=1)
+            if other.s is not None:
+                B *= other.s
+            rows = self.ids if step >= len(self.k) else _ids(self.k[e])
+            _add(M, rows, other.ids, B)
+            if other is not self:
+                _add(M, other.ids, rows, B.T)
+
+
+class _PsdBlockData:
+    """Constraint data for one PSD block: one :class:`_EntryFamily` per frame, and
+    the other coefficients dense, compressed (``theta^dag A theta``) for based
+    blocks.  The block iterate itself always lives in the block's own ``dim``.
     """
 
     def __init__(self, n, dtype, theta=None):
-        self.n = n                     # block dimension (compressed for based)
-        self.dtype = dtype
         self.theta = None if theta is None else _cast(np.asarray(theta), dtype)
         self.C = np.zeros((n, n), dtype=dtype)
-        # sparse side, folded Hermitian triplets: each constraint coefficient
-        # is sum_s ( u_s E[p_s,q_s] + conj(u_s) E[q_s,p_s] ), diagonal entries
-        # carried with u = value/2.  CSR-like over participating constraints.
-        self.sk = np.zeros(0, dtype=np.intp)     # global constraint ids
-        self.sptr = np.zeros(1, dtype=np.intp)
-        self.fp = np.zeros(0, dtype=np.intp)
-        self.fq = np.zeros(0, dtype=np.intp)
-        self.fu = np.zeros(0, dtype=dtype)
-        self.ske = np.zeros(0, dtype=np.intp)    # constraint id per folded entry
-        # dense side (compressed coordinates)
+        self.families = []
         self.dk = np.zeros(0, dtype=np.intp)
         self.dA = np.zeros((0, n, n), dtype=dtype)
 
     def lift(self, V):
         """Map a block matrix to ambient coordinates."""
-        if self.theta is None:
-            return V
-        return self.theta @ V @ np.conj(self.theta).T
+        return V if self.theta is None else self.theta @ V @ np.conj(self.theta).T
 
     def compress(self, A):
-        if self.theta is None:
-            return A
-        return np.conj(self.theta).T @ A @ self.theta
+        return A if self.theta is None else np.conj(self.theta).T @ A @ self.theta
 
     def pair_all(self, V, out):
         """out[k] += <A_k, V> for all constraints touching this block."""
-        if self.fu.size:
-            Va = self.lift(V)
-            vals = 2.0 * (self.fu * Va[self.fq, self.fp]).real
-            out[self.sk] += np.add.reduceat(vals, self.sptr[:-1])
+        for f in self.families:
+            out[f.k] += f.read(f.frame(V))
         if self.dk.size:
-            out[self.dk] += (self.dA.conj().reshape(len(self.dk), -1) @ V.reshape(-1)).real
+            out[self.dk] += _flat(self.dA) @ _flat(V)
 
     def scatter(self, y, out):
-        """out += sum_k y[k] A_k (compressed) over constraints touching this block."""
-        if self.fu.size:
-            contrib = self.fu * y[self.ske].astype(self.dtype, copy=False)
-            target = out if self.theta is None else \
-                np.zeros((self.theta.shape[0],) * 2, dtype=self.dtype)
-            np.add.at(target, (self.fp, self.fq), contrib)
-            np.add.at(target, (self.fq, self.fp), np.conj(contrib))
-            if self.theta is not None:
-                out += self.compress(target)
+        """out += sum_k y[k] A_k (compressed) over this block's constraints, up to
+        an anti-Hermitian part: the caller keeps the Hermitian part."""
+        for f in self.families:
+            f.scatter(y, out)
         if self.dk.size:
-            out += np.tensordot(y[self.dk].astype(self.dtype, copy=False), self.dA, axes=1)
+            out += np.tensordot(y[self.dk], self.dA, axes=1)
 
     def schur(self, W, M):
-        """M += the block's contribution <A_k, W A_l W>.
-
-        For folded triplets the pairwise trace reduces to
-        ``2 Re[u_s u_t Wqp[s,t] Wqp[t,s]] + 2 Re[u_s conj(u_t) Wqq[s,t] conj(Wpp[s,t])]``
-        with ``Wqp[s,t] = W[q_s, p_t]`` etc., assembled by fancy indexing.
-        """
+        """M += the block's contribution <A_k, W A_l W>."""
         if self.dk.size:
             D = np.matmul(W, np.matmul(self.dA, W))      # (md, n, n), D_l = W A_l W
-            md = len(self.dk)
-            G = (self.dA.conj().reshape(md, -1) @ D.reshape(md, -1).T).real
-            M[self.dk[:, None], self.dk[None, :]] += G
-            if self.fu.size:
-                if self.theta is None:
-                    Da = D
-                else:
-                    Da = np.einsum("ur,krs,vs->kuv", self.theta, D, np.conj(self.theta),
-                                   optimize=True)
-                vals = 2.0 * (Da[:, self.fq, self.fp] * self.fu[None, :]).real
-                cross = np.add.reduceat(vals, self.sptr[:-1], axis=1)  # (md, ms)
-                M[self.dk[:, None], self.sk[None, :]] += cross
-                M[self.sk[:, None], self.dk[None, :]] += cross.T
-        if self.fu.size:
-            Wa = self.lift(W)
-            S = self.fu.size
-            starts = self.sptr[:-1]
-            uc = np.conj(self.fu)
-            g0 = 0
-            n_groups = len(starts)
-            while g0 < n_groups:
-                g1 = g0
-                while g1 < n_groups and (self.sptr[g1 + 1] - self.sptr[g0]) * S <= _SCHUR_CHUNK:
-                    g1 += 1
-                g1 = max(g1, g0 + 1)
-                e0, e1 = self.sptr[g0], self.sptr[g1]
-                p_c, q_c, u_c = self.fp[e0:e1], self.fq[e0:e1], self.fu[e0:e1]
-                T1 = Wa[q_c[:, None], self.fp[None, :]]    # W[q_s, p_t]
-                T1 *= Wa[self.fq[None, :], p_c[:, None]]   # W[q_t, p_s]
-                T1 *= self.fu[None, :]
-                T2 = Wa[q_c[:, None], self.fq[None, :]]    # W[q_s, q_t]
-                T2 *= np.conj(Wa[p_c[:, None], self.fp[None, :]])
-                T2 *= uc[None, :]
-                T1 += T2
-                del T2
-                T1 *= u_c[:, None]
-                U = np.add.reduceat(2.0 * T1.real, starts, axis=1)
-                U = np.add.reduceat(U, starts[g0:g1] - e0, axis=0)
-                M[self.sk[g0:g1, None], self.sk[None, :]] += U
-                g0 = g1
+            ids = _ids(self.dk)
+            _add(M, ids, ids, _flat(self.dA) @ _flat(D).T)
+            for f in self.families:
+                cross = f.read(f.frame(D))                # (md, len(f.k))
+                _add(M, ids, f.ids, cross)
+                _add(M, f.ids, ids, cross.T)
+        for a, f in enumerate(self.families):
+            for g in self.families[a:]:
+                f.schur(g, W, M)
 
 
 class _NonnegBlockData:
-    def __init__(self, n, dtype):
-        self.n = n
+    def __init__(self, n):
         self.C = np.zeros(n)
-        self.k = np.zeros(0, dtype=np.intp)
-        self.A = np.zeros((0, n))
+        self.dk = np.zeros(0, dtype=np.intp)
+        self.dA = np.zeros((0, n))
 
     def pair_all(self, v, out):
-        if self.k.size:
-            out[self.k] += self.A @ v
+        if self.dk.size:
+            out[self.dk] += self.dA @ v
 
     def scatter(self, y, out):
-        if self.k.size:
-            out += y[self.k] @ self.A
+        if self.dk.size:
+            out += y[self.dk] @ self.dA
 
     def schur(self, w, M):
-        if self.k.size:
-            B = self.A * w[None, :] ** 2
-            M[self.k[:, None], self.k[None, :]] += B @ self.A.T
+        if self.dk.size:
+            B = self.dA * w[None, :] ** 2
+            M[self.dk[:, None], self.dk[None, :]] += B @ self.dA.T
+
+
+def _has_imag(arr) -> bool:
+    return arr is not None and np.iscomplexobj(arr) and np.abs(np.imag(arr)).max(initial=0) > 0
 
 
 def _preprocess(problem: SdpProblem):
-    """Sort constraint coefficients into per-block sparse/dense structures."""
-    is_real = True
+    """Sort constraint coefficients into per-block entry families and dense data."""
+    arrays = [b.basis for b in problem.blocks] + list(problem.objective)
     for coeffs, _ in problem.constraints:
-        for bi, A in coeffs.items():
-            arr = A.vv if isinstance(A, Coo) else np.asarray(A)
-            if np.iscomplexobj(arr) and np.abs(arr.imag).max(initial=0.0) > 0.0:
-                is_real = False
-                break
-        if not is_real:
-            break
-    if is_real:
-        for b, C in zip(problem.blocks, problem.objective):
-            for arr in (C, b.basis):
-                if arr is not None and np.iscomplexobj(np.asarray(arr)) \
-                        and np.abs(np.asarray(arr).imag).max(initial=0.0) > 0.0:
-                    is_real = False
-                    break
-            if not is_real:
-                break
-    dtype = np.float64 if is_real else np.complex128
+        for A in coeffs.values():
+            arrays += [A.weight, A.frame] if isinstance(A, Entry) \
+                else [A.vv if isinstance(A, Coo) else A]
+    dtype = np.complex128 if any(map(_has_imag, arrays)) else np.float64
 
     data = []
     for b, C in zip(problem.blocks, problem.objective):
@@ -422,38 +463,24 @@ def _preprocess(problem: SdpProblem):
             if C is not None:
                 d.C = d.compress(_cast(np.asarray(C), dtype))
         else:
-            d = _NonnegBlockData(b.dim, dtype)
+            d = _NonnegBlockData(b.dim)
             if C is not None:
                 d.C = np.asarray(C, dtype=float)
         data.append(d)
 
-    sk = [[] for _ in problem.blocks]
-    sp = [[] for _ in problem.blocks]
-    sq = [[] for _ in problem.blocks]
-    su = [[] for _ in problem.blocks]
+    families = [{} for _ in problem.blocks]   # id(frame) -> (frame, entries)
     dk = [[] for _ in problem.blocks]
     dA = [[] for _ in problem.blocks]
     for k, (coeffs, _) in enumerate(problem.constraints):
         for bi, A in coeffs.items():
             blk = problem.blocks[bi]
             if blk.kind == NONNEG:
-                if isinstance(A, Coo):
-                    vec = np.zeros(blk.dim)
-                    np.add.at(vec, A.ii, A.vv.real)
-                else:
-                    vec = np.asarray(A, dtype=float)
                 dk[bi].append(k)
-                dA[bi].append(vec)
-                continue
-            if isinstance(A, Coo) and A.nnz <= _DENSE_NNZ_THRESHOLD:
-                keep = A.ii <= A.jj       # fold Hermitian pairs to one triplet
-                p, q = A.ii[keep], A.jj[keep]
-                u = _cast(A.vv, dtype)[keep].copy()
-                u[p == q] *= 0.5
-                sk[bi].append(k)
-                sp[bi].append(p)
-                sq[bi].append(q)
-                su[bi].append(u)
+                dA[bi].append(np.bincount(A.ii, A.vv.real, blk.dim) if isinstance(A, Coo)
+                              else np.asarray(A, dtype=float))
+            elif isinstance(A, Entry):
+                families[bi].setdefault(id(A.frame), (A.frame, []))[1].append(
+                    (k, A.i, A.j, A.weight))
             else:
                 D = A.to_dense(blk.ambient_dim, dtype) if isinstance(A, Coo) \
                     else _cast(np.asarray(A), dtype)
@@ -462,22 +489,11 @@ def _preprocess(problem: SdpProblem):
 
     for bi, blk in enumerate(problem.blocks):
         d = data[bi]
-        if blk.kind == NONNEG:
-            if dk[bi]:
-                d.k = np.asarray(dk[bi], dtype=np.intp)
-                d.A = np.stack(dA[bi])
-            continue
-        if sk[bi]:
-            counts = np.array([len(x) for x in sp[bi]], dtype=np.intp)
-            d.sk = np.asarray(sk[bi], dtype=np.intp)
-            d.sptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-            d.fp = np.concatenate(sp[bi]).astype(np.intp)
-            d.fq = np.concatenate(sq[bi]).astype(np.intp)
-            d.fu = np.concatenate(su[bi])
-            d.ske = np.repeat(d.sk, counts)
         if dk[bi]:
             d.dk = np.asarray(dk[bi], dtype=np.intp)
             d.dA = np.stack(dA[bi])
+        d.families = [_EntryFamily(entries, frame, blk, dtype)
+                      for frame, entries in families[bi].values()]
     return data, dtype
 
 
@@ -589,6 +605,14 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
     it = 0
     tau = 0.9
     stall = 0
+    phase_s = dict.fromkeys(("scaling", "schur", "factor", "newton", "step"), 0.0)
+    t_lap = perf_counter()
+
+    def lap(phase):
+        nonlocal t_lap
+        now = perf_counter()
+        phase_s[phase] += now - t_lap
+        t_lap = now
 
     for it in range(1, opts.max_iter + 1):
         pobj = sum(float(np.vdot(d.C, x).real) if bl.kind == PSD else float(d.C @ x)
@@ -640,6 +664,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             break
 
         # NT scaling per block
+        lap("step")
         Ws, Rs, Rinvs, lams = [], [], [], []
         try:
             for bl, x, z in zip(blocks, X, Z):
@@ -659,10 +684,12 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             break
 
         # Schur complement
+        lap("scaling")
         M = np.zeros((m, m))
         for d, W in zip(data, Ws):
             d.schur(W, M)
         M = 0.5 * (M + M.T)
+        lap("schur")
 
         base_reg = 1e-12 * (1.0 + float(np.trace(M)) / m)
         cho = None
@@ -674,6 +701,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
                 break
             except np.linalg.LinAlgError:
                 reg = base_reg * (100.0 ** attempt) if reg else base_reg
+        lap("factor")
         if cho is None:
             status = _STATUS_NUMFAIL
             break
@@ -768,6 +796,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
                 H = sigma * mu - lam * lam - dxh * dzh
                 Rc.append(w * H / lam)
         dX, dy, dZ = newton(Rc)
+        lap("newton")
         ap, ad = max_steps(dX, dZ)
         a_step = min(1.0, tau * ap)
         b_step = min(1.0, tau * ad)
@@ -785,6 +814,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
                 Z[bi] = Z[bi] + b_step * dZ[bi]
         y = y + b_step * dy
 
+    lap("step")
     pobj, dobj, Xb, yb, Zb, relgap, pinf, dinf = best
     Xb = [d.lift(x) if bl.kind == PSD else x for bl, d, x in zip(blocks, data, Xb)]
     Zb = [d.lift(z) if bl.kind == PSD else z for bl, d, z in zip(blocks, data, Zb)]
@@ -799,6 +829,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         iterations=it,
         primal_residual=pinf,
         dual_residual=dinf,
+        phase_s=phase_s,
     )
 
 
@@ -816,10 +847,9 @@ def constraint_residuals(problem: SdpProblem, primal_blocks) -> dict:
                     acc += float(np.sum(A.vv.real * np.asarray(x)[A.ii]))
                 else:
                     acc += float(np.asarray(A, dtype=float) @ x)
-            elif isinstance(A, Coo):
-                acc += float(np.sum(A.vv * np.asarray(x)[A.jj, A.ii]).real)
             else:
-                acc += float(np.vdot(np.asarray(A), x).real)
+                D = A.to_dense(len(x)) if isinstance(A, (Entry, Coo)) else np.asarray(A)
+                acc += float(np.vdot(D, x).real)
         vals[k] = acc - rhs
     min_eigs = []
     for blk, x in zip(problem.blocks, primal_blocks):

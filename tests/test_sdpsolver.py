@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nszcap import capacities as cap
+from nszcap import graphspace as gs
 from nszcap.capacities import build_upsilon_problem
 from nszcap.graphspace import delta, example4_channel, ncgraph_from_channel
 from nszcap.matrixcore import ValidationError
@@ -9,8 +13,10 @@ from nszcap.sdpsolver import (
     NONNEG,
     PSD,
     Block,
+    Coo,
     SdpProblem,
     SolverOptions,
+    _preprocess,
     coo,
     constraint_residuals,
     entry_coeff,
@@ -19,6 +25,7 @@ from nszcap.sdpsolver import (
     realify,
     solve,
 )
+from nszcap.theoremsuite import RandomChannelSpec, random_cq_graph, random_graph
 
 
 class TestRealify:
@@ -211,3 +218,108 @@ class TestBasedBlocks:
         X = sol1.primal_blocks[0]
         assert X.shape == (3, 3)
         assert np.abs(perp @ X).max() <= 1e-7
+
+
+def _brute_schur(problem, Ws):
+    """``sum_b <A_k, W_b A_l W_b>`` from the dense matrix of every coefficient."""
+    dense = []
+    for coeffs, _ in problem.constraints:
+        row = {}
+        for bi, A in coeffs.items():
+            blk = problem.blocks[bi]
+            if blk.kind == PSD:
+                row[bi] = A.to_dense(blk.ambient_dim) if hasattr(A, "to_dense") \
+                    else np.asarray(A, dtype=complex)
+            elif isinstance(A, Coo):
+                row[bi] = np.bincount(A.ii, A.vv.real, minlength=blk.dim)
+            else:
+                row[bi] = np.asarray(A, dtype=float)
+        dense.append(row)
+    lifted = [W if blk.basis is None else blk.basis @ W @ blk.basis.conj().T
+              for blk, W in zip(problem.blocks, Ws)]
+    m = problem.num_constraints
+    M = np.zeros((m, m))
+    for k in range(m):
+        for l in range(m):
+            for bi in dense[k].keys() & dense[l].keys():
+                A, B, W = dense[k][bi], dense[l][bi], lifted[bi]
+                if problem.blocks[bi].kind == PSD:
+                    M[k, l] += np.vdot(A, W @ B @ W).real
+                else:
+                    M[k, l] += A @ (W * W * B)
+    return M
+
+
+_NC_GRAPHS = {
+    "delta(2)": lambda: delta(2),
+    "depolarizing(2), r = 0": lambda: ncgraph_from_channel(gs.depolarizing_channel(2)),
+    "amplitude-damping(0.75)": lambda: ncgraph_from_channel(gs.amplitude_damping_channel(0.75)),
+    "complex 2->2": lambda: random_graph(RandomChannelSpec(2, 2, 2, 3)),
+    "complex 3->2": lambda: random_graph(RandomChannelSpec(3, 2, 2, 5)),
+}
+_NC_BUILDERS = {
+    "upsilon": lambda K: cap.build_upsilon_problem(K, hat=False),
+    "upsilon_hat": lambda K: cap.build_upsilon_problem(K, hat=True),
+    "upsilon_hat_dual": cap.build_upsilon_hat_dual_problem,
+    "aram": cap.build_aram_problem,
+}
+_CQ_GRAPHS = {
+    "real, rank-one outputs": lambda: gs.cq_from_states(gs.example4_states(0.75)),
+    "complex, one rank-deficient output": lambda: random_cq_graph(1),
+    "complex, all outputs full rank": lambda: random_cq_graph(516),
+}
+
+
+class TestSchurOracle:
+    """The assembled Schur matrix equals the brute-force sum over dense coefficients."""
+
+    @staticmethod
+    def _compare(problem, seed):
+        data, dtype = _preprocess(problem)
+        rng = np.random.default_rng(seed)
+        Ws = []
+        for blk in problem.blocks:
+            if blk.kind == NONNEG:
+                Ws.append(rng.uniform(0.5, 2.0, blk.dim))
+                continue
+            G = rng.standard_normal((blk.dim, blk.dim))
+            if dtype == np.complex128:
+                G = G + 1j * rng.standard_normal((blk.dim, blk.dim))
+            Ws.append(G @ G.conj().T + 0.1 * np.eye(blk.dim))
+        M = np.zeros((problem.num_constraints,) * 2)
+        for d, W in zip(data, Ws):
+            d.schur(W, M)
+        want = _brute_schur(problem, Ws)
+        assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("graph", sorted(_NC_GRAPHS))
+    @pytest.mark.parametrize("builder", sorted(_NC_BUILDERS))
+    def test_nc_builders(self, builder, graph):
+        problem, _ = _NC_BUILDERS[builder](_NC_GRAPHS[graph]())
+        self._compare(problem, seed=7)
+
+    @pytest.mark.parametrize("graph", sorted(_CQ_GRAPHS))
+    @pytest.mark.parametrize("variant", ["upsilon", "hat", "aram"])
+    def test_cq_builders(self, variant, graph):
+        problem, _ = cap.build_cq_problem(_CQ_GRAPHS[graph](), variant)
+        self._compare(problem, seed=8)
+
+    def test_two_frames_on_one_block(self):
+        # a rank-deficient output puts theta-framed coupling rows and
+        # ambient marginal rows on the same based block
+        problem, meta = cap.build_cq_problem(random_cq_graph(1), "hat")
+        data, _ = _preprocess(problem)
+        assert meta["r_blk"]
+        assert all(len(data[b].families) == 2 for b in meta["r_blk"].values())
+
+
+class TestPhaseTimes:
+    def test_phases_cover_the_solve(self):
+        K = ncgraph_from_channel(example4_channel(0.75))
+        prob, _ = build_upsilon_problem(K, hat=True)
+        t0 = time.perf_counter()
+        sol = solve(prob)
+        wall = time.perf_counter() - t0
+        assert set(sol.phase_s) == {"scaling", "schur", "factor", "newton", "step"}
+        assert all(v >= 0.0 for v in sol.phase_s.values())
+        assert sum(sol.phase_s.values()) <= wall

@@ -1,0 +1,134 @@
+"""Equivalence ladder: record capacity solves on fixed instances, or compare two records.
+
+    python3 tools/ladder.py --out FILE [--large]
+    python3 tools/ladder.py --compare A B
+
+Run it from the root of a checkout; it imports ``nszcap`` from that
+checkout's ``src/``.  ``--out`` solves the ladder and writes, per instance and
+quantity, the value, the iteration count and the status (``optimal``, or the
+status of a ``SolverFailure``).  The ladder is:
+
+- ``upsilon``, ``upsilon_hat``, ``upsilon_hat_dual`` and ``aram`` on five
+  built-in channels and on the random channels of ``verify`` seeds 1..40;
+- ``upsilon_cq``, ``upsilon_hat_cq`` and ``aram_cq`` on ``random_cq_graph(1..20)``;
+- with ``--large``, ``upsilon``, ``upsilon_hat`` and ``upsilon_hat_dual`` on
+  K (x) delta(2) at Choi dimension 36, from ``perfbench``'s
+  ``product_channel(1, 0..1)``.
+
+``--compare`` exits 1 unless both records hold the same solves, every value
+agrees to 1e-8 relative, the statuses are equal and the iteration counts
+differ by at most 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VALUE_RTOL = 1e-8
+ITER_SLACK = 1
+
+NC = ("upsilon", "upsilon_hat", "upsilon_hat_dual", "aram")
+CQ = ("upsilon_cq", "upsilon_hat_cq", "aram_cq")
+LARGE = ("upsilon", "upsilon_hat", "upsilon_hat_dual")
+
+
+def ladder(large: bool):
+    """Yield (instance label, quantities, graph) in a fixed order."""
+    from nszcap import graphspace as gs
+    from nszcap.theoremsuite import _spec_from_seed, random_cq_graph, random_graph
+
+    builtins = {
+        "example4(0.75)": gs.example4_channel(0.75),
+        "amplitude-damping(0.75)": gs.amplitude_damping_channel(0.75),
+        "prop11": gs.prop11_channel(),
+        "depolarizing(2)": gs.depolarizing_channel(2),
+        "delta(3)": gs.dephasing_channel(3),
+    }
+    for label, channel in builtins.items():
+        yield label, NC, gs.ncgraph_from_channel(channel)
+    for seed in range(1, 41):
+        spec = _spec_from_seed(seed)
+        yield f"seed{seed}:{spec.label()}", NC, random_graph(spec)
+    for seed in range(1, 21):
+        yield f"cq{seed}", CQ, random_cq_graph(seed)
+    if large:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        from workloads import product_channel
+        for index in range(2):
+            _, kraus = product_channel(1, index)
+            yield (f"K{index}xdelta(2)", LARGE,
+                   gs.ncgraph_from_channel(gs.KrausChannel(6, 6, kraus)))
+
+
+def record(large: bool) -> dict:
+    from nszcap import capacities as cap
+    from nszcap.sdpsolver import SolverFailure
+
+    rows = {}
+    for label, quantities, graph in ladder(large):
+        for q in quantities:
+            t0 = time.perf_counter()
+            try:
+                res = getattr(cap, q)(graph)
+                row = {"value": res.value, "iterations": res.iterations, "status": res.status}
+            except SolverFailure as exc:
+                sol = exc.solution
+                row = {"value": sol.primal_value, "iterations": sol.iterations,
+                       "status": sol.status}
+            row["seconds"] = round(time.perf_counter() - t0, 4)
+            rows[f"{label}/{q}"] = row
+    return rows
+
+
+def compare(a: dict, b: dict) -> list:
+    """Human-readable disagreements between two records; empty when they agree."""
+    problems = [f"{key}: only in one record" for key in sorted(a.keys() ^ b.keys())]
+    for key in sorted(a.keys() & b.keys()):
+        ra, rb = a[key], b[key]
+        scale = max(1.0, abs(ra["value"]), abs(rb["value"]))
+        if not abs(ra["value"] - rb["value"]) <= VALUE_RTOL * scale:
+            problems.append(f"{key}: value {ra['value']!r} vs {rb['value']!r}")
+        if ra["status"] != rb["status"]:
+            problems.append(f"{key}: status {ra['status']} vs {rb['status']}")
+        if abs(ra["iterations"] - rb["iterations"]) > ITER_SLACK:
+            problems.append(f"{key}: iterations {ra['iterations']} vs {rb['iterations']}")
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", type=Path, help="solve the ladder and write the record here")
+    group.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                       help="compare two records")
+    parser.add_argument("--large", action="store_true",
+                        help="also solve the n = 36 product instances (about a minute)")
+    args = parser.parse_args(argv)
+
+    if args.compare:
+        a, b = (json.loads(p.read_text())["solves"] for p in args.compare)
+        problems = compare(a, b)
+        for line in problems:
+            print(line)
+        iters = [sum(r["iterations"] for r in rec.values()) for rec in (a, b)]
+        print(f"{len(a.keys() & b.keys())} common solves, {len(problems)} disagreements, "
+              f"total iterations {iters[0]} vs {iters[1]}")
+        return 1 if problems else 0
+
+    sys.path.insert(0, str(ROOT / "src"))
+    t0 = time.perf_counter()
+    rows = record(args.large)
+    doc = {"large": args.large, "seconds": round(time.perf_counter() - t0, 2), "solves": rows}
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    failed = sum(r["status"] != "optimal" for r in rows.values())
+    print(f"{len(rows)} solves, {failed} not optimal, {doc['seconds']} s -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
