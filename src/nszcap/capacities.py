@@ -29,12 +29,10 @@ from .sdpsolver import (
     NONNEG,
     PSD,
     Block,
-    Entry,
     SdpProblem,
     SdpSolution,
     SolverFailure,
     SolverOptions,
-    coo,
     entry_coeff,
     entry_value,
     herm_entries,
@@ -122,11 +120,6 @@ def _lifted_entry_coeff(d_A: int, d_B: int, i: int, j: int, kind: str, on: str) 
     return np.kron(entry_coeff(i, j, kind).to_dense(d_A), np.eye(d_B))
 
 
-def _compressed_entry_coeff(theta, i: int, j: int, kind: str, scale: float = 1.0) -> Entry:
-    """Functional ``theta A_e theta^dag``: reads Re/Im of ``(theta^dag X theta)[i, j]``."""
-    return entry_coeff(i, j, kind, scale, frame=theta)
-
-
 def _support_complement_basis(P, real: bool):
     """Orthonormal basis of ker(P) for a projection P (columns)."""
     A = _real_view(P, real)
@@ -140,19 +133,20 @@ def build_upsilon_problem(K: NCGraph, hat: bool):
     Variables: S on A, U on AB, the slack W = S (x) 1 - U, and for the
     activated variant the output slack Y = 1_B - tr_A U.  The support
     condition <P, W> = 0 together with W >= 0 forces W onto ker(P), so W is
-    represented there directly (a based block); this keeps the program
-    strictly feasible, which the pinned formulation is not.
+    an r-dim block on ker(P), read through the frame theta^dag; this keeps the
+    program strictly feasible, which the pinned formulation is not.
     """
     n, dA, dB = K.dim, K.d_A, K.d_B
     real = _graph_is_real(K.P_AB)
     theta = _support_complement_basis(K.P_AB, real)
+    theta_dag = theta.conj().T      # one frame object: families group by id(frame)
     r = theta.shape[1]
     S_BLK, U_BLK = 0, 1
     W_BLK = 2 if r else None
     Y_BLK = (3 if r else 2) if hat else None
     blocks = [Block(PSD, dA), Block(PSD, n)]
     if r:
-        blocks.append(Block(PSD, r, basis=theta))
+        blocks.append(Block(PSD, r))
     if hat:
         blocks.append(Block(PSD, dB))
     objective = [np.eye(dA)] + [None] * (len(blocks) - 1)
@@ -161,7 +155,7 @@ def build_upsilon_problem(K: NCGraph, hat: bool):
     for (i, j, kind) in herm_entries(n, real):
         coeffs = {U_BLK: entry_coeff(i, j, kind)}
         if r:
-            coeffs[W_BLK] = entry_coeff(i, j, kind)
+            coeffs[W_BLK] = entry_coeff(i, j, kind, frame=theta_dag)
         a1, b1 = divmod(i, dB)
         a2, b2 = divmod(j, dB)
         if b1 == b2:
@@ -210,8 +204,8 @@ def build_upsilon_hat_dual_problem(K: NCGraph):
 
     Variables: T on B, and the slacks Y1 = 1 (x) T - V,
     y2 = tr_B V - 1_A, Y3 = -(1-P) V (1-P); V itself is eliminated through
-    Y1.  Y3 lives on ker(P), and the complement-compression family is
-    enumerated there, which keeps the program strictly feasible.
+    Y1.  Y3 is an r-dim block on ker(P), and the complement-compression family
+    is enumerated there, which keeps the program strictly feasible.
     """
     n, dA, dB = K.dim, K.d_A, K.d_B
     real = _graph_is_real(K.P_AB)
@@ -221,7 +215,7 @@ def build_upsilon_hat_dual_problem(K: NCGraph):
     Y3_BLK = 3 if r else None
     blocks = [Block(PSD, dB), Block(PSD, n), Block(PSD, dA)]
     if r:
-        blocks.append(Block(PSD, r, basis=theta))
+        blocks.append(Block(PSD, r))
     objective = [-np.eye(dB)] + [None] * (len(blocks) - 1)
 
     constraints = []
@@ -234,9 +228,9 @@ def build_upsilon_hat_dual_problem(K: NCGraph):
     trA = np.einsum("abi,acj->ijbc", theta.reshape(dA, dB, r),  # tr_A(theta_i theta_j^dag)
                     theta.conj().reshape(dA, dB, r))
     for (i, j, kind) in herm_entries(r, real):
-        L = _compressed_entry_coeff(theta, i, j, kind)
+        L = entry_coeff(i, j, kind)
         u = 0.5 * np.conj(L.weight)
-        constraints.append(({Y3_BLK: L, Y1_BLK: _compressed_entry_coeff(theta, i, j, kind, -1.0),
+        constraints.append(({Y3_BLK: L, Y1_BLK: entry_coeff(i, j, kind, -1.0, frame=theta),
                              T_BLK: u * trA[i, j] + np.conj(u) * trA[j, i]}, 0.0))
 
     meta = {"real": real, "n": n, "dA": dA, "dB": dB}
@@ -296,8 +290,9 @@ def build_cq_problem(C: CqGraph, variant: str):
     """cq programs: ``upsilon`` (equality), ``hat`` (inequality), ``aram``.
 
     The slack pair R_i, G_i with R_i + G_i = s_i (1 - P_i) lives on
-    ker(P_i), so both are based there; in those coordinates the coupling is
-    simply R_i + G_i = s_i * identity.
+    ker(P_i), so both are r_i-dim blocks there; in those coordinates the
+    coupling is simply R_i + G_i = s_i * identity, and the marginal reads R_i
+    through the frame theta_i^dag.
     """
     N, dB = C.num_inputs, C.d_B
     real = _cq_is_real(C)
@@ -316,10 +311,10 @@ def build_cq_problem(C: CqGraph, variant: str):
                 continue
             thetas[i] = theta
             r_blk[i] = len(blocks)
-            blocks.append(Block(PSD, theta.shape[1], basis=theta))
+            blocks.append(Block(PSD, theta.shape[1]))
             objective.append(None)
             g_blk[i] = len(blocks)
-            blocks.append(Block(PSD, theta.shape[1], basis=theta))
+            blocks.append(Block(PSD, theta.shape[1]))
             objective.append(None)
         if variant == "hat":
             y_blk = len(blocks)
@@ -334,22 +329,24 @@ def build_cq_problem(C: CqGraph, variant: str):
     if variant in ("upsilon", "hat"):
         for i, theta in thetas.items():
             for (b1, b2, kind) in herm_entries(theta.shape[1], real):
-                L = _compressed_entry_coeff(theta, b1, b2, kind)
+                L = entry_coeff(b1, b2, kind)
                 coeffs = {r_blk[i]: L, g_blk[i]: L}
                 if b1 == b2:
-                    coeffs[0] = coo([i], [i], [-1.0])
+                    coeffs[0] = np.where(np.arange(N) == i, -1.0, 0.0)
                 constraints.append((coeffs, 0.0))
+    theta_dags = {i: theta.conj().T for i, theta in thetas.items()}
     for (b1, b2, kind) in herm_entries(dB, real):
         svec = np.array([entry_value(Pi, b1, b2, kind) for Pi in projs])
         coeffs = {0: svec}
         if variant in ("upsilon", "hat"):
             for i in r_blk:
-                coeffs[r_blk[i]] = entry_coeff(b1, b2, kind)
+                coeffs[r_blk[i]] = entry_coeff(b1, b2, kind, frame=theta_dags[i])
         if y_blk is not None:
             coeffs[y_blk] = entry_coeff(b1, b2, kind)
         constraints.append((coeffs, 1.0 if b1 == b2 else 0.0))
 
-    meta = {"real": real, "N": N, "dB": dB, "variant": variant, "r_blk": r_blk}
+    meta = {"real": real, "N": N, "dB": dB, "variant": variant, "r_blk": r_blk,
+            "thetas": thetas}
     return SdpProblem(blocks, objective, constraints, name=f"cq_{variant}"), meta
 
 
@@ -358,9 +355,9 @@ def _cq_result(quantity: str, C: CqGraph, variant: str, opts) -> CapacityResult:
     sol = _run(problem, opts, quantity)
     primal = {"s": np.asarray(sol.primal_blocks[0], dtype=float)}
     if variant in ("upsilon", "hat"):
-        dB = meta["dB"]
-        primal["R"] = [np.asarray(sol.primal_blocks[meta["r_blk"][i]])
-                       if i in meta["r_blk"] else np.zeros((dB, dB))
+        dB, thetas = meta["dB"], meta["thetas"]
+        primal["R"] = [thetas[i] @ sol.primal_blocks[meta["r_blk"][i]] @ np.conj(thetas[i]).T
+                       if i in thetas else np.zeros((dB, dB))
                        for i in range(meta["N"])]
     return CapacityResult(quantity, sol.primal_value, primal, {}, sol.gap,
                           sol.status, sol.iterations)

@@ -45,23 +45,23 @@ EXIT_VERIFY = 3
 
 BUILTINS = {
     "identity": {
-        "factory": lambda p: gs.identity_channel(int(p.get("d", 2))),
+        "factory": lambda p: gs.identity_channel(_number(p.get("d", 2), "parameter 'd'", True)),
         "params": {"d": "input/output dimension (default 2)"},
         "about": "noiseless qudit channel",
     },
     "depolarizing": {
-        "factory": lambda p: gs.depolarizing_channel(int(p.get("d", 2))),
+        "factory": lambda p: gs.depolarizing_channel(_number(p.get("d", 2), "parameter 'd'", True)),
         "params": {"d": "input/output dimension (default 2)"},
         "about": "completely depolarizing channel; full Kraus span, zero capacity",
     },
     "example4": {
-        "factory": lambda p: gs.example4_channel(float(p["alpha_sq"])),
+        "factory": lambda p: gs.example4_channel(_number(p["alpha_sq"], "parameter 'alpha_sq'")),
         "params": {"alpha_sq": "squared overlap amplitude, in (0, 1]"},
         "about": "two-input cq channel with pure outputs a|0> +/- b|1>; "
                  "activatable for alpha_sq in (1/2, 1)",
     },
     "amplitude-damping": {
-        "factory": lambda p: gs.amplitude_damping_channel(float(p["r"])),
+        "factory": lambda p: gs.amplitude_damping_channel(_number(p["r"], "parameter 'r'")),
         "params": {"r": "decay probability, in [0, 1]"},
         "about": "qubit amplitude damping channel",
     },
@@ -72,7 +72,7 @@ BUILTINS = {
                  "packing number",
     },
     "delta": {
-        "factory": lambda p: gs.dephasing_channel(int(p["l"])),
+        "factory": lambda p: gs.dephasing_channel(_number(p["l"], "parameter 'l'", True)),
         "params": {"l": "number of noiseless symbols, >= 1"},
         "about": "noiseless classical channel on l symbols",
     },
@@ -97,6 +97,24 @@ QUANTITIES = {
 def _matrix_to_pairs(M) -> list:
     A = np.asarray(M, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in A]
+
+
+def _number(value, what: str, integer: bool = False):
+    """A float; with ``integer``, a positive integer (a fraction is an error)."""
+    try:
+        x = float(value)
+        if integer and not (x.is_integer() and x >= 1):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        kind = "a positive integer" if integer else "a number"
+        raise ValidationError(f"{what} must be {kind}, got {value!r}") from None
+    return int(x) if integer else x
+
+
+def _matrices(doc: dict, field: str) -> list:
+    if not isinstance(doc[field], list):
+        raise ValidationError(f"channel document: '{field}' must be a list of matrices")
+    return [_matrix_from_pairs(M, f"{field}[{i}]") for i, M in enumerate(doc[field])]
 
 
 def _matrix_from_pairs(rows, what: str) -> np.ndarray:
@@ -131,13 +149,14 @@ def document_to_channel(doc: dict):
         for field in ("d_in", "d_out", "kraus"):
             if field not in doc:
                 raise ValidationError(f"channel document: missing '{field}' field")
-        ops = [_matrix_from_pairs(E, f"kraus[{i}]") for i, E in enumerate(doc["kraus"])]
-        return gs.KrausChannel(int(doc["d_in"]), int(doc["d_out"]), ops,
+        d_in, d_out = (_number(doc[f], f"channel document: '{f}'", True)
+                       for f in ("d_in", "d_out"))
+        return gs.KrausChannel(d_in, d_out, _matrices(doc, "kraus"),
                                relaxed=bool(doc.get("relaxed", False)))
     if kind == "cq":
         if "outputs" not in doc:
             raise ValidationError("channel document: missing 'outputs' field")
-        mats = [_matrix_from_pairs(P, f"outputs[{i}]") for i, P in enumerate(doc["outputs"])]
+        mats = _matrices(doc, "outputs")
         # accept either density matrices or projections
         try:
             return gs.cq_from_states(mats)
@@ -151,9 +170,11 @@ def document_to_channel(doc: dict):
 
 
 def make_builtin(name: str, params: dict):
-    if name not in BUILTINS:
+    if not isinstance(name, str) or name not in BUILTINS:
         raise ValidationError(
             f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTINS))}")
+    if not isinstance(params, dict):
+        raise ValidationError(f"builtin {name!r}: 'params' must be an object, got {params!r}")
     try:
         return BUILTINS[name]["factory"](params)
     except KeyError as exc:

@@ -20,11 +20,13 @@ embedding into real symmetric matrices and is used by the test suite to
 cross-check PSD-ness in the real domain.
 
 Constraint coefficients are typed.  An :class:`Entry` reads one scaled real or
-imaginary entry of ``F^dag X F`` for a frame F (default: the identity).  The
-entries of one (block, frame) pair form a family with the closed-form Schur
-block ``M[e, f] = <E_e, Y E_f Y^dag>``, ``Y = F^dag W F`` (W lifted): row e is
-``Y^dag E_e Y``, two outer products of rows of Y, read at the entries f.  Other
-coefficients (:class:`Coo`, dense arrays) take one dense path.
+imaginary entry of ``F^dag X F`` for a frame F (default: the identity); a
+variable confined to a subspace is a block of the subspace's dimension, read
+through the frame ``theta^dag`` of the subspace's basis theta.  The entries of
+one (block, frame) pair form a family with the closed-form Schur block
+``M[e, f] = <E_e, Y E_f Y^dag>``, ``Y = F^dag W F``: row e is ``Y^dag E_e Y``,
+two outer products of rows of Y, read at the entries f.  The other
+coefficients are dense arrays and take one dense path.
 """
 
 from __future__ import annotations
@@ -49,62 +51,16 @@ _STATUS_INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """Cone block.  ``dim`` is the block's own dimension.
-
-    A PSD block may carry an isometry ``basis`` (ambient x dim).  The block
-    variable then represents ``basis @ X @ basis^dag`` inside a larger ambient
-    space, and every constraint coefficient for the block is given in ambient
-    coordinates.  This is how equality-pinned slacks (a PSD variable forced
-    onto the range of a projection, which would destroy strict feasibility)
-    are kept strictly feasible in their own coordinates.
-    """
+    """Cone block of dimension ``dim``: a Hermitian PSD matrix or a nonnegative vector."""
 
     kind: str
     dim: int
-    basis: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in (PSD, NONNEG):
             raise ValidationError(f"unknown block kind {self.kind!r}")
         if self.dim < 1:
             raise ValidationError("block dimension must be positive")
-        if self.basis is not None:
-            B = np.asarray(self.basis)
-            if self.kind != PSD or B.ndim != 2 or B.shape[1] != self.dim:
-                raise ValidationError("block basis must be an (ambient x dim) isometry")
-            if float(np.abs(B.conj().T @ B - np.eye(self.dim)).max()) > 1e-10:
-                raise ValidationError("block basis is not an isometry")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.dim if self.basis is None else int(np.asarray(self.basis).shape[0])
-
-
-@dataclass(frozen=True)
-class Coo:
-    """Sparse Hermitian coefficient: entries ``vv`` at positions ``(ii, jj)``.
-
-    The triplet list must describe a Hermitian matrix explicitly, i.e. it
-    contains both ``(i, j, v)`` and ``(j, i, conj(v))`` for off-diagonal
-    entries.
-    """
-
-    ii: np.ndarray
-    jj: np.ndarray
-    vv: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.vv)
-
-    def to_dense(self, n: int, dtype=complex) -> np.ndarray:
-        A = np.zeros((n, n), dtype=dtype)
-        np.add.at(A, (self.ii, self.jj), self.vv.astype(dtype, copy=False))
-        return A
-
-
-def coo(ii, jj, vv) -> Coo:
-    return Coo(np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp), np.asarray(vv))
 
 
 @dataclass
@@ -113,7 +69,7 @@ class SdpProblem:
 
     blocks: list
     objective: list          # per block: dense Hermitian / real vector / None
-    constraints: list        # list of (coeffs: dict block->Entry|Coo|ndarray, rhs: float)
+    constraints: list        # list of (coeffs: dict block->Entry|ndarray, rhs: float)
     name: str = ""
 
     @property
@@ -126,7 +82,7 @@ class SdpProblem:
                 continue
             if b.kind == PSD:
                 A = np.asarray(C)
-                if A.shape != (b.ambient_dim, b.ambient_dim):
+                if A.shape != (b.dim, b.dim):
                     raise ValidationError("objective block shape mismatch")
                 if herm_deviation(A) > herm_tol:
                     raise ValidationError("objective block is not Hermitian")
@@ -140,9 +96,8 @@ class SdpProblem:
                 blk = self.blocks[bi]
                 if blk.kind == NONNEG:
                     continue
-                na = blk.ambient_dim
-                D = A.to_dense(na) if isinstance(A, (Entry, Coo)) else np.asarray(A)
-                if D.shape != (na, na):
+                D = A.to_dense(blk.dim) if isinstance(A, Entry) else np.asarray(A)
+                if D.shape != (blk.dim, blk.dim):
                     raise ValidationError(f"constraint {k}: coefficient shape mismatch")
                 if herm_deviation(D) > herm_tol:
                     raise ValidationError(f"constraint {k}: coefficient is not Hermitian")
@@ -224,8 +179,10 @@ def num_herm_entries(n: int, real: bool = False) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Entry:
-    """Entry functional ``X -> scale * Re/Im (F^dag X F)[i, j]`` on a block's ambient
-    matrix X, for the ``frame`` isometry F (ambient x r; None: the identity)."""
+    """Entry functional ``X -> scale * Re/Im (F^dag X F)[i, j]`` on a block matrix X,
+    for the ``frame`` F, any dim x r matrix (None: the identity).  With
+    ``F = theta^dag`` for an isometry theta, an r-dim block X reads as
+    ``theta X theta^dag``, a matrix on the range of theta."""
 
     i: int
     j: int
@@ -311,7 +268,7 @@ class _EntryFamily:
     """The :class:`Entry` coefficients of one (block, frame) group.
 
     Row ``e`` (constraint ``k[e]``) pairs with a block matrix V as
-    ``Re(c[e] (G V G^dag)[i[e], j[e]])``; ``G = F^dag basis`` maps block to frame
+    ``Re(c[e] (G V G^dag)[i[e], j[e]])``; ``G = F^dag`` maps block to frame
     coordinates (None: the identity).  Its matrix is ``G^dag (u E_ij + h.c.) G``,
     ``u = conj(c) / 2``."""
 
@@ -321,9 +278,7 @@ class _EntryFamily:
         self.c = c = _cast(c, dtype)
         self.ij = np.stack([self.i, self.j], axis=1)
         self.u1 = np.stack([0.5 * np.conj(c), np.ones_like(c)], axis=1)[:, :, None]
-        F = None if frame is None else _cast(np.conj(np.asarray(frame)).T, dtype)
-        B = None if block.basis is None else _cast(np.asarray(block.basis), dtype)
-        self.G = None if frame is block.basis else B if F is None else F if B is None else F @ B
+        self.G = None if frame is None else _cast(np.conj(np.asarray(frame)).T, dtype)
         self.r = r = block.dim if self.G is None else self.G.shape[0]
         # as columns, the family reads scale * Re/Im of entry (i, j) of a frame
         # matrix: the offsets into its float view, and the scales
@@ -375,23 +330,13 @@ class _EntryFamily:
 
 class _PsdBlockData:
     """Constraint data for one PSD block: one :class:`_EntryFamily` per frame, and
-    the other coefficients dense, compressed (``theta^dag A theta``) for based
-    blocks.  The block iterate itself always lives in the block's own ``dim``.
-    """
+    the other coefficients dense."""
 
-    def __init__(self, n, dtype, theta=None):
-        self.theta = None if theta is None else _cast(np.asarray(theta), dtype)
+    def __init__(self, n, dtype):
         self.C = np.zeros((n, n), dtype=dtype)
         self.families = []
         self.dk = np.zeros(0, dtype=np.intp)
         self.dA = np.zeros((0, n, n), dtype=dtype)
-
-    def lift(self, V):
-        """Map a block matrix to ambient coordinates."""
-        return V if self.theta is None else self.theta @ V @ np.conj(self.theta).T
-
-    def compress(self, A):
-        return A if self.theta is None else np.conj(self.theta).T @ A @ self.theta
 
     def pair_all(self, V, out):
         """out[k] += <A_k, V> for all constraints touching this block."""
@@ -401,7 +346,7 @@ class _PsdBlockData:
             out[self.dk] += _flat(self.dA) @ _flat(V)
 
     def scatter(self, y, out):
-        """out += sum_k y[k] A_k (compressed) over this block's constraints, up to
+        """out += sum_k y[k] A_k over this block's constraints, up to
         an anti-Hermitian part: the caller keeps the Hermitian part."""
         for f in self.families:
             f.scatter(y, out)
@@ -449,19 +394,18 @@ def _has_imag(arr) -> bool:
 
 def _preprocess(problem: SdpProblem):
     """Sort constraint coefficients into per-block entry families and dense data."""
-    arrays = [b.basis for b in problem.blocks] + list(problem.objective)
+    arrays = list(problem.objective)
     for coeffs, _ in problem.constraints:
         for A in coeffs.values():
-            arrays += [A.weight, A.frame] if isinstance(A, Entry) \
-                else [A.vv if isinstance(A, Coo) else A]
+            arrays += [A.weight, A.frame] if isinstance(A, Entry) else [A]
     dtype = np.complex128 if any(map(_has_imag, arrays)) else np.float64
 
     data = []
     for b, C in zip(problem.blocks, problem.objective):
         if b.kind == PSD:
-            d = _PsdBlockData(b.dim, dtype, theta=b.basis)
+            d = _PsdBlockData(b.dim, dtype)
             if C is not None:
-                d.C = d.compress(_cast(np.asarray(C), dtype))
+                d.C = _cast(np.asarray(C), dtype)
         else:
             d = _NonnegBlockData(b.dim)
             if C is not None:
@@ -476,16 +420,13 @@ def _preprocess(problem: SdpProblem):
             blk = problem.blocks[bi]
             if blk.kind == NONNEG:
                 dk[bi].append(k)
-                dA[bi].append(np.bincount(A.ii, A.vv.real, blk.dim) if isinstance(A, Coo)
-                              else np.asarray(A, dtype=float))
+                dA[bi].append(np.asarray(A, dtype=float))
             elif isinstance(A, Entry):
                 families[bi].setdefault(id(A.frame), (A.frame, []))[1].append(
                     (k, A.i, A.j, A.weight))
             else:
-                D = A.to_dense(blk.ambient_dim, dtype) if isinstance(A, Coo) \
-                    else _cast(np.asarray(A), dtype)
                 dk[bi].append(k)
-                dA[bi].append(data[bi].compress(D))
+                dA[bi].append(_cast(np.asarray(A), dtype))
 
     for bi, blk in enumerate(problem.blocks):
         d = data[bi]
@@ -583,14 +524,9 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
     def scatter(yv):
         out = []
         for bl, d in zip(blocks, data):
-            if bl.kind == PSD:
-                acc = np.zeros((bl.dim, bl.dim), dtype=dtype)
-                d.scatter(yv, acc)
-                out.append(_herm(acc))
-            else:
-                acc = np.zeros(bl.dim)
-                d.scatter(yv, acc)
-                out.append(acc)
+            acc = np.zeros(d.C.shape, d.C.dtype)
+            d.scatter(yv, acc)
+            out.append(_herm(acc) if bl.kind == PSD else acc)
         return out
 
     def inner(U, V):
@@ -644,14 +580,13 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             stall = 0
         else:
             stall += 1
-        if score < best_score:
+        converged = relgap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol
+        if score < best_score or converged:
             best_score = score
             best = (pobj, dobj, [x.copy() for x in X], y.copy(),
                     [z.copy() for z in Z], relgap, pinf, dinf)
-        if relgap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
+        if converged:
             status = _STATUS_OPTIMAL
-            best = (pobj, dobj, [x.copy() for x in X], y.copy(),
-                    [z.copy() for z in Z], relgap, pinf, dinf)
             break
         if pobj > 1e8 * eta and pinf < 1e-4:
             status = _STATUS_UNBOUNDED
@@ -816,8 +751,6 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
 
     lap("step")
     pobj, dobj, Xb, yb, Zb, relgap, pinf, dinf = best
-    Xb = [d.lift(x) if bl.kind == PSD else x for bl, d, x in zip(blocks, data, Xb)]
-    Zb = [d.lift(z) if bl.kind == PSD else z for bl, d, z in zip(blocks, data, Zb)]
     return SdpSolution(
         status=status,
         primal_value=pobj,
@@ -843,12 +776,9 @@ def constraint_residuals(problem: SdpProblem, primal_blocks) -> dict:
             blk = problem.blocks[bi]
             x = primal_blocks[bi]
             if blk.kind == NONNEG:
-                if isinstance(A, Coo):
-                    acc += float(np.sum(A.vv.real * np.asarray(x)[A.ii]))
-                else:
-                    acc += float(np.asarray(A, dtype=float) @ x)
+                acc += float(np.asarray(A, dtype=float) @ x)
             else:
-                D = A.to_dense(len(x)) if isinstance(A, (Entry, Coo)) else np.asarray(A)
+                D = A.to_dense(len(x)) if isinstance(A, Entry) else np.asarray(A)
                 acc += float(np.vdot(D, x).real)
         vals[k] = acc - rhs
     min_eigs = []

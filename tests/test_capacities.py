@@ -5,7 +5,7 @@ from nszcap import capacities as cap
 from nszcap import graphspace as gs
 from nszcap.capacities import DimensionLimitError
 from nszcap.matrixcore import ValidationError, partial_trace
-from nszcap.sdpsolver import Coo, SolverFailure, entry_value, herm_entries
+from nszcap.sdpsolver import SolverFailure, entry_coeff, entry_value, herm_entries
 from nszcap.theoremsuite import (
     RandomChannelSpec,
     random_channel,
@@ -141,19 +141,23 @@ class TestCoefficientHelpers:
             A = cap._lifted_entry_coeff(dA, dB, i, j, kind, on="A")
             assert _pairing(A, V) == pytest.approx(entry_value(trB_V, i, j, kind), abs=1e-12)
 
+    @pytest.mark.parametrize("frame", ["theta", "theta_dag"])
     @pytest.mark.parametrize("real", [False, True])
-    def test_compressed_functional_reads_compressed_entries(self, real):
+    def test_compressed_functional_reads_compressed_entries(self, real, frame):
+        # frame theta on an n-block reads theta^dag X theta; frame theta^dag
+        # on an r-block reads theta X theta^dag
         rng = np.random.default_rng(42)
         n, r = 5, 3
         G = rng.standard_normal((n, r))
         if not real:
             G = G + 1j * rng.standard_normal((n, r))
         theta, _ = np.linalg.qr(G)
-        X = _random_herm(rng, n, real)
-        Xc = theta.conj().T @ X @ theta
-        for (i, j, kind) in herm_entries(r, real):
-            L = cap._compressed_entry_coeff(theta, i, j, kind)
-            assert _pairing(L, X) == pytest.approx(entry_value(Xc, i, j, kind), abs=1e-12)
+        frame = theta if frame == "theta" else theta.conj().T
+        X = _random_herm(rng, frame.shape[0], real)
+        Xf = frame.conj().T @ X @ frame
+        for (i, j, kind) in herm_entries(Xf.shape[0], real):
+            L = entry_coeff(i, j, kind, frame=frame)
+            assert _pairing(L, X) == pytest.approx(entry_value(Xf, i, j, kind), abs=1e-12)
 
 
 class TestAram:

@@ -127,6 +127,26 @@ class TestCompute:
         assert err.startswith("error:") and "finite" in err
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("source, field", [
+        (("--builtin", "delta:l=abc"), "'l'"),
+        (("--builtin", "delta:l=2.5"), "'l'"),
+        (("--builtin", "example4:alpha_sq=x"), "'alpha_sq'"),
+        ({"type": "kraus", "d_in": "two", "d_out": 2,
+          "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "'d_in'"),
+        ({"type": "kraus", "d_in": 2, "d_out": 2, "kraus": 5}, "'kraus'"),
+        ({"type": "cq", "outputs": 5}, "'outputs'"),
+        ({"type": "builtin", "name": "delta", "params": [2]}, "'params'"),
+    ])
+    def test_malformed_input_names_the_field(self, capsys, tmp_path, source, field):
+        if isinstance(source, dict):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(source))
+            source = ("--channel", str(path))
+        code, out, err = run_cli(capsys, "compute", *source, "--quantity", "upsilon")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err and out == ""
+
     def test_linalg_error_is_solver_failure(self, capsys, monkeypatch):
         def broken(K, opts):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -13,11 +13,9 @@ from nszcap.sdpsolver import (
     NONNEG,
     PSD,
     Block,
-    Coo,
     SdpProblem,
     SolverOptions,
     _preprocess,
-    coo,
     constraint_residuals,
     entry_coeff,
     herm_entries,
@@ -86,7 +84,7 @@ class TestSolveBasics:
         p = SdpProblem(
             blocks=[Block(PSD, 1), Block(NONNEG, 1)],
             objective=[np.array([[1.0]]), None],
-            constraints=[({0: coo([0], [0], [1.0]), 1: np.array([1.0])}, 1.0)],
+            constraints=[({0: entry_coeff(0, 0, "re"), 1: np.array([1.0])}, 1.0)],
         )
         sol = solve(p)
         assert sol.optimal
@@ -180,44 +178,47 @@ class TestValidation:
         with pytest.raises(ValidationError):
             p.validate()
 
-    def test_rejects_non_hermitian_coo(self):
-        p = SdpProblem([Block(PSD, 2)], [np.eye(2)],
-                       [({0: coo([0], [1], [1.0])}, 0.0)])
-        with pytest.raises(ValidationError):
-            p.validate()
-
     def test_accepts_canonical_problem(self):
         K = ncgraph_from_channel(example4_channel(0.75))
         for hat in (False, True):
             prob, _ = build_upsilon_problem(K, hat=hat)
             prob.validate()
 
-    def test_bad_basis_rejected(self):
+    def test_rejects_frame_of_wrong_shape(self):
+        p = SdpProblem([Block(PSD, 2)], [np.eye(2)],
+                       [({0: entry_coeff(0, 0, "re", frame=np.ones((3, 2)))}, 1.0)])
         with pytest.raises(ValidationError):
-            Block(PSD, 2, basis=np.ones((4, 2)))
+            p.validate()
 
 
-class TestBasedBlocks:
-    def test_based_block_matches_pinned_formulation(self):
-        # maximize tr(X) over PSD X supported on a plane, trace pinned to 1;
-        # once directly via a based block, once via an explicit support pin
+class TestFramedBlocks:
+    def test_framed_block_matches_dense_coefficients(self):
+        # a 2x2 block X on a plane theta in R^3 and a nonnegative slack s, with
+        # (theta X theta^T)[i, i] + s_i = c_i, maximizing tr X; once through
+        # entries framed by theta^T, once through their dense matrices
         rng = np.random.default_rng(3)
-        G = rng.standard_normal((3, 2))
-        theta, _ = np.linalg.qr(G)
-        C = np.diag([1.0, 2.0, 3.0])
-        based = SdpProblem([Block(PSD, 2, basis=theta)], [C],
-                           [({0: np.eye(3)}, 1.0)])
-        sol1 = solve(based)
-        # pinned version: full 3x3 X with <P_perp, X> = 0
+        theta, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+        frame = theta.T
+        c = np.array([1.0, 2.0, 3.0])
+
+        def program(dense):
+            cons = []
+            for i in range(3):
+                L = entry_coeff(i, i, "re", frame=frame)
+                cons.append(({0: L.to_dense(2) if dense else L,
+                              1: np.where(np.arange(3) == i, 1.0, 0.0)}, c[i]))
+            return SdpProblem([Block(PSD, 2), Block(NONNEG, 3)], [np.eye(2), None], cons)
+
+        framed, dense = solve(program(False)), solve(program(True))
+        assert framed.optimal and dense.optimal
+        assert framed.primal_value == pytest.approx(dense.primal_value, abs=1e-7)
+        # the block comes back in its own coordinates; lifted, it stays on the plane
+        X = framed.primal_blocks[0]
+        assert X.shape == (2, 2)
+        lifted = theta @ X @ theta.T
         perp = np.eye(3) - theta @ theta.T
-        pinned = SdpProblem([Block(PSD, 3)], [C],
-                            [({0: np.eye(3)}, 1.0), ({0: perp}, 0.0)])
-        sol2 = solve(pinned)
-        assert sol1.primal_value == pytest.approx(sol2.primal_value, abs=1e-6)
-        # returned block is lifted to ambient coordinates and stays on the plane
-        X = sol1.primal_blocks[0]
-        assert X.shape == (3, 3)
-        assert np.abs(perp @ X).max() <= 1e-7
+        assert np.abs(perp @ lifted).max() <= 1e-12
+        assert np.diag(lifted) + framed.primal_blocks[1] == pytest.approx(c, abs=1e-7)
 
 
 def _brute_schur(problem, Ws):
@@ -228,21 +229,17 @@ def _brute_schur(problem, Ws):
         for bi, A in coeffs.items():
             blk = problem.blocks[bi]
             if blk.kind == PSD:
-                row[bi] = A.to_dense(blk.ambient_dim) if hasattr(A, "to_dense") \
+                row[bi] = A.to_dense(blk.dim) if hasattr(A, "to_dense") \
                     else np.asarray(A, dtype=complex)
-            elif isinstance(A, Coo):
-                row[bi] = np.bincount(A.ii, A.vv.real, minlength=blk.dim)
             else:
                 row[bi] = np.asarray(A, dtype=float)
         dense.append(row)
-    lifted = [W if blk.basis is None else blk.basis @ W @ blk.basis.conj().T
-              for blk, W in zip(problem.blocks, Ws)]
     m = problem.num_constraints
     M = np.zeros((m, m))
     for k in range(m):
         for l in range(m):
             for bi in dense[k].keys() & dense[l].keys():
-                A, B, W = dense[k][bi], dense[l][bi], lifted[bi]
+                A, B, W = dense[k][bi], dense[l][bi], Ws[bi]
                 if problem.blocks[bi].kind == PSD:
                     M[k, l] += np.vdot(A, W @ B @ W).real
                 else:
@@ -305,8 +302,8 @@ class TestSchurOracle:
         self._compare(problem, seed=8)
 
     def test_two_frames_on_one_block(self):
-        # a rank-deficient output puts theta-framed coupling rows and
-        # ambient marginal rows on the same based block
+        # a rank-deficient output puts unframed coupling rows and
+        # theta^dag-framed marginal rows on the same kernel block
         problem, meta = cap.build_cq_problem(random_cq_graph(1), "hat")
         data, _ = _preprocess(problem)
         assert meta["r_blk"]

@@ -5,8 +5,10 @@
 
 Run it from the root of a checkout; it imports ``nszcap`` from that
 checkout's ``src/``.  ``--out`` solves the ladder and writes, per instance and
-quantity, the value, the iteration count and the status (``optimal``, or the
-status of a ``SolverFailure``).  The ladder is:
+quantity, the value, the iteration count, the status (``optimal``, or the
+status of a ``SolverFailure``) and a sha256 digest of the bits of the value and
+of every witness array (of the dual multipliers, for a failure).  The ladder
+is:
 
 - ``upsilon``, ``upsilon_hat``, ``upsilon_hat_dual`` and ``aram`` on five
   built-in channels and on the random channels of ``verify`` seeds 1..40;
@@ -17,12 +19,14 @@ status of a ``SolverFailure``).  The ladder is:
 
 ``--compare`` exits 1 unless both records hold the same solves, every value
 agrees to 1e-8 relative, the statuses are equal and the iteration counts
-differ by at most 1.
+differ by at most 1.  It also reports how many solves are bit-identical (equal
+digests).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -65,6 +69,29 @@ def ladder(large: bool):
                    gs.ncgraph_from_channel(gs.KrausChannel(6, 6, kraus)))
 
 
+def digest(value: float, arrays: dict) -> str:
+    """sha256 over the bits of ``value`` and of every array in ``arrays`` (dicts by
+    sorted key, lists in order), each with its name, dtype and shape."""
+    import numpy as np
+
+    h = hashlib.sha256(np.float64(value).tobytes())
+
+    def add(name, item):
+        if isinstance(item, dict):
+            for key in sorted(item):
+                add(f"{name}.{key}", item[key])
+        elif isinstance(item, list):
+            for i, x in enumerate(item):
+                add(f"{name}[{i}]", x)
+        else:
+            a = np.ascontiguousarray(item)
+            h.update(f"{name}|{a.dtype.str}|{a.shape}|".encode())
+            h.update(a.tobytes())
+
+    add("", arrays)
+    return h.hexdigest()
+
+
 def record(large: bool) -> dict:
     from nszcap import capacities as cap
     from nszcap.sdpsolver import SolverFailure
@@ -75,11 +102,14 @@ def record(large: bool) -> dict:
             t0 = time.perf_counter()
             try:
                 res = getattr(cap, q)(graph)
-                row = {"value": res.value, "iterations": res.iterations, "status": res.status}
+                row = {"value": res.value, "iterations": res.iterations, "status": res.status,
+                       "digest": digest(res.value, {"primal": res.primal_witness,
+                                                    "dual": res.dual_witness})}
             except SolverFailure as exc:
                 sol = exc.solution
                 row = {"value": sol.primal_value, "iterations": sol.iterations,
-                       "status": sol.status}
+                       "status": sol.status,
+                       "digest": digest(sol.primal_value, {"y": sol.dual_multipliers})}
             row["seconds"] = round(time.perf_counter() - t0, 4)
             rows[f"{label}/{q}"] = row
     return rows
@@ -116,8 +146,12 @@ def main(argv=None) -> int:
         for line in problems:
             print(line)
         iters = [sum(r["iterations"] for r in rec.values()) for rec in (a, b)]
-        print(f"{len(a.keys() & b.keys())} common solves, {len(problems)} disagreements, "
+        common = a.keys() & b.keys()
+        same = sum(a[k].get("digest") is not None and a[k].get("digest") == b[k].get("digest")
+                   for k in common)
+        print(f"{len(common)} common solves, {len(problems)} disagreements, "
               f"total iterations {iters[0]} vs {iters[1]}")
+        print(f"{same} of {len(common)} solves bit-identical")
         return 1 if problems else 0
 
     sys.path.insert(0, str(ROOT / "src"))
