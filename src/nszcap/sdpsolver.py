@@ -9,15 +9,15 @@ diagonal cones,
 together with the dual ``minimize b.y  s.t.  Z = sum_k y_k A_k - C >= 0``.
 All coefficient matrices are Hermitian, so every inner product
 ``<A, X> = tr(A X)`` is real and the Schur complement of the Newton system is
-a real symmetric positive definite m x m matrix.
+a real symmetric positive semidefinite m x m matrix.
 
 Algorithm: infeasible-start path following with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector step, the Newton system reduced to the Schur
-complement and factored by dense Cholesky (with escalating diagonal
-regularization on breakdown).  The solver works on the complex Hermitian
-blocks directly; :func:`realify` provides the standard spectrum-preserving
-embedding into real symmetric matrices and is used by the test suite to
-cross-check PSD-ness in the real domain.
+complement and factored by a pivoted Cholesky that reveals its numerical rank;
+the multipliers past the rank take a zero step.  The solver works on the
+complex Hermitian blocks directly; :func:`realify` provides the standard
+spectrum-preserving embedding into real symmetric matrices and is used by the
+test suite to cross-check PSD-ness in the real domain.
 
 Constraint coefficients are typed.  An :class:`Entry` reads one scaled real or
 imaginary entry of ``F^dag X F`` for a frame F (default: the identity); a
@@ -115,8 +115,8 @@ class SdpSolution:
     iterations: int
     primal_residual: float = 0.0
     dual_residual: float = 0.0
-    # seconds in "scaling" (NT), "schur" (assembly), "factor" (Cholesky), "newton"
-    # (both solves and right-hand sides), "step" (steps, residuals, stopping)
+    # seconds in "scaling" (NT), "schur" (assembly), "factor" (pivoted Cholesky),
+    # "newton" (both solves and right-hand sides), "step" (steps, residuals, stopping)
     phase_s: dict = field(default_factory=dict)
 
     @property
@@ -129,6 +129,14 @@ class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
+
+    def __post_init__(self):
+        for name in ("gap_tol", "feas_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+        if self.max_iter < 1:
+            raise ValidationError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 class SolverFailure(RuntimeError):
@@ -626,45 +634,24 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         M = 0.5 * (M + M.T)
         lap("schur")
 
-        base_reg = 1e-12 * (1.0 + float(np.trace(M)) / m)
-        cho = None
-        reg = 0.0
-        for attempt in range(8):
-            try:
-                cho = sla.cho_factor(M + reg * np.eye(m) if reg else M,
-                                     lower=True, check_finite=False)
-                break
-            except np.linalg.LinAlgError:
-                reg = base_reg * (100.0 ** attempt) if reg else base_reg
+        # pivoted Cholesky P^T M P = U^T U, to LAPACK's rank tolerance; the
+        # pivots past the rank (dependent rows, or the near-singular endgame)
+        # take a zero step
+        U, piv, rank, _ = sla.lapack.dpstrf(M)
+        kept, dropped = piv[:rank] - 1, piv[rank:] - 1
+        U1 = U[:rank, :rank]
         lap("factor")
-        if cho is None:
-            status = _STATUS_NUMFAIL
-            break
-
-        # Mixed-precision iterative refinement: once the iterates are close,
-        # the Schur matrix conditioning approaches 1/mu^2 and float64
-        # residuals no longer improve the solve, so the tail computes them
-        # in extended precision.
-        extended = relgap < 1e-4 and max(pinf, dinf) < 1e-3
-        M_hi = M.astype(np.longdouble) if extended else None
+        if it == 1 and rank < m:
+            # here W = I and M = A A^T: the dropped rows are K^T times the kept
+            # ones, and so must their right-hand sides be
+            K = sla.solve_triangular(U1, U[:rank, rank:], check_finite=False)
+            if np.abs(b[dropped] - K.T @ b[kept]).max() > opts.feas_tol * (1.0 + norm_b):
+                status = _STATUS_INFEASIBLE
+                break
 
         def solve_schur(rhs):
-            dy = sla.cho_solve(cho, rhs, check_finite=False)
-            if extended:
-                rhs_hi = rhs.astype(np.longdouble)
-                prev = np.inf
-                for _ in range(6):
-                    resid_hi = rhs_hi - M_hi @ dy.astype(np.longdouble)
-                    nr = float(np.abs(resid_hi).max(initial=0.0))
-                    if not np.isfinite(nr) or nr >= 0.5 * prev:
-                        break
-                    prev = nr
-                    dy = dy + sla.cho_solve(cho, resid_hi.astype(np.float64),
-                                            check_finite=False)
-            else:
-                for _ in range(2):
-                    resid = rhs - M @ dy
-                    dy += sla.cho_solve(cho, resid, check_finite=False)
+            dy = np.zeros(m)
+            dy[kept] = sla.cho_solve((U1, False), rhs[kept], check_finite=False)
             return dy
 
         WRdW = []

@@ -22,6 +22,8 @@ from .sdpsolver import SolverOptions
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 EQ_TOL = 1e-5   # theorem equality tolerance: 10x the solver gap tolerance
+CHECK_NAMES = ("lemma2", "main_theorem", "theorem5", "corollary6", "theorem7",
+               "theorem9", "prop11", "sandwich")
 
 
 @dataclass
@@ -381,6 +383,10 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
               dim_limit: int | None = None, opts: SolverOptions | None = None,
               progress=None) -> SuiteReport:
     """Run every check on built-ins plus the seeded random instances."""
+    if only is not None and only not in CHECK_NAMES:
+        raise ValidationError(f"unknown check {only!r}; known: {', '.join(CHECK_NAMES)}")
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError(f"tolerance must be finite and positive, got {tolerance!r}")
     t0 = time.perf_counter()
     tol = EQ_TOL if tolerance is None else tolerance
     cache = CapacityCache(opts)

@@ -5,7 +5,7 @@ from nszcap import capacities as cap
 from nszcap import graphspace as gs
 from nszcap.capacities import DimensionLimitError
 from nszcap.matrixcore import ValidationError, partial_trace
-from nszcap.sdpsolver import SolverFailure, entry_coeff, entry_value, herm_entries
+from nszcap.sdpsolver import entry_coeff, entry_value, herm_entries
 from nszcap.theoremsuite import (
     RandomChannelSpec,
     random_channel,
@@ -180,9 +180,8 @@ class TestAram:
 
 class TestCqDependentRows:
     # every output is full rank, so no block has a kernel and the marginal
-    # rows of the cq program become dependent
-    @pytest.mark.xfail(strict=True, raises=SolverFailure,
-                       reason="known defect: dependent constraint rows stall the cq solve")
+    # rows of the cq program become dependent: its Schur matrix is rank
+    # deficient from the first iteration on
     @pytest.mark.parametrize("seed", [516, 49, 61, 102])
     def test_cq_path_matches_general_path(self, seed):
         C = random_cq_graph(seed)

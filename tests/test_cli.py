@@ -196,6 +196,28 @@ class TestVerify:
         assert json.loads(out)["num_failed"] > 0
 
 
+class TestSettings:
+    @pytest.mark.parametrize("argv, named", [
+        (("compute", "--builtin", "delta:l=2", "--quantity", "upsilon",
+          "--gap-tol", "inf", "--feas-tol", "inf"), "gap_tol"),
+        (("compute", "--builtin", "delta:l=2", "--quantity", "upsilon",
+          "--gap-tol", "nan"), "gap_tol"),
+        (("compute", "--builtin", "delta:l=2", "--quantity", "upsilon",
+          "--gap-tol", "-1"), "gap_tol"),
+        (("compute", "--builtin", "delta:l=2", "--quantity", "upsilon",
+          "--feas-tol", "0"), "feas_tol"),
+        (("verify", "--only", "theorem7", "--tolerance", "nan"), "tolerance"),
+        (("verify", "--only", "theorem7", "--tolerance", "-1"), "tolerance"),
+        (("verify", "--only", "bogus"), "theorem7"),
+    ], ids=["gap-tol-inf", "gap-tol-nan", "gap-tol-negative", "feas-tol-zero",
+            "tolerance-nan", "tolerance-negative", "unknown-check"])
+    def test_bad_setting_is_input_error(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and named in err
+
+
 class TestExamples:
     def test_lists_builtins(self, capsys):
         code, out, _ = run_cli(capsys, "examples")

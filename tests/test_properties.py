@@ -1,7 +1,8 @@
 """Seeded properties of the capacity programs on random channels.
 
-Each property draws ``verify``-style seeds (graphs from ``_spec_from_seed``);
-``derandomize=True`` makes the drawn examples the same on every run.
+Each property draws seeds of ``verify``-style graphs (``_spec_from_seed``) or
+of ``random_cq_graph``; ``derandomize=True`` makes the drawn examples the same
+on every run.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from nszcap import capacities as cap
 from nszcap import graphspace as gs
-from nszcap.theoremsuite import _spec_from_seed, random_graph
+from nszcap.theoremsuite import _spec_from_seed, random_cq_graph, random_graph
 
 SEEDED = settings(max_examples=30, derandomize=True, deadline=None)
 SEEDS = st.integers(min_value=1, max_value=10**6)
@@ -43,3 +44,14 @@ def test_activation_order_and_duality(seed):
     hat = cap.upsilon_hat(K).value
     assert cap.upsilon(K).value <= hat + 1e-6
     assert cap.upsilon_hat_dual(K).value == pytest.approx(hat, rel=1e-6)
+
+
+@SEEDED
+@given(SEEDS)
+def test_cq_path_equals_general_path(seed):
+    # the cq programs against the general ones on the graph sum_i |i><i| (x) P_i
+    C = random_cq_graph(seed)
+    K = gs.ncgraph_from_cq(C)
+    for cq, general in ((cap.upsilon_cq, cap.upsilon), (cap.upsilon_hat_cq, cap.upsilon_hat),
+                        (cap.aram_cq, cap.aram)):
+        assert cq(C).value == pytest.approx(general(K).value, rel=1e-6)

@@ -166,6 +166,27 @@ class TestStatuses:
         sol = solve(p, SolverOptions(max_iter=80))
         assert sol.status == "infeasible"
 
+    @staticmethod
+    def _nonneg_program(rows):
+        return SdpProblem([Block(NONNEG, 2)], [np.ones(2)],
+                          [({0: np.array(a, dtype=float)}, rhs) for a, rhs in rows])
+
+    def test_dependent_rows(self):
+        # the cq program of random_cq_graph(516): two rows equal up to one
+        # ulp, and a row of rounding noise; its Schur matrix has rank 1
+        p = self._nonneg_program([([1.0, 1.0 - 2.0**-53], 1.0), ([1.0, 1.0], 1.0),
+                                  ([-3.25e-17, -3.9e-18], 0.0)])
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("rows", [
+        [([0.0, 0.0], 1.0), ([1.0, 1.0], 1.0)],
+        [([1.0, 1.0], 1.0), ([1.0, 1.0], 2.0)],
+    ], ids=["zero-row", "duplicate-rows"])
+    def test_inconsistent_dependent_rows_are_infeasible(self, rows):
+        assert solve(self._nonneg_program(rows)).status == "infeasible"
+
     def test_needs_constraints(self):
         with pytest.raises(ValidationError):
             solve(SdpProblem([Block(PSD, 2)], [np.eye(2)], []))

@@ -12,7 +12,9 @@ is:
 
 - ``upsilon``, ``upsilon_hat``, ``upsilon_hat_dual`` and ``aram`` on five
   built-in channels and on the random channels of ``verify`` seeds 1..40;
-- ``upsilon_cq``, ``upsilon_hat_cq`` and ``aram_cq`` on ``random_cq_graph(1..20)``;
+- ``upsilon_cq``, ``upsilon_hat_cq`` and ``aram_cq`` on ``random_cq_graph(1..20)``
+  and on seeds 516, 49, 61 and 102, whose outputs are all full rank, so their
+  cq programs have dependent rows and a rank-deficient Schur matrix;
 - with ``--large``, ``upsilon``, ``upsilon_hat`` and ``upsilon_hat_dual`` on
   K (x) delta(2) at Choi dimension 36, from ``perfbench``'s
   ``product_channel(1, 0..1)``.
@@ -58,7 +60,7 @@ def ladder(large: bool):
     for seed in range(1, 41):
         spec = _spec_from_seed(seed)
         yield f"seed{seed}:{spec.label()}", NC, random_graph(spec)
-    for seed in range(1, 21):
+    for seed in (*range(1, 21), 516, 49, 61, 102):
         yield f"cq{seed}", CQ, random_cq_graph(seed)
     if large:
         sys.path.insert(0, str(ROOT / "perfbench"))
