@@ -414,9 +414,7 @@ def thm9_criteria(K: NCGraph, strict_tol: float = STRICT_TOL,
     ``value(name, K)`` supplies the capacities ``"aram"`` and ``"upsilon_hat"``
     (e.g. ``CapacityCache.value``); by default they are solved here.
     """
-    if value is None:
-        def value(name, G):
-            return globals()[name](G, opts).value
+    value = value or (lambda name, G: globals()[name](G, opts).value)
     pb_margin = K.d_A - op_norm(K.P_B)
     trq = partial_trace(K.Q_AB, K.d_A, K.d_B, "first")
     trq_margin = float(np.linalg.eigvalsh(0.5 * (trq + trq.conj().T))[0])
@@ -444,13 +442,15 @@ def is_activatable(K: NCGraph, eps: float = 1e-6,
 
 
 def find_n0(K: NCGraph, n_max: int, opts: SolverOptions | None = None,
-            dim_limit: int | None = None):
-    """Least tensor power with one-shot capacity at least 2, or None."""
+            dim_limit: int | None = None, value=None):
+    """Least tensor power with one-shot capacity at least 2, or None.
+    ``value(name, K)`` supplies ``"upsilon"`` as in :func:`thm9_criteria`."""
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
+    value = value or (lambda name, G: upsilon(G, opts).value)
     for n in range(1, n_max + 1):
         require_choi_dim(K.dim ** n, dim_limit)
-        if upsilon(tensor_power(K, n), opts).value >= 2.0 - 1e-7:
+        if value("upsilon", tensor_power(K, n)) >= 2.0 - 1e-7:
             return n
     return None
 

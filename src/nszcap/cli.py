@@ -43,14 +43,22 @@ EXIT_VERIFY = 3
 # Built-in channel registry
 # ---------------------------------------------------------------------------
 
+def _square(make, value, name: str):
+    """``make(d)`` for the d -> d channel of parameter ``name``; its Choi
+    dimension d*d is checked by the size guard before anything is built."""
+    d = _number(value, f"parameter '{name}'", True)
+    cap.require_choi_dim(d * d)
+    return make(d)
+
+
 BUILTINS = {
     "identity": {
-        "factory": lambda p: gs.identity_channel(_number(p.get("d", 2), "parameter 'd'", True)),
+        "factory": lambda p: _square(gs.identity_channel, p.get("d", 2), "d"),
         "params": {"d": "input/output dimension (default 2)"},
         "about": "noiseless qudit channel",
     },
     "depolarizing": {
-        "factory": lambda p: gs.depolarizing_channel(_number(p.get("d", 2), "parameter 'd'", True)),
+        "factory": lambda p: _square(gs.depolarizing_channel, p.get("d", 2), "d"),
         "params": {"d": "input/output dimension (default 2)"},
         "about": "completely depolarizing channel; full Kraus span, zero capacity",
     },
@@ -72,7 +80,7 @@ BUILTINS = {
                  "packing number",
     },
     "delta": {
-        "factory": lambda p: gs.dephasing_channel(_number(p["l"], "parameter 'l'", True)),
+        "factory": lambda p: _square(gs.dephasing_channel, p["l"], "l"),
         "params": {"l": "number of noiseless symbols, >= 1"},
         "about": "noiseless classical channel on l symbols",
     },

@@ -190,21 +190,8 @@ def tensor_power(K: NCGraph, n: int) -> NCGraph:
 
 
 def direct_sum(K1: NCGraph, K2: NCGraph) -> NCGraph:
-    """Graph of the direct sum of two channels.
-
-    For equal dimensions this is the flag construction
-    ``P1 (x) |00><00| + P2 (x) |11><11|`` on qubit flags, reordered to
-    (A A')(B B').  Unequal dimensions use the block embedding on
-    ``(A1 + A2) (x) (B1 + B2)`` instead; zero-padding one graph to a common
-    dimension would leave input directions outside the support marginal and
-    make the capacity programs unbounded.
-    """
-    if K1.d_A == K2.d_A and K1.d_B == K2.d_B:
-        f0 = np.zeros((4, 4)); f0[0, 0] = 1.0
-        f1 = np.zeros((4, 4)); f1[3, 3] = 1.0
-        P = tensor(K1.P_AB, f0) + tensor(K2.P_AB, f1)
-        P = permute_systems(P, [K1.d_A, K1.d_B, 2, 2], [0, 2, 1, 3])
-        return NCGraph(K1.d_A * 2, K1.d_B * 2, P)
+    """Graph of the direct sum of two channels: the block embedding of
+    ``P1`` and ``P2`` on ``(A1 + A2) (x) (B1 + B2)``."""
     dA, dB = K1.d_A + K2.d_A, K1.d_B + K2.d_B
     P = np.zeros((dA * dB, dA * dB), dtype=complex)
     idx1 = [a * dB + b for a in range(K1.d_A) for b in range(K1.d_B)]

@@ -14,10 +14,14 @@ a real symmetric positive semidefinite m x m matrix.
 Algorithm: infeasible-start path following with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector step, the Newton system reduced to the Schur
 complement and factored by a pivoted Cholesky that reveals its numerical rank;
-the multipliers past the rank take a zero step.  The solver works on the
-complex Hermitian blocks directly; :func:`realify` provides the standard
-spectrum-preserving embedding into real symmetric matrices and is used by the
-test suite to cross-check PSD-ness in the real domain.
+the multipliers past the rank take a zero step.  Each PSD block has one NT
+frame G, with ``X = G diag(lw) G^dag`` and ``G^dag Z G = diag(lw)``: both
+iterates are the same diagonal matrix in the frame, the NT point is
+``W = G G^dag``, and step lengths and the corrector work elementwise on lw.
+The solver works on the complex Hermitian blocks directly; :func:`realify`
+provides the standard spectrum-preserving embedding into real symmetric
+matrices and is used by the test suite to cross-check PSD-ness in the real
+domain.
 
 Constraint coefficients are typed.  An :class:`Entry` reads one scaled real or
 imaginary entry of ``F^dag X F`` for a frame F (default: the identity); a
@@ -115,8 +119,9 @@ class SdpSolution:
     iterations: int
     primal_residual: float = 0.0
     dual_residual: float = 0.0
-    # seconds in "scaling" (NT), "schur" (assembly), "factor" (pivoted Cholesky),
-    # "newton" (both solves and right-hand sides), "step" (steps, residuals, stopping)
+    # seconds in "scaling" (NT frames and W), "schur" (assembly), "factor" (pivoted
+    # Cholesky), "newton" (both solves and right-hand sides), "step" (steps,
+    # residuals, stopping)
     phase_s: dict = field(default_factory=dict)
 
     @property
@@ -454,35 +459,29 @@ def _herm(M):
     return 0.5 * (M + np.conj(M).T)
 
 
-def _psd_sqrt_pair(M, floor=1e-14):
-    w, V = np.linalg.eigh(M)
-    w = np.maximum(w, floor)
-    s = np.sqrt(w)
-    return (V * s) @ np.conj(V).T, (V / s) @ np.conj(V).T
+def _nt_frame(X, Z):
+    """NT frame (G, G^-1, lw) of a PSD pair: ``X = G diag(lw) G^dag`` and
+    ``G^dag Z G = diag(lw)``, so ``W = G G^dag`` is the NT point, ``W Z W = X``.
+
+    With the square root ``L = V diag(w)^1/2`` of ``X = V diag(w) V^dag`` and
+    ``L^dag Z L = Q diag(lw^2) Q^dag``, ``G = L Q diag(lw)^-1/2``.  The
+    eigenvalues w are floored at 1e-14, and ``lw^2`` at 1e-300."""
+    w, V = np.linalg.eigh(X)
+    s = np.sqrt(np.maximum(w, 1e-14))
+    L = V * s
+    lw2, Q = np.linalg.eigh(_herm(np.conj(L).T @ Z @ L))
+    lw = np.sqrt(np.maximum(lw2, 1e-300))
+    r = np.sqrt(lw)
+    G = (L @ Q) / r
+    Ginv = (r[:, None] * np.conj(Q).T) @ (np.conj(V).T / s[:, None])
+    return G, Ginv, lw
 
 
-def _nt_scaling(X, Z):
-    """NT scaling point W (W Z W = X) plus its square root R and inverse."""
-    sqrtX, _ = _psd_sqrt_pair(X)
-    M = _herm(sqrtX @ Z @ sqrtX)
-    _, M_isqrt = _psd_sqrt_pair(M)
-    W = _herm(sqrtX @ M_isqrt @ sqrtX)
-    R, Rinv = _psd_sqrt_pair(W)
-    return W, R, Rinv
-
-
-def _lyap_inv(lam_w, lam_V, H):
-    """Solve (lam M + M lam)/2 = H for M, given eigh(lam)."""
-    Ht = np.conj(lam_V).T @ H @ lam_V
-    denom = 0.5 * (lam_w[:, None] + lam_w[None, :])
-    return lam_V @ (Ht / denom) @ np.conj(lam_V).T
-
-
-def _max_step_scaled(lam_w, lam_V, D):
-    """sup { a : lam + a D >= 0 } for Hermitian D in the scaled frame."""
-    floor = max(float(lam_w[-1]) * 1e-14, 1e-150)
-    isqrt = lam_V / np.sqrt(np.maximum(lam_w, floor))
-    B = _herm(np.conj(isqrt).T @ D @ isqrt)
+def _max_step_scaled(lw, D):
+    """sup { a : diag(lw) + a D >= 0 } for Hermitian D in the NT frame."""
+    floor = max(float(lw[-1]) * 1e-14, 1e-150)
+    s = 1.0 / np.sqrt(np.maximum(lw, floor))
+    B = D * np.outer(s, s)
     if not np.all(np.isfinite(B)):
         return 0.0
     try:
@@ -606,22 +605,19 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             status = _STATUS_NUMFAIL
             break
 
-        # NT scaling per block
+        # NT frame per PSD block: X = G diag(lw) G^dag, G^dag Z G = diag(lw),
+        # W = G G^dag; a nonnegative block is its own frame, W = sqrt(x / z)
         lap("step")
-        Ws, Rs, Rinvs, lams = [], [], [], []
+        Ws, frames = [], []
         try:
             for bl, x, z in zip(blocks, X, Z):
                 if bl.kind == PSD:
-                    W, R, Rinv = _nt_scaling(x, z)
-                    lam = _herm(0.5 * (Rinv @ x @ Rinv + R @ z @ R))
-                    lw, lV = np.linalg.eigh(lam)
-                    lw = np.maximum(lw, 1e-300)
-                    Ws.append(W); Rs.append(R); Rinvs.append(Rinv); lams.append((lam, lw, lV))
+                    G, Ginv, lw = _nt_frame(x, z)
+                    Ws.append(_herm(G @ np.conj(G).T))
+                    frames.append((G, Ginv, lw))
                 else:
-                    w = np.sqrt(x / z)
-                    lam = np.sqrt(x * z)
-                    Ws.append(w); Rs.append(np.sqrt(w)); Rinvs.append(1.0 / np.sqrt(w))
-                    lams.append((lam, lam, None))
+                    Ws.append(np.sqrt(x / z))
+                    frames.append(np.sqrt(x * z))
         except np.linalg.LinAlgError:
             status = _STATUS_NUMFAIL
             break
@@ -675,24 +671,29 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             return dX, dy, dZ
 
         def max_steps(dXs, dZs):
+            """Primal and dual step bounds, and each PSD block's directions in
+            its frame, ``G^-1 dX G^-dag`` and ``G^dag dZ G``."""
             ap = ad = np.inf
+            scaled = []
             for bi, bl in enumerate(blocks):
                 if bl.kind == PSD:
-                    _, lw, lV = lams[bi]
-                    ap = min(ap, _max_step_scaled(
-                        lw, lV, _herm(Rinvs[bi] @ dXs[bi] @ Rinvs[bi])))
-                    ad = min(ad, _max_step_scaled(
-                        lw, lV, _herm(Rs[bi] @ dZs[bi] @ Rs[bi])))
+                    G, Ginv, lw = frames[bi]
+                    dx = _herm(Ginv @ dXs[bi] @ np.conj(Ginv).T)
+                    dz = _herm(np.conj(G).T @ dZs[bi] @ G)
+                    ap = min(ap, _max_step_scaled(lw, dx))
+                    ad = min(ad, _max_step_scaled(lw, dz))
+                    scaled.append((dx, dz))
                 else:
                     x, z = X[bi], Z[bi]
                     ap = min(ap, float(np.min(np.where(dXs[bi] < 0, -x / dXs[bi], np.inf))))
                     ad = min(ad, float(np.min(np.where(dZs[bi] < 0, -z / dZs[bi], np.inf))))
-            return ap, ad
+                    scaled.append(None)
+            return ap, ad, scaled
 
         # predictor (affine direction)
         Rc_aff = [(-x) for x in X]
         dX_a, _, dZ_a = newton(Rc_aff)
-        ap, ad = max_steps(dX_a, dZ_a)
+        ap, ad, scaled_a = max_steps(dX_a, dZ_a)
         a_aff = min(1.0, ap)
         b_aff = min(1.0, ad)
         Xa = [x + a_aff * dx for x, dx in zip(X, dX_a)]
@@ -700,26 +701,23 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         mu_aff = max(inner(Xa, Za) / nu, 0.0)
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.1
 
-        # corrector (combined direction)
+        # corrector (combined direction): in the frame, solve
+        # (diag(lw) D + D diag(lw)) / 2 = sigma mu - diag(lw)^2 - (dx dz + dz dx) / 2
         Rc = []
         for bi, bl in enumerate(blocks):
             if bl.kind == PSD:
-                lam, lw, lV = lams[bi]
-                dxh = Rinvs[bi] @ dX_a[bi] @ Rinvs[bi]
-                dzh = Rs[bi] @ dZ_a[bi] @ Rs[bi]
-                H = sigma * mu * np.eye(bl.dim, dtype=dtype) - lam @ lam \
-                    - 0.5 * _herm(dxh @ dzh + dzh @ dxh)
-                Rc.append(_herm(Rs[bi] @ _lyap_inv(lw, lV, _herm(H)) @ Rs[bi]))
+                G, _, lw = frames[bi]
+                dx, dz = scaled_a[bi]
+                H = -_herm(dx @ dz)
+                H[np.diag_indices(bl.dim)] += sigma * mu - lw * lw
+                D = H / (0.5 * (lw[:, None] + lw[None, :]))
+                Rc.append(_herm(G @ D @ np.conj(G).T))
             else:
-                lam = lams[bi][0]
-                w = Ws[bi]
-                dxh = dX_a[bi] / w
-                dzh = dZ_a[bi] * w
-                H = sigma * mu - lam * lam - dxh * dzh
-                Rc.append(w * H / lam)
+                lam = frames[bi]
+                Rc.append(Ws[bi] * (sigma * mu - lam * lam - dX_a[bi] * dZ_a[bi]) / lam)
         dX, dy, dZ = newton(Rc)
         lap("newton")
-        ap, ad = max_steps(dX, dZ)
+        ap, ad, _ = max_steps(dX, dZ)
         a_step = min(1.0, tau * ap)
         b_step = min(1.0, tau * ad)
         if a_step < 1e-10 and b_step < 1e-10:

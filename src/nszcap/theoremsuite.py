@@ -316,7 +316,7 @@ def check_sandwich(K: gs.NCGraph, n: int, label: str = "",
     """Finite tensor-power sandwich around the activated capacity."""
     cache = cache or CapacityCache()
     try:
-        n0 = cap.find_n0(K, n, cache.opts, dim_limit)
+        n0 = cap.find_n0(K, n, cache.opts, dim_limit, cache.value)
     except DimensionLimitError as exc:
         return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
                             vacuous=True, note=f"size guard: {exc}")
@@ -387,6 +387,10 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
         raise ValidationError(f"unknown check {only!r}; known: {', '.join(CHECK_NAMES)}")
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
         raise ValidationError(f"tolerance must be finite and positive, got {tolerance!r}")
+    if any(s < 0 for s in seeds):
+        raise ValidationError(f"seeds must be nonnegative, got {list(seeds)!r}")
+    if dim_limit is not None and dim_limit < 1:
+        raise ValidationError(f"dim_limit must be at least 1, got {dim_limit!r}")
     t0 = time.perf_counter()
     tol = EQ_TOL if tolerance is None else tolerance
     cache = CapacityCache(opts)

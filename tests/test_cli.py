@@ -168,6 +168,31 @@ class TestCompute:
         assert code == EXIT_INPUT
         assert "NSZCAP_MAX_DIM" in err
 
+    @pytest.mark.parametrize("name, constructor", [
+        ("identity:d=100000", "identity_channel"),
+        ("depolarizing:d=100000", "depolarizing_channel"),
+        ("delta:l=100000", "dephasing_channel"),
+    ])
+    @pytest.mark.parametrize("as_document", [False, True])
+    def test_dimension_guard_before_build(self, capsys, monkeypatch, tmp_path,
+                                          name, constructor, as_document):
+        def unbuildable(*args):
+            raise AssertionError(f"{constructor} called past the size guard")
+        monkeypatch.setattr(gs, constructor, unbuildable)
+        monkeypatch.setenv("NSZCAP_MAX_DIM", "8")
+        source = ("--builtin", name)
+        if as_document:
+            builtin, _, param = name.partition(":")
+            key, _, val = param.partition("=")
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps({"type": "builtin", "name": builtin,
+                                        "params": {key: int(val)}}))
+            source = ("--channel", str(path))
+        code, out, err = run_cli(capsys, "compute", *source, "--quantity", "upsilon")
+        assert code == EXIT_INPUT
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "exceeds the limit 8" in err
+
     def test_witness_emission(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--builtin",
                                "example4:alpha_sq=0.75",
@@ -209,8 +234,12 @@ class TestSettings:
         (("verify", "--only", "theorem7", "--tolerance", "nan"), "tolerance"),
         (("verify", "--only", "theorem7", "--tolerance", "-1"), "tolerance"),
         (("verify", "--only", "bogus"), "theorem7"),
+        (("verify", "--only", "theorem7", "--seed", "-1"), "seed"),
+        (("verify", "--only", "theorem7", "--dim-limit", "-3"), "dim_limit"),
+        (("verify", "--only", "theorem7", "--dim-limit", "0"), "dim_limit"),
     ], ids=["gap-tol-inf", "gap-tol-nan", "gap-tol-negative", "feas-tol-zero",
-            "tolerance-nan", "tolerance-negative", "unknown-check"])
+            "tolerance-nan", "tolerance-negative", "unknown-check", "seed-negative",
+            "dim-limit-negative", "dim-limit-zero"])
     def test_bad_setting_is_input_error(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INPUT

@@ -15,6 +15,8 @@ from nszcap.sdpsolver import (
     Block,
     SdpProblem,
     SolverOptions,
+    _herm,
+    _nt_frame,
     _preprocess,
     constraint_residuals,
     entry_coeff,
@@ -54,6 +56,48 @@ class TestRealify:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             realify(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _pd(rng, n, complex_, eigs):
+    A = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0)
+    V, _ = np.linalg.qr(A)
+    return (V * np.asarray(eigs)) @ np.conj(V).T
+
+
+class TestNtFrame:
+    """``X = G diag(lw) G^dag``, ``G^dag Z G = diag(lw)``, ``G^-1 G = I`` and
+    ``W = G G^dag`` is the NT point ``W Z W = X``."""
+
+    @staticmethod
+    def _check(X, Z):
+        G, Ginv, lw = _nt_frame(X, Z)
+        W = G @ np.conj(G).T
+
+        def rel(A, B):
+            return np.linalg.norm(A - B) / np.linalg.norm(B)
+
+        assert np.all(lw > 0) and np.all(np.diff(lw) >= 0)
+        assert rel(G @ np.diag(lw) @ np.conj(G).T, X) <= 1e-10
+        assert rel(np.conj(G).T @ Z @ G, np.diag(lw)) <= 1e-10
+        assert rel(Ginv @ G, np.eye(len(X))) <= 1e-10
+        assert rel(W @ Z @ W, X) <= 1e-10
+        return G
+
+    @pytest.mark.parametrize("complex_", [True, False], ids=["complex", "real"])
+    def test_random_pair(self, complex_):
+        rng = np.random.default_rng(7)
+        X, Z = (_pd(rng, 6, complex_, rng.uniform(0.1, 2.0, 6)) for _ in range(2))
+        assert np.iscomplexobj(self._check(X, Z)) == complex_
+
+    def test_eigenvalues_below_sqrt_floor(self):
+        # X has two eigenvalues below the 1e-14 floor of its square root; Z is
+        # large on their eigenvectors, as near the end of a solve, which keeps
+        # lw within the 1e5 spread that the 1e-10 bound allows
+        rng = np.random.default_rng(8)
+        V, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        X = (V * [2.0, 1.0, 0.3, 1e-9, 1e-15, 1e-16]) @ np.conj(V).T
+        Z = _pd(rng, 6, True, rng.uniform(0.5, 2.0, 6)) + 1e5 * V[:, 4:] @ np.conj(V[:, 4:]).T
+        self._check(_herm(X), _herm(Z))
 
 
 class TestEntryHelpers:

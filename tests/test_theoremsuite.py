@@ -193,6 +193,21 @@ class TestSandwich:
         c = check_sandwich(rand_graph(29, 2, 2, 1), 2, "unitary", cache)
         assert c.passed and not c.vacuous
 
+    def test_n0_solve_goes_through_cache(self, monkeypatch):
+        K = rand_graph(29, 2, 2, 1)
+        solved = []
+        original = cap.upsilon
+
+        def counted(G, opts=None):
+            solved.append(G)
+            return original(G, opts)
+
+        monkeypatch.setattr(cap, "upsilon", counted)
+        shared = CapacityCache()
+        assert check_corollary6(K, "unitary", shared).passed
+        assert check_sandwich(K, 2, "unitary", shared).passed
+        assert sum(G.dim == K.dim and np.array_equal(G.P_AB, K.P_AB) for G in solved) == 1
+
     def test_skip_when_n0_not_found(self, cache):
         K = gs.ncgraph_from_channel(gs.example4_channel(0.9))
         c = check_sandwich(K, 2, "weak", cache)

@@ -22,7 +22,8 @@ is:
 ``--compare`` exits 1 unless both records hold the same solves, every value
 agrees to 1e-8 relative, the statuses are equal and the iteration counts
 differ by at most 1.  It also reports how many solves are bit-identical (equal
-digests).
+digests), the largest relative value deviation, and how many solves differ in
+their iteration counts.
 """
 
 from __future__ import annotations
@@ -117,13 +118,18 @@ def record(large: bool) -> dict:
     return rows
 
 
+def relative_deviation(ra: dict, rb: dict) -> float:
+    """``|a - b| / max(1, |a|, |b|)`` for the values of two rows."""
+    scale = max(1.0, abs(ra["value"]), abs(rb["value"]))
+    return abs(ra["value"] - rb["value"]) / scale
+
+
 def compare(a: dict, b: dict) -> list:
     """Human-readable disagreements between two records; empty when they agree."""
     problems = [f"{key}: only in one record" for key in sorted(a.keys() ^ b.keys())]
     for key in sorted(a.keys() & b.keys()):
         ra, rb = a[key], b[key]
-        scale = max(1.0, abs(ra["value"]), abs(rb["value"]))
-        if not abs(ra["value"] - rb["value"]) <= VALUE_RTOL * scale:
+        if not relative_deviation(ra, rb) <= VALUE_RTOL:
             problems.append(f"{key}: value {ra['value']!r} vs {rb['value']!r}")
         if ra["status"] != rb["status"]:
             problems.append(f"{key}: status {ra['status']} vs {rb['status']}")
@@ -151,9 +157,12 @@ def main(argv=None) -> int:
         common = a.keys() & b.keys()
         same = sum(a[k].get("digest") is not None and a[k].get("digest") == b[k].get("digest")
                    for k in common)
+        deviation = max((relative_deviation(a[k], b[k]) for k in common), default=0.0)
+        moved = sum(a[k]["iterations"] != b[k]["iterations"] for k in common)
         print(f"{len(common)} common solves, {len(problems)} disagreements, "
               f"total iterations {iters[0]} vs {iters[1]}")
-        print(f"{same} of {len(common)} solves bit-identical")
+        print(f"{same} of {len(common)} solves bit-identical; largest relative value "
+              f"deviation {deviation:.2e}; {moved} solves with different iteration counts")
         return 1 if problems else 0
 
     sys.path.insert(0, str(ROOT / "src"))
