@@ -414,7 +414,9 @@ def thm9_criteria(K: NCGraph, strict_tol: float = STRICT_TOL,
     ``value(name, K)`` supplies the capacities ``"aram"`` and ``"upsilon_hat"``
     (e.g. ``CapacityCache.value``); by default they are solved here.
     """
-    value = value or (lambda name, G: globals()[name](G, opts).value)
+    if value is None:
+        def value(name, G):
+            return globals()[name](G, opts).value
     pb_margin = K.d_A - op_norm(K.P_B)
     trq = partial_trace(K.Q_AB, K.d_A, K.d_B, "first")
     trq_margin = float(np.linalg.eigvalsh(0.5 * (trq + trq.conj().T))[0])

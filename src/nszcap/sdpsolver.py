@@ -460,21 +460,18 @@ def _herm(M):
 
 
 def _nt_frame(X, Z):
-    """NT frame (G, G^-1, lw) of a PSD pair: ``X = G diag(lw) G^dag`` and
+    """NT frame (G, lw) of a PSD pair: ``X = G diag(lw) G^dag`` and
     ``G^dag Z G = diag(lw)``, so ``W = G G^dag`` is the NT point, ``W Z W = X``.
 
     With the square root ``L = V diag(w)^1/2`` of ``X = V diag(w) V^dag`` and
     ``L^dag Z L = Q diag(lw^2) Q^dag``, ``G = L Q diag(lw)^-1/2``.  The
-    eigenvalues w are floored at 1e-14, and ``lw^2`` at 1e-300."""
+    eigenvalues w and lw^2 are floored at 1e-14, which bounds W by
+    ``1e7 ||X||``; ``G^dag Z G = diag(lw)`` holds where lw^2 is above it."""
     w, V = np.linalg.eigh(X)
-    s = np.sqrt(np.maximum(w, 1e-14))
-    L = V * s
+    L = V * np.sqrt(np.maximum(w, 1e-14))
     lw2, Q = np.linalg.eigh(_herm(np.conj(L).T @ Z @ L))
-    lw = np.sqrt(np.maximum(lw2, 1e-300))
-    r = np.sqrt(lw)
-    G = (L @ Q) / r
-    Ginv = (r[:, None] * np.conj(Q).T) @ (np.conj(V).T / s[:, None])
-    return G, Ginv, lw
+    lw = np.sqrt(np.maximum(lw2, 1e-14))
+    return (L @ Q) / np.sqrt(lw), lw
 
 
 def _max_step_scaled(lw, D):
@@ -612,9 +609,9 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         try:
             for bl, x, z in zip(blocks, X, Z):
                 if bl.kind == PSD:
-                    G, Ginv, lw = _nt_frame(x, z)
+                    G, lw = _nt_frame(x, z)
                     Ws.append(_herm(G @ np.conj(G).T))
-                    frames.append((G, Ginv, lw))
+                    frames.append((G, lw))
                 else:
                     Ws.append(np.sqrt(x / z))
                     frames.append(np.sqrt(x * z))
@@ -670,16 +667,18 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
                     dX.append(rc - W * W * dz)
             return dX, dy, dZ
 
-        def max_steps(dXs, dZs):
+        def max_steps(dXs, dZs, Ds=None):
             """Primal and dual step bounds, and each PSD block's directions in
-            its frame, ``G^-1 dX G^-dag`` and ``G^dag dZ G``."""
+            its frame: ``dz = G^dag dZ G`` and, as ``dX = Rc - W dZ W`` with
+            ``Rc = G D G^dag``, ``dx = D - dz``.  ``Ds`` maps a PSD block to
+            its D; the predictor's ``Rc = -X`` has ``D = -diag(lw)``."""
             ap = ad = np.inf
             scaled = []
             for bi, bl in enumerate(blocks):
                 if bl.kind == PSD:
-                    G, Ginv, lw = frames[bi]
-                    dx = _herm(Ginv @ dXs[bi] @ np.conj(Ginv).T)
+                    G, lw = frames[bi]
                     dz = _herm(np.conj(G).T @ dZs[bi] @ G)
+                    dx = (-np.diag(lw) if Ds is None else Ds[bi]) - dz
                     ap = min(ap, _max_step_scaled(lw, dx))
                     ad = min(ad, _max_step_scaled(lw, dz))
                     scaled.append((dx, dz))
@@ -699,25 +698,26 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         Xa = [x + a_aff * dx for x, dx in zip(X, dX_a)]
         Za = [z + b_aff * dz for z, dz in zip(Z, dZ_a)]
         mu_aff = max(inner(Xa, Za) / nu, 0.0)
-        sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.1
+        sigma = min(1.0, mu_aff / mu) ** 3 if mu > 0 else 0.1
 
         # corrector (combined direction): in the frame, solve
         # (diag(lw) D + D diag(lw)) / 2 = sigma mu - diag(lw)^2 - (dx dz + dz dx) / 2
-        Rc = []
+        Rc, Ds = [], {}
         for bi, bl in enumerate(blocks):
             if bl.kind == PSD:
-                G, _, lw = frames[bi]
+                G, lw = frames[bi]
                 dx, dz = scaled_a[bi]
                 H = -_herm(dx @ dz)
                 H[np.diag_indices(bl.dim)] += sigma * mu - lw * lw
                 D = H / (0.5 * (lw[:, None] + lw[None, :]))
                 Rc.append(_herm(G @ D @ np.conj(G).T))
+                Ds[bi] = D
             else:
                 lam = frames[bi]
                 Rc.append(Ws[bi] * (sigma * mu - lam * lam - dX_a[bi] * dZ_a[bi]) / lam)
         dX, dy, dZ = newton(Rc)
         lap("newton")
-        ap, ad, _ = max_steps(dX, dZ)
+        ap, ad, _ = max_steps(dX, dZ, Ds)
         a_step = min(1.0, tau * ap)
         b_step = min(1.0, tau * ad)
         if a_step < 1e-10 and b_step < 1e-10:

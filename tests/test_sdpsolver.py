@@ -65,12 +65,12 @@ def _pd(rng, n, complex_, eigs):
 
 
 class TestNtFrame:
-    """``X = G diag(lw) G^dag``, ``G^dag Z G = diag(lw)``, ``G^-1 G = I`` and
-    ``W = G G^dag`` is the NT point ``W Z W = X``."""
+    """``X = G diag(lw) G^dag``, ``G^dag Z G = diag(lw)`` where lw^2 is above
+    its 1e-14 floor, and then ``W = G G^dag`` is the NT point ``W Z W = X``."""
 
     @staticmethod
     def _check(X, Z):
-        G, Ginv, lw = _nt_frame(X, Z)
+        G, lw = _nt_frame(X, Z)
         W = G @ np.conj(G).T
 
         def rel(A, B):
@@ -78,16 +78,19 @@ class TestNtFrame:
 
         assert np.all(lw > 0) and np.all(np.diff(lw) >= 0)
         assert rel(G @ np.diag(lw) @ np.conj(G).T, X) <= 1e-10
-        assert rel(np.conj(G).T @ Z @ G, np.diag(lw)) <= 1e-10
-        assert rel(Ginv @ G, np.eye(len(X))) <= 1e-10
-        assert rel(W @ Z @ W, X) <= 1e-10
-        return G
+        live = lw * lw > 1e-14
+        GZG = np.conj(G).T @ Z @ G
+        assert rel(GZG[np.ix_(live, live)], np.diag(lw[live])) <= 1e-10
+        if live.all():
+            assert rel(W @ Z @ W, X) <= 1e-10
+        return G, lw
 
     @pytest.mark.parametrize("complex_", [True, False], ids=["complex", "real"])
     def test_random_pair(self, complex_):
         rng = np.random.default_rng(7)
         X, Z = (_pd(rng, 6, complex_, rng.uniform(0.1, 2.0, 6)) for _ in range(2))
-        assert np.iscomplexobj(self._check(X, Z)) == complex_
+        G, _ = self._check(X, Z)
+        assert np.iscomplexobj(G) == complex_
 
     def test_eigenvalues_below_sqrt_floor(self):
         # X has two eigenvalues below the 1e-14 floor of its square root; Z is
@@ -98,6 +101,20 @@ class TestNtFrame:
         X = (V * [2.0, 1.0, 0.3, 1e-9, 1e-15, 1e-16]) @ np.conj(V).T
         Z = _pd(rng, 6, True, rng.uniform(0.5, 2.0, 6)) + 1e5 * V[:, 4:] @ np.conj(V[:, 4:]).T
         self._check(_herm(X), _herm(Z))
+
+    def test_roundoff_negative_product_keeps_w_bounded(self):
+        # Z is PSD up to roundoff: one eigenvalue is -1e-15, so X^1/2 Z X^1/2
+        # has a negative eigenvalue; lw^2 is floored at 1e-14, which bounds
+        # W = G G^dag by 1e7 ||X||
+        rng = np.random.default_rng(9)
+        X = _pd(rng, 5, True, rng.uniform(0.5, 2.0, 5))
+        Z = _pd(rng, 5, True, [-1e-15, 0.5, 1.0, 1.5, 2.0])
+        G, lw = _nt_frame(X, Z)
+        W = G @ np.conj(G).T
+        assert np.all(np.isfinite(W))
+        assert lw[0] == pytest.approx(1e-7)
+        assert np.linalg.norm(W, 2) <= 1e7 * np.linalg.norm(X, 2) * (1 + 1e-10)
+        self._check(X, Z)
 
 
 class TestEntryHelpers:
