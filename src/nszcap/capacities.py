@@ -26,7 +26,6 @@ import numpy as np
 from .graphspace import CqGraph, NCGraph, tensor_power
 from .matrixcore import ValidationError, op_norm, partial_trace, tensor
 from .sdpsolver import (
-    NONNEG,
     PSD,
     Block,
     SdpProblem,
@@ -293,13 +292,20 @@ def build_cq_problem(C: CqGraph, variant: str):
     ker(P_i), so both are r_i-dim blocks there; in those coordinates the
     coupling is simply R_i + G_i = s_i * identity, and the marginal reads R_i
     through the frame theta_i^dag.
+
+    The vector s is the diagonal of one N x N block S: the objective is
+    ``tr S`` and every coefficient on S is diagonal, so only diag(S) enters
+    the program.  That makes the block exactly the nonnegative cone: a PSD S
+    has diag(S) >= 0, and for s >= 0 the matrix diag(s) is PSD.  The solver
+    keeps S diagonal too: it starts at a multiple of the identity, and the NT
+    point and Newton directions of a diagonal pair are diagonal.
     """
     N, dB = C.num_inputs, C.d_B
     real = _cq_is_real(C)
     projs = [_real_view(P, real) for P in C.projections]
 
-    blocks = [Block(NONNEG, N)]
-    objective = [np.ones(N)]
+    blocks = [Block(PSD, N)]
+    objective = [np.eye(N)]
     r_blk = {}
     g_blk = {}
     thetas = {}
@@ -332,12 +338,12 @@ def build_cq_problem(C: CqGraph, variant: str):
                 L = entry_coeff(b1, b2, kind)
                 coeffs = {r_blk[i]: L, g_blk[i]: L}
                 if b1 == b2:
-                    coeffs[0] = np.where(np.arange(N) == i, -1.0, 0.0)
+                    coeffs[0] = entry_coeff(i, i, "re", scale=-1.0)
                 constraints.append((coeffs, 0.0))
     theta_dags = {i: theta.conj().T for i, theta in thetas.items()}
     for (b1, b2, kind) in herm_entries(dB, real):
         svec = np.array([entry_value(Pi, b1, b2, kind) for Pi in projs])
-        coeffs = {0: svec}
+        coeffs = {0: np.diag(svec)}
         if variant in ("upsilon", "hat"):
             for i in r_blk:
                 coeffs[r_blk[i]] = entry_coeff(b1, b2, kind, frame=theta_dags[i])
@@ -353,7 +359,7 @@ def build_cq_problem(C: CqGraph, variant: str):
 def _cq_result(quantity: str, C: CqGraph, variant: str, opts) -> CapacityResult:
     problem, meta = build_cq_problem(C, variant)
     sol = _run(problem, opts, quantity)
-    primal = {"s": np.asarray(sol.primal_blocks[0], dtype=float)}
+    primal = {"s": np.diag(sol.primal_blocks[0]).real.copy()}
     if variant in ("upsilon", "hat"):
         dB, thetas = meta["dB"], meta["thetas"]
         primal["R"] = [thetas[i] @ sol.primal_blocks[meta["r_blk"][i]] @ np.conj(thetas[i]).T

@@ -126,7 +126,7 @@ class CqGraph:
             raise ValidationError("cq graph needs at least one projection")
         ops = []
         d = None
-        for P in self.projections:
+        for i, P in enumerate(self.projections):
             A = as_matrix(P)
             if d is None:
                 d = A.shape[0]
@@ -136,6 +136,8 @@ class CqGraph:
                 raise ValidationError("cq projection has non-finite entries")
             if herm_deviation(A) > PROJECTOR_TOL or float(np.abs(A @ A - A).max()) > PROJECTOR_TOL:
                 raise ValidationError("cq output is not a projector")
+            if float(np.trace(A).real) < 0.5:   # the trace of a projector is its rank
+                raise ValidationError(f"cq output {i} has empty support")
             ops.append(0.5 * (A + A.conj().T))
         self.projections = ops
 

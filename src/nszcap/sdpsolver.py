@@ -1,7 +1,6 @@
 """Self-contained primal-dual interior-point solver for block SDPs.
 
-Solves, over a product of complex-Hermitian PSD cones and nonnegative
-diagonal cones,
+Solves, over a product of complex-Hermitian PSD cones,
 
     maximize    <C, X>
     subject to  <A_k, X> = b_k   (k = 1..m),   X >= 0 (per block),
@@ -14,7 +13,7 @@ a real symmetric positive semidefinite m x m matrix.
 Algorithm: infeasible-start path following with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector step, the Newton system reduced to the Schur
 complement and factored by a pivoted Cholesky that reveals its numerical rank;
-the multipliers past the rank take a zero step.  Each PSD block has one NT
+the multipliers past the rank take a zero step.  Each block has one NT
 frame G, with ``X = G diag(lw) G^dag`` and ``G^dag Z G = diag(lw)``: both
 iterates are the same diagonal matrix in the frame, the NT point is
 ``W = G G^dag``, and step lengths and the corrector work elementwise on lw.
@@ -35,6 +34,7 @@ coefficients are dense arrays and take one dense path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -44,7 +44,6 @@ import scipy.linalg as sla
 from .matrixcore import ValidationError, herm_deviation
 
 PSD = "psd-hermitian"
-NONNEG = "nonneg-diagonal"
 
 _STATUS_OPTIMAL = "optimal"
 _STATUS_MAXITER = "max-iter"
@@ -55,13 +54,13 @@ _STATUS_INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """Cone block of dimension ``dim``: a Hermitian PSD matrix or a nonnegative vector."""
+    """Cone block of dimension ``dim``: a Hermitian PSD matrix (``kind`` is :data:`PSD`)."""
 
     kind: str
     dim: int
 
     def __post_init__(self):
-        if self.kind not in (PSD, NONNEG):
+        if self.kind != PSD:
             raise ValidationError(f"unknown block kind {self.kind!r}")
         if self.dim < 1:
             raise ValidationError("block dimension must be positive")
@@ -72,7 +71,7 @@ class SdpProblem:
     """Block conic program; see module docstring for the primal/dual pair."""
 
     blocks: list
-    objective: list          # per block: dense Hermitian / real vector / None
+    objective: list          # per block: dense Hermitian matrix or None
     constraints: list        # list of (coeffs: dict block->Entry|ndarray, rhs: float)
     name: str = ""
 
@@ -81,25 +80,20 @@ class SdpProblem:
         return len(self.constraints)
 
     def validate(self, herm_tol: float = 1e-10):
+        """The checks of :func:`solve`, then shapes and Hermiticity of every
+        coefficient through its dense matrix."""
+        _preprocess(self)
         for b, C in zip(self.blocks, self.objective):
             if C is None:
                 continue
-            if b.kind == PSD:
-                A = np.asarray(C)
-                if A.shape != (b.dim, b.dim):
-                    raise ValidationError("objective block shape mismatch")
-                if herm_deviation(A) > herm_tol:
-                    raise ValidationError("objective block is not Hermitian")
-            else:
-                if np.asarray(C).shape != (b.dim,):
-                    raise ValidationError("objective vector shape mismatch")
-        for k, (coeffs, rhs) in enumerate(self.constraints):
-            if not np.isfinite(rhs):
-                raise ValidationError(f"constraint {k}: non-finite rhs")
+            A = np.asarray(C)
+            if A.shape != (b.dim, b.dim):
+                raise ValidationError("objective block shape mismatch")
+            if herm_deviation(A) > herm_tol:
+                raise ValidationError("objective block is not Hermitian")
+        for k, (coeffs, _) in enumerate(self.constraints):
             for bi, A in coeffs.items():
                 blk = self.blocks[bi]
-                if blk.kind == NONNEG:
-                    continue
                 D = A.to_dense(blk.dim) if isinstance(A, Entry) else np.asarray(A)
                 if D.shape != (blk.dim, blk.dim):
                     raise ValidationError(f"constraint {k}: coefficient shape mismatch")
@@ -283,16 +277,15 @@ class _EntryFamily:
     Row ``e`` (constraint ``k[e]``) pairs with a block matrix V as
     ``Re(c[e] (G V G^dag)[i[e], j[e]])``; ``G = F^dag`` maps block to frame
     coordinates (None: the identity).  Its matrix is ``G^dag (u E_ij + h.c.) G``,
-    ``u = conj(c) / 2``."""
+    ``u = conj(c) / 2``; ``r`` is the frame's width."""
 
-    def __init__(self, entries, frame, block, dtype):
-        self.k, self.i, self.j, c = map(np.asarray, zip(*entries))
-        self.ids = _ids(self.k)
+    def __init__(self, k, i, j, c, frame, r, dtype):
+        self.k, self.i, self.j, self.r = k, i, j, r
+        self.ids = _ids(k)
         self.c = c = _cast(c, dtype)
-        self.ij = np.stack([self.i, self.j], axis=1)
+        self.ij = np.stack([i, j], axis=1)
         self.u1 = np.stack([0.5 * np.conj(c), np.ones_like(c)], axis=1)[:, :, None]
         self.G = None if frame is None else _cast(np.conj(np.asarray(frame)).T, dtype)
-        self.r = r = block.dim if self.G is None else self.G.shape[0]
         # as columns, the family reads scale * Re/Im of entry (i, j) of a frame
         # matrix: the offsets into its float view, and the scales
         flat = self.i * r + self.j
@@ -341,8 +334,8 @@ class _EntryFamily:
                 _add(M, other.ids, rows, B.T)
 
 
-class _PsdBlockData:
-    """Constraint data for one PSD block: one :class:`_EntryFamily` per frame, and
+class _BlockData:
+    """Constraint data for one block: one :class:`_EntryFamily` per frame, and
     the other coefficients dense."""
 
     def __init__(self, n, dtype):
@@ -381,73 +374,64 @@ class _PsdBlockData:
                 f.schur(g, W, M)
 
 
-class _NonnegBlockData:
-    def __init__(self, n):
-        self.C = np.zeros(n)
-        self.dk = np.zeros(0, dtype=np.intp)
-        self.dA = np.zeros((0, n))
-
-    def pair_all(self, v, out):
-        if self.dk.size:
-            out[self.dk] += self.dA @ v
-
-    def scatter(self, y, out):
-        if self.dk.size:
-            out += y[self.dk] @ self.dA
-
-    def schur(self, w, M):
-        if self.dk.size:
-            B = self.dA * w[None, :] ** 2
-            M[self.dk[:, None], self.dk[None, :]] += B @ self.dA.T
-
-
 def _has_imag(arr) -> bool:
     return arr is not None and np.iscomplexobj(arr) and np.abs(np.imag(arr)).max(initial=0) > 0
 
 
 def _preprocess(problem: SdpProblem):
-    """Sort constraint coefficients into per-block entry families and dense data."""
-    arrays = list(problem.objective)
-    for coeffs, _ in problem.constraints:
-        for A in coeffs.values():
-            arrays += [A.weight, A.frame] if isinstance(A, Entry) else [A]
-    dtype = np.complex128 if any(map(_has_imag, arrays)) else np.float64
-
-    data = []
-    for b, C in zip(problem.blocks, problem.objective):
-        if b.kind == PSD:
-            d = _PsdBlockData(b.dim, dtype)
-            if C is not None:
-                d.C = _cast(np.asarray(C), dtype)
-        else:
-            d = _NonnegBlockData(b.dim)
-            if C is not None:
-                d.C = np.asarray(C, dtype=float)
-        data.append(d)
-
-    families = [{} for _ in problem.blocks]   # id(frame) -> (frame, entries)
-    dk = [[] for _ in problem.blocks]
-    dA = [[] for _ in problem.blocks]
-    for k, (coeffs, _) in enumerate(problem.constraints):
+    """Check the program's data, then sort the constraint coefficients into
+    per-block entry families and dense data.  The checks take time linear
+    in the data: no coefficient is made dense."""
+    blocks = problem.blocks
+    if len(problem.objective) != len(blocks):
+        raise ValidationError(f"{len(problem.objective)} objectives for {len(blocks)} blocks")
+    valid = set(range(len(blocks)))
+    families = [{} for _ in blocks]   # id(frame) -> (frame, entries)
+    dk = [[] for _ in blocks]
+    dA = [[] for _ in blocks]
+    for k, (coeffs, rhs) in enumerate(problem.constraints):
+        if not math.isfinite(rhs):
+            raise ValidationError(f"constraint {k}: non-finite rhs")
+        if not coeffs.keys() <= valid:
+            raise ValidationError(f"constraint {k}: block index outside 0..{len(blocks) - 1}")
         for bi, A in coeffs.items():
-            blk = problem.blocks[bi]
-            if blk.kind == NONNEG:
-                dk[bi].append(k)
-                dA[bi].append(np.asarray(A, dtype=float))
-            elif isinstance(A, Entry):
+            if isinstance(A, Entry):
                 families[bi].setdefault(id(A.frame), (A.frame, []))[1].append(
                     (k, A.i, A.j, A.weight))
             else:
                 dk[bi].append(k)
-                dA[bi].append(_cast(np.asarray(A), dtype))
+                dA[bi].append(A)
+    dA = [np.stack(As) if As else None for As in dA]
 
-    for bi, blk in enumerate(problem.blocks):
-        d = data[bi]
-        if dk[bi]:
-            d.dk = np.asarray(dk[bi], dtype=np.intp)
-            d.dA = np.stack(dA[bi])
-        d.families = [_EntryFamily(entries, frame, blk, dtype)
-                      for frame, entries in families[bi].values()]
+    groups = []   # per block, (k, i, j, weights, frame, frame width) of each family
+    for blk, f in zip(blocks, families):
+        groups.append([])
+        for frame, entries in f.values():
+            k, i, j, c = map(np.asarray, zip(*entries))
+            r = blk.dim
+            if frame is not None:
+                if np.ndim(frame) != 2 or np.shape(frame)[0] != blk.dim:
+                    raise ValidationError(f"an entry frame of shape {np.shape(frame)} "
+                                          f"does not fit a block of dimension {blk.dim}")
+                r = np.shape(frame)[1]
+            if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= r:
+                raise ValidationError(f"an entry index lies outside 0..{r - 1}")
+            groups[-1].append((k, i, j, c, frame, r))
+    arrays = [*problem.objective, *dA, *(a for gs in groups for g in gs for a in g[3:5])]
+    if not all(A is None or np.all(np.isfinite(A)) for A in arrays):
+        raise ValidationError("non-finite objective, coefficient, entry weight or frame")
+    dtype = np.complex128 if any(map(_has_imag, arrays)) else np.float64
+
+    data = []
+    for blk, C, gs, ks, As in zip(blocks, problem.objective, groups, dk, dA):
+        d = _BlockData(blk.dim, dtype)
+        if C is not None:
+            d.C = _cast(np.asarray(C), dtype)
+        if ks:
+            d.dk = np.asarray(ks, dtype=np.intp)
+            d.dA = _cast(As, dtype)
+        d.families = [_EntryFamily(*g, dtype) for g in gs]
+        data.append(d)
     return data, dtype
 
 
@@ -513,10 +497,8 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
     norm_C = np.sqrt(sum(float(np.linalg.norm(d.C) ** 2) for d in data))
     eta = 1.0 + float(np.abs(b).max(initial=0.0))
 
-    X = [np.eye(bl.dim, dtype=dtype) * eta if bl.kind == PSD else np.full(bl.dim, eta)
-         for bl in blocks]
-    Z = [np.eye(bl.dim, dtype=dtype) * eta if bl.kind == PSD else np.full(bl.dim, eta)
-         for bl in blocks]
+    X = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
+    Z = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
     y = np.zeros(m)
 
     def pair_all(mats):
@@ -527,16 +509,16 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
 
     def scatter(yv):
         out = []
-        for bl, d in zip(blocks, data):
+        for d in data:
             acc = np.zeros(d.C.shape, d.C.dtype)
             d.scatter(yv, acc)
-            out.append(_herm(acc) if bl.kind == PSD else acc)
+            out.append(_herm(acc))
         return out
 
     def inner(U, V):
         tot = 0.0
-        for bl, u, v in zip(blocks, U, V):
-            tot += float(np.vdot(u, v).real) if bl.kind == PSD else float(u @ v)
+        for u, v in zip(U, V):
+            tot += float(np.vdot(u, v).real)
         return tot
 
     best = None
@@ -555,8 +537,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         t_lap = now
 
     for it in range(1, opts.max_iter + 1):
-        pobj = sum(float(np.vdot(d.C, x).real) if bl.kind == PSD else float(d.C @ x)
-                   for bl, d, x in zip(blocks, data, X))
+        pobj = inner([d.C for d in data], X)
         dobj = float(b @ y)
         if not (np.isfinite(pobj) and np.isfinite(dobj)) \
                 or not all(np.all(np.isfinite(x)) for x in X):
@@ -571,7 +552,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         Ay = scatter(y)
         R_d = []
         dres = 0.0
-        for bl, d, ay, z in zip(blocks, data, Ay, Z):
+        for d, ay, z in zip(data, Ay, Z):
             rd = d.C + z - ay
             R_d.append(rd)
             dres = max(dres, float(np.abs(rd).max(initial=0.0)))
@@ -602,19 +583,14 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             status = _STATUS_NUMFAIL
             break
 
-        # NT frame per PSD block: X = G diag(lw) G^dag, G^dag Z G = diag(lw),
-        # W = G G^dag; a nonnegative block is its own frame, W = sqrt(x / z)
+        # NT frame per block: X = G diag(lw) G^dag, G^dag Z G = diag(lw), W = G G^dag
         lap("step")
         Ws, frames = [], []
         try:
-            for bl, x, z in zip(blocks, X, Z):
-                if bl.kind == PSD:
-                    G, lw = _nt_frame(x, z)
-                    Ws.append(_herm(G @ np.conj(G).T))
-                    frames.append((G, lw))
-                else:
-                    Ws.append(np.sqrt(x / z))
-                    frames.append(np.sqrt(x * z))
+            for x, z in zip(X, Z):
+                G, lw = _nt_frame(x, z)
+                Ws.append(_herm(G @ np.conj(G).T))
+                frames.append((G, lw))
         except np.linalg.LinAlgError:
             status = _STATUS_NUMFAIL
             break
@@ -647,52 +623,34 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             dy[kept] = sla.cho_solve((U1, False), rhs[kept], check_finite=False)
             return dy
 
-        WRdW = []
-        for bl, W, rd in zip(blocks, Ws, R_d):
-            WRdW.append(_herm(W @ rd @ W) if bl.kind == PSD else W * W * rd)
-        A_WRdW = pair_all(WRdW)
+        A_WRdW = pair_all([_herm(W @ rd @ W) for W, rd in zip(Ws, R_d)])
 
         def newton(Rc):
             rhs = pair_all(Rc) + A_WRdW - r_p
             dy = solve_schur(rhs)
-            dZ = []
-            aydy = scatter(dy)
-            for bl, ay, rd in zip(blocks, aydy, R_d):
-                dZ.append(ay - rd)
-            dX = []
-            for bl, rc, W, dz in zip(blocks, Rc, Ws, dZ):
-                if bl.kind == PSD:
-                    dX.append(_herm(rc - W @ dz @ W))
-                else:
-                    dX.append(rc - W * W * dz)
+            dZ = [ay - rd for ay, rd in zip(scatter(dy), R_d)]
+            dX = [_herm(rc - W @ dz @ W) for rc, W, dz in zip(Rc, Ws, dZ)]
             return dX, dy, dZ
 
-        def max_steps(dXs, dZs, Ds=None):
-            """Primal and dual step bounds, and each PSD block's directions in
-            its frame: ``dz = G^dag dZ G`` and, as ``dX = Rc - W dZ W`` with
-            ``Rc = G D G^dag``, ``dx = D - dz``.  ``Ds`` maps a PSD block to
-            its D; the predictor's ``Rc = -X`` has ``D = -diag(lw)``."""
+        def max_steps(dZs, Ds=None):
+            """Primal and dual step bounds, and each block's directions in its
+            frame: ``dz = G^dag dZ G`` and, as ``dX = Rc - W dZ W`` with
+            ``Rc = G D G^dag``, ``dx = D - dz``.  ``Ds`` holds each block's D;
+            the predictor's ``Rc = -X`` has ``D = -diag(lw)``."""
             ap = ad = np.inf
             scaled = []
-            for bi, bl in enumerate(blocks):
-                if bl.kind == PSD:
-                    G, lw = frames[bi]
-                    dz = _herm(np.conj(G).T @ dZs[bi] @ G)
-                    dx = (-np.diag(lw) if Ds is None else Ds[bi]) - dz
-                    ap = min(ap, _max_step_scaled(lw, dx))
-                    ad = min(ad, _max_step_scaled(lw, dz))
-                    scaled.append((dx, dz))
-                else:
-                    x, z = X[bi], Z[bi]
-                    ap = min(ap, float(np.min(np.where(dXs[bi] < 0, -x / dXs[bi], np.inf))))
-                    ad = min(ad, float(np.min(np.where(dZs[bi] < 0, -z / dZs[bi], np.inf))))
-                    scaled.append(None)
+            for bi, (G, lw) in enumerate(frames):
+                dz = _herm(np.conj(G).T @ dZs[bi] @ G)
+                dx = (-np.diag(lw) if Ds is None else Ds[bi]) - dz
+                ap = min(ap, _max_step_scaled(lw, dx))
+                ad = min(ad, _max_step_scaled(lw, dz))
+                scaled.append((dx, dz))
             return ap, ad, scaled
 
         # predictor (affine direction)
         Rc_aff = [(-x) for x in X]
         dX_a, _, dZ_a = newton(Rc_aff)
-        ap, ad, scaled_a = max_steps(dX_a, dZ_a)
+        ap, ad, scaled_a = max_steps(dZ_a)
         a_aff = min(1.0, ap)
         b_aff = min(1.0, ad)
         Xa = [x + a_aff * dx for x, dx in zip(X, dX_a)]
@@ -702,22 +660,16 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
 
         # corrector (combined direction): in the frame, solve
         # (diag(lw) D + D diag(lw)) / 2 = sigma mu - diag(lw)^2 - (dx dz + dz dx) / 2
-        Rc, Ds = [], {}
-        for bi, bl in enumerate(blocks):
-            if bl.kind == PSD:
-                G, lw = frames[bi]
-                dx, dz = scaled_a[bi]
-                H = -_herm(dx @ dz)
-                H[np.diag_indices(bl.dim)] += sigma * mu - lw * lw
-                D = H / (0.5 * (lw[:, None] + lw[None, :]))
-                Rc.append(_herm(G @ D @ np.conj(G).T))
-                Ds[bi] = D
-            else:
-                lam = frames[bi]
-                Rc.append(Ws[bi] * (sigma * mu - lam * lam - dX_a[bi] * dZ_a[bi]) / lam)
+        Rc, Ds = [], []
+        for (G, lw), (dx, dz) in zip(frames, scaled_a):
+            H = -_herm(dx @ dz)
+            H[np.diag_indices(len(lw))] += sigma * mu - lw * lw
+            D = H / (0.5 * (lw[:, None] + lw[None, :]))
+            Rc.append(_herm(G @ D @ np.conj(G).T))
+            Ds.append(D)
         dX, dy, dZ = newton(Rc)
         lap("newton")
-        ap, ad, _ = max_steps(dX, dZ, Ds)
+        ap, ad, _ = max_steps(dZ, Ds)
         a_step = min(1.0, tau * ap)
         b_step = min(1.0, tau * ad)
         if a_step < 1e-10 and b_step < 1e-10:
@@ -725,13 +677,8 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             break
         tau = min(0.99, 0.90 + 0.09 * min(a_step, b_step))
 
-        for bi, bl in enumerate(blocks):
-            if bl.kind == PSD:
-                X[bi] = _herm(X[bi] + a_step * dX[bi])
-                Z[bi] = _herm(Z[bi] + b_step * dZ[bi])
-            else:
-                X[bi] = X[bi] + a_step * dX[bi]
-                Z[bi] = Z[bi] + b_step * dZ[bi]
+        X = [_herm(x + a_step * dx) for x, dx in zip(X, dX)]
+        Z = [_herm(z + b_step * dz) for z, dz in zip(Z, dZ)]
         y = y + b_step * dy
 
     lap("step")
@@ -758,19 +705,10 @@ def constraint_residuals(problem: SdpProblem, primal_blocks) -> dict:
     for k, (coeffs, rhs) in enumerate(problem.constraints):
         acc = 0.0
         for bi, A in coeffs.items():
-            blk = problem.blocks[bi]
             x = primal_blocks[bi]
-            if blk.kind == NONNEG:
-                acc += float(np.asarray(A, dtype=float) @ x)
-            else:
-                D = A.to_dense(len(x)) if isinstance(A, Entry) else np.asarray(A)
-                acc += float(np.vdot(D, x).real)
+            D = A.to_dense(len(x)) if isinstance(A, Entry) else np.asarray(A)
+            acc += float(np.vdot(D, x).real)
         vals[k] = acc - rhs
-    min_eigs = []
-    for blk, x in zip(problem.blocks, primal_blocks):
-        if blk.kind == PSD:
-            min_eigs.append(float(np.linalg.eigvalsh(_herm(np.asarray(x)))[0]))
-        else:
-            min_eigs.append(float(np.min(x)))
+    min_eigs = [float(np.linalg.eigvalsh(_herm(np.asarray(x)))[0]) for x in primal_blocks]
     return {"max_equality_violation": float(np.abs(vals).max(initial=0.0)),
             "min_eigenvalue": min(min_eigs)}

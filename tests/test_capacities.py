@@ -5,7 +5,7 @@ from nszcap import capacities as cap
 from nszcap import graphspace as gs
 from nszcap.capacities import DimensionLimitError
 from nszcap.matrixcore import ValidationError, partial_trace
-from nszcap.sdpsolver import entry_coeff, entry_value, herm_entries
+from nszcap.sdpsolver import entry_coeff, entry_value, herm_entries, solve
 from nszcap.theoremsuite import (
     RandomChannelSpec,
     random_channel,
@@ -187,6 +187,31 @@ class TestCqDependentRows:
         C = random_cq_graph(seed)
         general = cap.upsilon(gs.ncgraph_from_cq(C)).value
         assert cap.upsilon_cq(C).value == pytest.approx(general, abs=1e-6)
+
+
+class TestCqDiagonalBlock:
+    # s is the diagonal of one N x N PSD block whose coefficients read only
+    # the diagonal; the solver keeps both of its iterates exactly diagonal
+    @pytest.mark.parametrize("seed", [0, 1, 3, 5, 49, 516])
+    @pytest.mark.parametrize("variant", ["upsilon", "hat", "aram"])
+    def test_s_block_stays_diagonal(self, variant, seed):
+        C = random_cq_graph(seed)
+        problem, _ = cap.build_cq_problem(C, variant)
+        sol = solve(problem)
+        assert sol.optimal
+        for S in (sol.primal_blocks[0], sol.dual_slacks[0]):
+            assert S.shape == (C.num_inputs, C.num_inputs)
+            assert np.all(S - np.diag(np.diag(S)) == 0.0)
+
+    @pytest.mark.parametrize("seed", [1, 516])
+    @pytest.mark.parametrize("fn", [cap.upsilon_cq, cap.upsilon_hat_cq, cap.aram_cq])
+    def test_s_witness_is_a_vector(self, fn, seed):
+        C = random_cq_graph(seed)
+        res = fn(C)
+        s = res.primal_witness["s"]
+        assert s.shape == (C.num_inputs,) and s.dtype == np.float64
+        assert np.all(s >= 0.0)
+        assert s.sum() == pytest.approx(res.value, rel=1e-12)
 
 
 class TestCqQuantities:

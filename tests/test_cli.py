@@ -102,6 +102,18 @@ class TestCompute:
         assert code == EXIT_OK
         assert json.loads(out)["value"] == pytest.approx(4 / 3, abs=1e-6)
 
+    @pytest.mark.parametrize("quantity", ["upsilon-cq", "upsilon"])
+    def test_cq_document_with_zero_output_is_input_error(self, capsys, tmp_path, quantity):
+        doc = channel_to_document(gs.CqGraph([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+        doc["outputs"][1] = [[[0.0, 0.0]] * 2] * 2
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "compute", "--channel", str(path),
+                                 "--quantity", quantity)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "empty support" in err
+
     def test_cq_quantity_on_kraus_input_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--builtin", "prop11",
                                "--quantity", "upsilon-cq")

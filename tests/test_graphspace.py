@@ -219,6 +219,10 @@ class TestCqGraphs:
         with pytest.raises(ValidationError):
             CqGraph([bad])
 
+    def test_rejects_zero_projection(self):
+        with pytest.raises(ValidationError, match="output 1 has empty support"):
+            CqGraph([np.diag([1.0, 0.0]), np.zeros((2, 2))])
+
     def test_example4_states_become_projections(self):
         C = cq_from_states(example4_states(0.75))
         assert C.num_inputs == 2

@@ -10,7 +10,6 @@ from nszcap.capacities import build_upsilon_problem
 from nszcap.graphspace import delta, example4_channel, ncgraph_from_channel
 from nszcap.matrixcore import ValidationError
 from nszcap.sdpsolver import (
-    NONNEG,
     PSD,
     Block,
     SdpProblem,
@@ -140,12 +139,20 @@ class TestEntryHelpers:
         assert_allclose(herm_from_entry_values(3, vals, real), expected, atol=1e-12)
 
 
+def _lp(c, rows):
+    """The linear program max c.x s.t. a.x = rhs, x >= 0 over (a, rhs) rows, as
+    one PSD block whose objective and coefficients are diagonal: only the
+    diagonal x of the block enters, and x >= 0 is exactly its PSD-ness."""
+    return SdpProblem([Block(PSD, len(c))], [np.diag(np.asarray(c, dtype=float))],
+                      [({0: np.diag(np.asarray(a, dtype=float))}, rhs) for a, rhs in rows])
+
+
 class TestSolveBasics:
     def test_bounded_scalar(self):
         p = SdpProblem(
-            blocks=[Block(PSD, 1), Block(NONNEG, 1)],
+            blocks=[Block(PSD, 1), Block(PSD, 1)],
             objective=[np.array([[1.0]]), None],
-            constraints=[({0: entry_coeff(0, 0, "re"), 1: np.array([1.0])}, 1.0)],
+            constraints=[({0: entry_coeff(0, 0, "re"), 1: np.array([[1.0]])}, 1.0)],
         )
         sol = solve(p)
         assert sol.optimal
@@ -158,8 +165,7 @@ class TestSolveBasics:
         assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
 
     def test_lp_block(self):
-        p = SdpProblem([Block(NONNEG, 2)], [np.array([1.0, 2.0])],
-                       [({0: np.array([1.0, 1.0])}, 1.0)])
+        p = _lp([1.0, 2.0], [([1.0, 1.0], 1.0)])
         sol = solve(p)
         assert sol.primal_value == pytest.approx(2.0, abs=1e-7)
 
@@ -216,27 +222,20 @@ class TestSolveBasics:
 
 class TestStatuses:
     def test_unbounded(self):
-        p = SdpProblem([Block(NONNEG, 2)], [np.array([1.0, 1.0])],
-                       [({0: np.array([1.0, -1.0])}, 0.0)])
+        p = _lp([1.0, 1.0], [([1.0, -1.0], 0.0)])
         sol = solve(p, SolverOptions(max_iter=80))
         assert sol.status == "unbounded"
 
     def test_infeasible(self):
-        p = SdpProblem([Block(NONNEG, 2)], [np.array([1.0, 1.0])],
-                       [({0: np.array([1.0, 1.0])}, -1.0)])
+        p = _lp([1.0, 1.0], [([1.0, 1.0], -1.0)])
         sol = solve(p, SolverOptions(max_iter=80))
         assert sol.status == "infeasible"
-
-    @staticmethod
-    def _nonneg_program(rows):
-        return SdpProblem([Block(NONNEG, 2)], [np.ones(2)],
-                          [({0: np.array(a, dtype=float)}, rhs) for a, rhs in rows])
 
     def test_dependent_rows(self):
         # the cq program of random_cq_graph(516): two rows equal up to one
         # ulp, and a row of rounding noise; its Schur matrix has rank 1
-        p = self._nonneg_program([([1.0, 1.0 - 2.0**-53], 1.0), ([1.0, 1.0], 1.0),
-                                  ([-3.25e-17, -3.9e-18], 0.0)])
+        p = _lp([1.0, 1.0], [([1.0, 1.0 - 2.0**-53], 1.0), ([1.0, 1.0], 1.0),
+                             ([-3.25e-17, -3.9e-18], 0.0)])
         sol = solve(p)
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
@@ -246,7 +245,7 @@ class TestStatuses:
         [([1.0, 1.0], 1.0), ([1.0, 1.0], 2.0)],
     ], ids=["zero-row", "duplicate-rows"])
     def test_inconsistent_dependent_rows_are_infeasible(self, rows):
-        assert solve(self._nonneg_program(rows)).status == "infeasible"
+        assert solve(_lp([1.0, 1.0], rows)).status == "infeasible"
 
     def test_needs_constraints(self):
         with pytest.raises(ValidationError):
@@ -273,11 +272,65 @@ class TestValidation:
             p.validate()
 
 
+def _bad_program(case):
+    """A 2x2 program with one framed entry row and one dense row, broken as
+    ``case`` names."""
+    nan = float("nan")
+    frame = np.eye(2)[:, :1]
+    rows = [({0: entry_coeff(0, 0, "re", frame=frame)}, 1.0), ({0: np.eye(2)}, 2.0)]
+    objective = [np.eye(2)]
+    if case == "nan rhs":
+        rows[1] = (rows[1][0], nan)
+    elif case == "inf objective":
+        objective = [np.diag([1.0, np.inf])]
+    elif case == "nan dense coefficient":
+        rows[1] = ({0: np.diag([1.0, nan])}, 2.0)
+    elif case == "nan entry weight":
+        rows[0] = ({0: entry_coeff(0, 0, "re", scale=nan, frame=frame)}, 1.0)
+    elif case == "nan frame":
+        rows[0] = ({0: entry_coeff(0, 0, "re", frame=np.array([[1.0], [nan]]))}, 1.0)
+    elif case == "block index past the end":
+        rows[1] = ({1: np.eye(2)}, 2.0)
+    elif case == "negative block index":
+        rows[1] = ({-1: np.eye(2)}, 2.0)
+    elif case == "short objective list":
+        objective = []
+    elif case == "negative entry index":
+        rows[1] = ({0: entry_coeff(-1, -1, "re")}, 2.0)
+    elif case == "entry index past the frame":
+        rows[0] = ({0: entry_coeff(1, 1, "re", frame=frame)}, 1.0)
+    return SdpProblem([Block(PSD, 2)], objective, rows)
+
+
+class TestMalformedPrograms:
+    """solve rejects malformed data before iterating, with a ValidationError."""
+
+    CASES = ["nan rhs", "inf objective", "nan dense coefficient", "nan entry weight",
+             "nan frame", "block index past the end", "negative block index",
+             "short objective list", "negative entry index", "entry index past the frame"]
+
+    def test_well_formed_program_solves(self):
+        sol = solve(_bad_program("none"))
+        assert sol.optimal and sol.primal_value == pytest.approx(2.0, abs=1e-7)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_solve_rejects(self, case):
+        with pytest.raises(ValidationError):
+            solve(_bad_program(case))
+
+    @pytest.mark.parametrize("case", ["negative entry index", "entry index past the frame",
+                                      "negative block index"])
+    def test_validate_rejects(self, case):
+        with pytest.raises(ValidationError):
+            _bad_program(case).validate()
+
+
 class TestFramedBlocks:
     def test_framed_block_matches_dense_coefficients(self):
-        # a 2x2 block X on a plane theta in R^3 and a nonnegative slack s, with
-        # (theta X theta^T)[i, i] + s_i = c_i, maximizing tr X; once through
-        # entries framed by theta^T, once through their dense matrices
+        # a 2x2 block X on a plane theta in R^3 and a nonnegative slack s, the
+        # diagonal of a 3x3 block, with (theta X theta^T)[i, i] + s_i = c_i,
+        # maximizing tr X; once through entries framed by theta^T, once
+        # through their dense matrices
         rng = np.random.default_rng(3)
         theta, _ = np.linalg.qr(rng.standard_normal((3, 2)))
         frame = theta.T
@@ -288,8 +341,8 @@ class TestFramedBlocks:
             for i in range(3):
                 L = entry_coeff(i, i, "re", frame=frame)
                 cons.append(({0: L.to_dense(2) if dense else L,
-                              1: np.where(np.arange(3) == i, 1.0, 0.0)}, c[i]))
-            return SdpProblem([Block(PSD, 2), Block(NONNEG, 3)], [np.eye(2), None], cons)
+                              1: np.diag(np.where(np.arange(3) == i, 1.0, 0.0))}, c[i]))
+            return SdpProblem([Block(PSD, 2), Block(PSD, 3)], [np.eye(2), None], cons)
 
         framed, dense = solve(program(False)), solve(program(True))
         assert framed.optimal and dense.optimal
@@ -300,32 +353,22 @@ class TestFramedBlocks:
         lifted = theta @ X @ theta.T
         perp = np.eye(3) - theta @ theta.T
         assert np.abs(perp @ lifted).max() <= 1e-12
-        assert np.diag(lifted) + framed.primal_blocks[1] == pytest.approx(c, abs=1e-7)
+        assert np.diag(lifted) + np.diag(framed.primal_blocks[1]) == pytest.approx(c, abs=1e-7)
 
 
 def _brute_schur(problem, Ws):
     """``sum_b <A_k, W_b A_l W_b>`` from the dense matrix of every coefficient."""
     dense = []
     for coeffs, _ in problem.constraints:
-        row = {}
-        for bi, A in coeffs.items():
-            blk = problem.blocks[bi]
-            if blk.kind == PSD:
-                row[bi] = A.to_dense(blk.dim) if hasattr(A, "to_dense") \
-                    else np.asarray(A, dtype=complex)
-            else:
-                row[bi] = np.asarray(A, dtype=float)
-        dense.append(row)
+        dense.append({bi: A.to_dense(problem.blocks[bi].dim) if hasattr(A, "to_dense")
+                      else np.asarray(A, dtype=complex) for bi, A in coeffs.items()})
     m = problem.num_constraints
     M = np.zeros((m, m))
     for k in range(m):
         for l in range(m):
             for bi in dense[k].keys() & dense[l].keys():
                 A, B, W = dense[k][bi], dense[l][bi], Ws[bi]
-                if problem.blocks[bi].kind == PSD:
-                    M[k, l] += np.vdot(A, W @ B @ W).real
-                else:
-                    M[k, l] += A @ (W * W * B)
+                M[k, l] += np.vdot(A, W @ B @ W).real
     return M
 
 
@@ -358,9 +401,6 @@ class TestSchurOracle:
         rng = np.random.default_rng(seed)
         Ws = []
         for blk in problem.blocks:
-            if blk.kind == NONNEG:
-                Ws.append(rng.uniform(0.5, 2.0, blk.dim))
-                continue
             G = rng.standard_normal((blk.dim, blk.dim))
             if dtype == np.complex128:
                 G = G + 1j * rng.standard_normal((blk.dim, blk.dim))
