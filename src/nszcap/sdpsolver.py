@@ -403,6 +403,7 @@ def _preprocess(problem: SdpProblem):
                 dA[bi].append(A)
     dA = [np.stack(As) if As else None for As in dA]
 
+    arrays = [*problem.objective, *dA]
     groups = []   # per block, (k, i, j, weights, frame, frame width) of each family
     for blk, f in zip(blocks, families):
         groups.append([])
@@ -417,7 +418,7 @@ def _preprocess(problem: SdpProblem):
             if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= r:
                 raise ValidationError(f"an entry index lies outside 0..{r - 1}")
             groups[-1].append((k, i, j, c, frame, r))
-    arrays = [*problem.objective, *dA, *(a for gs in groups for g in gs for a in g[3:5])]
+            arrays += [c, frame]
     if not all(A is None or np.all(np.isfinite(A)) for A in arrays):
         raise ValidationError("non-finite objective, coefficient, entry weight or frame")
     dtype = np.complex128 if any(map(_has_imag, arrays)) else np.float64

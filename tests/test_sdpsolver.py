@@ -289,6 +289,8 @@ def _bad_program(case):
         rows[0] = ({0: entry_coeff(0, 0, "re", scale=nan, frame=frame)}, 1.0)
     elif case == "nan frame":
         rows[0] = ({0: entry_coeff(0, 0, "re", frame=np.array([[1.0], [nan]]))}, 1.0)
+    elif case == "frame rows differ from the block":
+        rows[0] = ({0: entry_coeff(0, 0, "re", frame=np.ones((3, 1)))}, 1.0)
     elif case == "block index past the end":
         rows[1] = ({1: np.eye(2)}, 2.0)
     elif case == "negative block index":
@@ -306,7 +308,8 @@ class TestMalformedPrograms:
     """solve rejects malformed data before iterating, with a ValidationError."""
 
     CASES = ["nan rhs", "inf objective", "nan dense coefficient", "nan entry weight",
-             "nan frame", "block index past the end", "negative block index",
+             "nan frame", "frame rows differ from the block", "block index past the end",
+             "negative block index",
              "short objective list", "negative entry index", "entry index past the frame"]
 
     def test_well_formed_program_solves(self):
