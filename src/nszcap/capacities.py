@@ -28,15 +28,14 @@ from .matrixcore import ValidationError, op_norm, partial_trace, tensor
 from .sdpsolver import (
     PSD,
     Block,
+    Equation,
+    Lift,
+    Map,
+    Read,
     SdpProblem,
     SdpSolution,
     SolverFailure,
     SolverOptions,
-    entry_coeff,
-    entry_value,
-    herm_entries,
-    herm_from_entry_values,
-    num_herm_entries,
     solve,
 )
 
@@ -108,17 +107,6 @@ def _run(problem: SdpProblem, opts: SolverOptions | None, quantity: str) -> SdpS
 # Program builders
 # ---------------------------------------------------------------------------
 
-def _lifted_entry_coeff(d_A: int, d_B: int, i: int, j: int, kind: str, on: str) -> np.ndarray:
-    """Entry functional lifted by an identity factor on the other system.
-
-    ``on="B"`` gives ``<1_A (x) E, U>``, which reads Re/Im of ``(tr_A U)[i, j]``;
-    ``on="A"`` gives ``<E (x) 1_B, U>``, which reads Re/Im of ``(tr_B U)[i, j]``.
-    """
-    if on == "B":
-        return np.kron(np.eye(d_A), entry_coeff(i, j, kind).to_dense(d_B))
-    return np.kron(entry_coeff(i, j, kind).to_dense(d_A), np.eye(d_B))
-
-
 def _support_complement_basis(P, real: bool):
     """Orthonormal basis of ker(P) for a projection P (columns)."""
     A = _real_view(P, real)
@@ -126,65 +114,41 @@ def _support_complement_basis(P, real: bool):
     return np.ascontiguousarray(V[:, w < 0.5])
 
 
-def build_upsilon_problem(K: NCGraph, hat: bool):
+def build_upsilon_problem(K: NCGraph, hat: bool) -> SdpProblem:
     """Transcribe the one-shot (or activated) capacity program.
 
     Variables: S on A, U on AB, the slack W = S (x) 1 - U, and for the
     activated variant the output slack Y = 1_B - tr_A U.  The support
     condition <P, W> = 0 together with W >= 0 forces W onto ker(P), so W is
     an r-dim block on ker(P), read through the frame theta^dag; this keeps the
-    program strictly feasible, which the pinned formulation is not.
+    program strictly feasible, which the pinned formulation is not.  The
+    equations are ``U + theta W theta^dag - S (x) 1_B = 0`` and
+    ``tr_A U + Y = 1_B`` (without Y for the one-shot program).
     """
     n, dA, dB = K.dim, K.d_A, K.d_B
-    real = _graph_is_real(K.P_AB)
-    theta = _support_complement_basis(K.P_AB, real)
-    theta_dag = theta.conj().T      # one frame object: families group by id(frame)
+    theta = _support_complement_basis(K.P_AB, _graph_is_real(K.P_AB))
     r = theta.shape[1]
-    S_BLK, U_BLK = 0, 1
-    W_BLK = 2 if r else None
-    Y_BLK = (3 if r else 2) if hat else None
     blocks = [Block(PSD, dA), Block(PSD, n)]
+    coupling = {1: Read(), 0: Lift(dB, -1.0)}       # blocks S, U, W (if r), Y (if hat)
     if r:
         blocks.append(Block(PSD, r))
+        coupling[2] = Read(theta.conj().T)
+    marginal = {1: Map.partial_trace(dA, dB)}
     if hat:
         blocks.append(Block(PSD, dB))
+        marginal[len(blocks) - 1] = Read()
     objective = [np.eye(dA)] + [None] * (len(blocks) - 1)
-
-    constraints = []
-    for (i, j, kind) in herm_entries(n, real):
-        coeffs = {U_BLK: entry_coeff(i, j, kind)}
-        if r:
-            coeffs[W_BLK] = entry_coeff(i, j, kind, frame=theta_dag)
-        a1, b1 = divmod(i, dB)
-        a2, b2 = divmod(j, dB)
-        if b1 == b2:
-            coeffs[S_BLK] = entry_coeff(a1, a2, kind, scale=-1.0)
-        constraints.append((coeffs, 0.0))
-    for (b1, b2, kind) in herm_entries(dB, real):
-        coeffs = {U_BLK: _lifted_entry_coeff(dA, dB, b1, b2, kind, on="B")}
-        if hat:
-            coeffs[Y_BLK] = entry_coeff(b1, b2, kind)
-        constraints.append((coeffs, 1.0 if b1 == b2 else 0.0))
-
-    meta = {"real": real, "n": n, "dA": dA, "dB": dB,
-            "coupling": (0, num_herm_entries(n, real)),
-            "marginal": (num_herm_entries(n, real),
-                         num_herm_entries(n, real) + num_herm_entries(dB, real))}
-    return SdpProblem(blocks, objective, constraints,
-                      name="upsilon_hat" if hat else "upsilon"), meta
+    constraints = [Equation(coupling, np.zeros((n, n))), Equation(marginal, np.eye(dB))]
+    return SdpProblem(blocks, objective, constraints, name="upsilon_hat" if hat else "upsilon")
 
 
 def _upsilon_result(K: NCGraph, hat: bool, opts) -> CapacityResult:
     quantity = "upsilon_hat" if hat else "upsilon"
-    problem, meta = build_upsilon_problem(K, hat)
-    sol = _run(problem, opts, quantity)
+    sol = _run(build_upsilon_problem(K, hat), opts, quantity)
     primal = {"S_A": np.asarray(sol.primal_blocks[0]),
               "U_AB": np.asarray(sol.primal_blocks[1])}
-    a0, a1 = meta["coupling"]
-    b0, b1 = meta["marginal"]
-    V = -herm_from_entry_values(meta["n"], sol.dual_multipliers[a0:a1], meta["real"])
-    T = herm_from_entry_values(meta["dB"], sol.dual_multipliers[b0:b1], meta["real"])
-    return CapacityResult(quantity, sol.primal_value, primal, {"T_B": T, "V_AB": V},
+    V, T = sol.dual_multipliers
+    return CapacityResult(quantity, sol.primal_value, primal, {"T_B": T, "V_AB": -V},
                           sol.gap, sol.status, sol.iterations)
 
 
@@ -198,82 +162,58 @@ def upsilon_hat(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult
     return _upsilon_result(K, True, opts)
 
 
-def build_upsilon_hat_dual_problem(K: NCGraph):
+def build_upsilon_hat_dual_problem(K: NCGraph) -> SdpProblem:
     """Transcribe the minimization dual of the activated capacity.
 
     Variables: T on B, and the slacks Y1 = 1 (x) T - V,
     y2 = tr_B V - 1_A, Y3 = -(1-P) V (1-P); V itself is eliminated through
-    Y1.  Y3 is an r-dim block on ker(P), and the complement-compression family
-    is enumerated there, which keeps the program strictly feasible.
+    Y1.  Y3 is an r-dim block on ker(P), which keeps the program strictly
+    feasible.  The equations are ``y2 + tr_B Y1 - tr(T) 1_A = -1_A`` and
+    ``Y3 - theta^dag Y1 theta + theta^dag (1 (x) T) theta = 0``.
     """
     n, dA, dB = K.dim, K.d_A, K.d_B
-    real = _graph_is_real(K.P_AB)
-    theta = _support_complement_basis(K.P_AB, real)
+    theta = _support_complement_basis(K.P_AB, _graph_is_real(K.P_AB))
     r = theta.shape[1]
-    T_BLK, Y1_BLK, Y2_BLK = 0, 1, 2
-    Y3_BLK = 3 if r else None
     blocks = [Block(PSD, dB), Block(PSD, n), Block(PSD, dA)]
+    objective = [-np.eye(dB)] + [None] * (2 + bool(r))
+    trace = Map(np.broadcast_to(-np.eye(dB), (dA, dB, dB)))      # T -> -tr(T) 1_A
+    constraints = [Equation({2: Read(), 1: Map.partial_trace(dB, dA, first=False), 0: trace},
+                            -np.eye(dA))]                     # blocks T, Y1, y2, Y3 (if r)
     if r:
         blocks.append(Block(PSD, r))
-    objective = [-np.eye(dB)] + [None] * (len(blocks) - 1)
-
-    constraints = []
-    for (a1, a2, kind) in herm_entries(dA, real):
-        coeffs = {Y2_BLK: entry_coeff(a1, a2, kind),
-                  Y1_BLK: _lifted_entry_coeff(dA, dB, a1, a2, kind, on="A")}
-        if a1 == a2:
-            coeffs[T_BLK] = -np.eye(dB)
-        constraints.append((coeffs, -1.0 if a1 == a2 else 0.0))
-    trA = np.einsum("abi,acj->ijbc", theta.reshape(dA, dB, r),  # tr_A(theta_i theta_j^dag)
-                    theta.conj().reshape(dA, dB, r))
-    for (i, j, kind) in herm_entries(r, real):
-        L = entry_coeff(i, j, kind)
-        u = 0.5 * np.conj(L.weight)
-        constraints.append(({Y3_BLK: L, Y1_BLK: entry_coeff(i, j, kind, -1.0, frame=theta),
-                             T_BLK: u * trA[i, j] + np.conj(u) * trA[j, i]}, 0.0))
-
-    meta = {"real": real, "n": n, "dA": dA, "dB": dB}
-    return SdpProblem(blocks, objective, constraints, name="upsilon_hat_dual"), meta
+        trA = np.einsum("abi,acj->ijbc", theta.reshape(dA, dB, r),  # tr_A(theta_i theta_j^dag)
+                        theta.conj().reshape(dA, dB, r))
+        constraints.append(Equation({3: Read(), 1: Read(theta, -1.0), 0: Map(trA)},
+                                    np.zeros((r, r))))
+    return SdpProblem(blocks, objective, constraints, name="upsilon_hat_dual")
 
 
 def upsilon_hat_dual(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
     """Activated capacity computed from its dual program (min tr T form)."""
-    problem, meta = build_upsilon_hat_dual_problem(K)
-    sol = _run(problem, opts, "upsilon_hat_dual")
+    sol = _run(build_upsilon_hat_dual_problem(K), opts, "upsilon_hat_dual")
     T = np.asarray(sol.primal_blocks[0])
     Y1 = np.asarray(sol.primal_blocks[1])
-    V = tensor(np.eye(meta["dA"], dtype=T.dtype), T) - Y1
+    V = tensor(np.eye(K.d_A, dtype=T.dtype), T) - Y1
     primal = {"T_B": T, "V_AB": V}
     return CapacityResult("upsilon_hat_dual", -sol.primal_value, primal, {},
                           sol.gap, sol.status, sol.iterations)
 
 
-def build_aram_problem(K: NCGraph):
-    """Transcribe the semidefinite packing number program."""
+def build_aram_problem(K: NCGraph) -> SdpProblem:
+    """Transcribe the semidefinite packing number program: maximize tr S over
+    S >= 0 with ``tr_A(P_AB (S^T (x) 1_B)) + Y = 1_B``, Y >= 0."""
     dA, dB = K.d_A, K.d_B
-    real = _graph_is_real(K.P_AB)
-    P4 = _real_view(K.P_AB, real).reshape(dA, dB, dA, dB)
-    S_BLK, Y_BLK = 0, 1
-    blocks = [Block(PSD, dA), Block(PSD, dB)]
-    objective = [np.eye(dA), None]
-    constraints = []
-    for (b1, b2, kind) in herm_entries(dB, real):
-        G = entry_coeff(b1, b2, kind).to_dense(dB, P4.dtype)
-        Lstar = np.einsum("abcd,db->ac", P4, G)
-        Lstar = 0.5 * (Lstar + Lstar.conj().T)
-        constraints.append(({S_BLK: Lstar, Y_BLK: entry_coeff(b1, b2, kind)},
-                            1.0 if b1 == b2 else 0.0))
-    meta = {"real": real, "dA": dA, "dB": dB}
-    return SdpProblem(blocks, objective, constraints, name="aram"), meta
+    P4 = _real_view(K.P_AB, _graph_is_real(K.P_AB)).reshape(dA, dB, dA, dB)
+    packing = Map(P4.transpose(3, 1, 0, 2))      # T[x, y][a, c] = P[(a, y), (c, x)]
+    return SdpProblem([Block(PSD, dA), Block(PSD, dB)], [np.eye(dA), None],
+                      [Equation({0: packing, 1: Read()}, np.eye(dB))], name="aram")
 
 
 def aram(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
     """Semidefinite (fractional) packing number."""
-    problem, meta = build_aram_problem(K)
-    sol = _run(problem, opts, "aram")
+    sol = _run(build_aram_problem(K), opts, "aram")
     primal = {"S_A": np.asarray(sol.primal_blocks[0])}
-    T = herm_from_entry_values(meta["dB"], sol.dual_multipliers, meta["real"])
-    return CapacityResult("aram", sol.primal_value, primal, {"T_B": T},
+    return CapacityResult("aram", sol.primal_value, primal, {"T_B": sol.dual_multipliers[0]},
                           sol.gap, sol.status, sol.iterations)
 
 
@@ -285,13 +225,22 @@ def _cq_is_real(C: CqGraph) -> bool:
     return all(_graph_is_real(P) for P in C.projections)
 
 
-def build_cq_problem(C: CqGraph, variant: str):
+def _cq_kernels(C: CqGraph) -> dict:
+    """Orthonormal bases theta_i of ker(P_i), for each input i whose output is not full rank."""
+    real = _cq_is_real(C)
+    thetas = {i: _support_complement_basis(P, real) for i, P in enumerate(C.projections)}
+    return {i: theta for i, theta in thetas.items() if theta.shape[1]}
+
+
+def build_cq_problem(C: CqGraph, variant: str) -> SdpProblem:
     """cq programs: ``upsilon`` (equality), ``hat`` (inequality), ``aram``.
 
     The slack pair R_i, G_i with R_i + G_i = s_i (1 - P_i) lives on
     ker(P_i), so both are r_i-dim blocks there; in those coordinates the
-    coupling is simply R_i + G_i = s_i * identity, and the marginal reads R_i
-    through the frame theta_i^dag.
+    coupling is simply R_i + G_i = s_i * identity, and the marginal
+    ``sum_i s_i P_i + sum_i theta_i R_i theta_i^dag + Y = 1_B`` reads R_i
+    through the frame theta_i^dag.  The blocks are S, then R_i and G_i for
+    each input i with a kernel, then Y (``hat`` and ``aram``).
 
     The vector s is the diagonal of one N x N block S: the objective is
     ``tr S`` and every coefficient on S is diagonal, so only diag(S) enters
@@ -300,71 +249,36 @@ def build_cq_problem(C: CqGraph, variant: str):
     keeps S diagonal too: it starts at a multiple of the identity, and the NT
     point and Newton directions of a diagonal pair are diagonal.
     """
-    N, dB = C.num_inputs, C.d_B
-    real = _cq_is_real(C)
-    projs = [_real_view(P, real) for P in C.projections]
-
+    N, dB, real = C.num_inputs, C.d_B, _cq_is_real(C)
+    P = np.stack([_real_view(P, real) for P in C.projections])
+    weights = np.zeros((dB, dB, N, N), dtype=P.dtype)
+    weights[:, :, np.arange(N), np.arange(N)] = P.transpose(2, 1, 0)   # T[x, y] = diag_i P_i[y, x]
     blocks = [Block(PSD, N)]
-    objective = [np.eye(N)]
-    r_blk = {}
-    g_blk = {}
-    thetas = {}
-    y_blk = None
-    if variant in ("upsilon", "hat"):
-        for i, Pi in enumerate(projs):
-            theta = _support_complement_basis(Pi, real)
-            if theta.shape[1] == 0:
-                continue
-            thetas[i] = theta
-            r_blk[i] = len(blocks)
-            blocks.append(Block(PSD, theta.shape[1]))
-            objective.append(None)
-            g_blk[i] = len(blocks)
-            blocks.append(Block(PSD, theta.shape[1]))
-            objective.append(None)
-        if variant == "hat":
-            y_blk = len(blocks)
-            blocks.append(Block(PSD, dB))
-            objective.append(None)
-    else:
-        y_blk = len(blocks)
-        blocks.append(Block(PSD, dB))
-        objective.append(None)
-
     constraints = []
-    if variant in ("upsilon", "hat"):
-        for i, theta in thetas.items():
-            for (b1, b2, kind) in herm_entries(theta.shape[1], real):
-                L = entry_coeff(b1, b2, kind)
-                coeffs = {r_blk[i]: L, g_blk[i]: L}
-                if b1 == b2:
-                    coeffs[0] = entry_coeff(i, i, "re", scale=-1.0)
-                constraints.append((coeffs, 0.0))
-    theta_dags = {i: theta.conj().T for i, theta in thetas.items()}
-    for (b1, b2, kind) in herm_entries(dB, real):
-        svec = np.array([entry_value(Pi, b1, b2, kind) for Pi in projs])
-        coeffs = {0: np.diag(svec)}
-        if variant in ("upsilon", "hat"):
-            for i in r_blk:
-                coeffs[r_blk[i]] = entry_coeff(b1, b2, kind, frame=theta_dags[i])
-        if y_blk is not None:
-            coeffs[y_blk] = entry_coeff(b1, b2, kind)
-        constraints.append((coeffs, 1.0 if b1 == b2 else 0.0))
-
-    meta = {"real": real, "N": N, "dB": dB, "variant": variant, "r_blk": r_blk,
-            "thetas": thetas}
-    return SdpProblem(blocks, objective, constraints, name=f"cq_{variant}"), meta
+    marginal = {0: Map(weights)}
+    for i, theta in (_cq_kernels(C) if variant != "aram" else {}).items():
+        r = theta.shape[1]
+        blocks += [Block(PSD, r), Block(PSD, r)]
+        constraints.append(Equation({len(blocks) - 2: Read(), len(blocks) - 1: Read(),
+                                     0: Lift(r, -1.0, at=i)}, np.zeros((r, r))))
+        marginal[len(blocks) - 2] = Read(theta.conj().T)
+    if variant != "upsilon":
+        blocks.append(Block(PSD, dB))
+        marginal[len(blocks) - 1] = Read()
+    constraints.append(Equation(marginal, np.eye(dB)))
+    objective = [np.eye(N)] + [None] * (len(blocks) - 1)
+    return SdpProblem(blocks, objective, constraints, name=f"cq_{variant}")
 
 
 def _cq_result(quantity: str, C: CqGraph, variant: str, opts) -> CapacityResult:
-    problem, meta = build_cq_problem(C, variant)
-    sol = _run(problem, opts, quantity)
+    sol = _run(build_cq_problem(C, variant), opts, quantity)
     primal = {"s": np.diag(sol.primal_blocks[0]).real.copy()}
     if variant in ("upsilon", "hat"):
-        dB, thetas = meta["dB"], meta["thetas"]
-        primal["R"] = [thetas[i] @ sol.primal_blocks[meta["r_blk"][i]] @ np.conj(thetas[i]).T
-                       if i in thetas else np.zeros((dB, dB))
-                       for i in range(meta["N"])]
+        thetas = _cq_kernels(C)
+        R = iter(sol.primal_blocks[1::2])       # R_i, in input order
+        primal["R"] = [thetas[i] @ next(R) @ np.conj(thetas[i]).T
+                       if i in thetas else np.zeros((C.d_B, C.d_B))
+                       for i in range(C.num_inputs)]
     return CapacityResult(quantity, sol.primal_value, primal, {}, sol.gap,
                           sol.status, sol.iterations)
 
@@ -482,7 +396,7 @@ def check_upsilon_witness(K: NCGraph, S, U, hat: bool) -> dict:
     return {
         "U_psd": -min(_min_eig(U), 0.0),
         "slack_psd": -min(_min_eig(SI - U), 0.0),
-        "marginal": max(marg_violation, 0.0),
+        "output_marginal": max(marg_violation, 0.0),
         "support_pairing": abs(float(np.vdot(K.P_AB, SI - U).real)),
     }
 
@@ -494,7 +408,8 @@ def check_eq5_witness(K: NCGraph, T, V) -> dict:
     return {
         "T_psd": -min(_min_eig(T), 0.0),
         "upper": -min(_min_eig(tensor(np.eye(K.d_A), T) - V), 0.0),
-        "marginal": -min(_min_eig(partial_trace(V, K.d_A, K.d_B, "second") - np.eye(K.d_A)), 0.0),
+        "input_marginal": -min(_min_eig(partial_trace(V, K.d_A, K.d_B, "second") - np.eye(K.d_A)),
+                               0.0),
         "complement": max(-_min_eig(-(Q @ V @ Q)), 0.0),
     }
 

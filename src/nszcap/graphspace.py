@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .matrixcore import (
     DEFAULT_RANK_TOL,
@@ -160,9 +161,16 @@ def choi_matrix(ch: KrausChannel) -> np.ndarray:
 
 
 def ncgraph_from_channel(ch: KrausChannel, rank_tol: float = DEFAULT_RANK_TOL) -> NCGraph:
-    """Graph of a channel: projection onto the support of its Choi matrix."""
-    P = support_projection(choi_matrix(ch), rank_tol)
-    return NCGraph(ch.d_in, ch.d_out, P)
+    """Graph of a channel: the projection onto the span of its Kraus vectors (the
+    Choi support), from a column-pivoted QR of the normalized nonzero vectors
+    that keeps the pivots above ``rank_tol`` times the first.  Unlike the Choi
+    eigenvalues, it does not depend on the Kraus weights (arXiv 1409.3426)."""
+    V = np.stack([E.T.reshape(-1) for E in ch.kraus], axis=1)  # as in choi_matrix
+    norms = np.linalg.norm(V, axis=0)
+    Q, R, _ = sla.qr(V[:, norms > 0] / norms[norms > 0], mode="economic", pivoting=True)
+    pivots = np.abs(np.diag(R))
+    Q = Q[:, pivots > rank_tol * pivots.max(initial=0.0)]
+    return NCGraph(ch.d_in, ch.d_out, Q @ Q.conj().T)
 
 
 def delta(ell: int) -> NCGraph:

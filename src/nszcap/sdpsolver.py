@@ -3,12 +3,12 @@
 Solves, over a product of complex-Hermitian PSD cones,
 
     maximize    <C, X>
-    subject to  <A_k, X> = b_k   (k = 1..m),   X >= 0 (per block),
+    subject to  sum_b term_b(X_b) = rhs  (one matrix equation per constraint),
+                X >= 0 (per block),
 
-together with the dual ``minimize b.y  s.t.  Z = sum_k y_k A_k - C >= 0``.
-All coefficient matrices are Hermitian, so every inner product
-``<A, X> = tr(A X)`` is real and the Schur complement of the Newton system is
-a real symmetric positive semidefinite m x m matrix.
+and its dual, ``minimize sum <rhs, Y>`` over one Hermitian multiplier matrix Y
+per equation.  All data is Hermitian, so the Schur complement of the Newton
+system is a real symmetric positive semidefinite m x m matrix.
 
 Algorithm: infeasible-start path following with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector step, the Newton system reduced to the Schur
@@ -17,26 +17,28 @@ the multipliers past the rank take a zero step.  Each block has one NT
 frame G, with ``X = G diag(lw) G^dag`` and ``G^dag Z G = diag(lw)``: both
 iterates are the same diagonal matrix in the frame, the NT point is
 ``W = G G^dag``, and step lengths and the corrector work elementwise on lw.
-The solver works on the complex Hermitian blocks directly; :func:`realify`
-provides the standard spectrum-preserving embedding into real symmetric
-matrices and is used by the test suite to cross-check PSD-ness in the real
-domain.
+:func:`realify` embeds a Hermitian matrix as a real symmetric one; the test
+suite uses it to cross-check PSD-ness in the real domain.
 
-Constraint coefficients are typed.  An :class:`Entry` reads one scaled real or
-imaginary entry of ``F^dag X F`` for a frame F (default: the identity); a
-variable confined to a subspace is a block of the subspace's dimension, read
-through the frame ``theta^dag`` of the subspace's basis theta.  The entries of
-one (block, frame) pair form a family with the closed-form Schur block
-``M[e, f] = <E_e, Y E_f Y^dag>``, ``Y = F^dag W F``: row e is ``Y^dag E_e Y``,
-two outer products of rows of Y, read at the entries f.  The other
-coefficients are dense arrays and take one dense path.
+An :class:`Equation` holds on Herm(p); each of its terms maps one block X
+into Herm(p): :class:`Read` ``scale F^dag X F`` (with ``F = theta^dag`` for an
+isometry theta, an r-dim block reads as ``theta X theta^dag``), :class:`Lift`
+a principal block of X times an identity, or :class:`Map` a small dense map,
+such as a partial trace.  The solver enumerates each equation's rows,
+the entry functionals ``(i, i, re)`` for each i, then ``(i, j, re), (i, j, im)``
+for each i < j, and drops the ``im`` rows when all data is real (an exact
+restriction).  A Read or Lift row reads one scaled real or imaginary entry of
+``F^dag X F``; the rows of one (block, frame) pair form an entry family with
+the closed-form Schur block ``M[e, f] = <E_e, Y E_f Y^dag>``,
+``Y = F^dag W F``: row e is ``Y^dag E_e Y``, two outer products of rows of Y,
+read at the entries f.  Map rows are dense matrices and take one dense path.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -66,23 +68,111 @@ class Block:
             raise ValidationError("block dimension must be positive")
 
 
+# ---------------------------------------------------------------------------
+# Equation terms: linear maps from one block into Herm(p)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Read:
+    """``scale F^dag X F`` for a frame F of shape (dim, p); None reads X itself."""
+
+    frame: np.ndarray | None = None
+    scale: float = 1.0
+
+    def apply(self, X, p):
+        F = self.frame
+        return self.scale * (X if F is None else np.conj(F).T @ X @ F)
+
+
+@dataclass(frozen=True, eq=False)
+class Lift:
+    """``scale X[at:at+q, at:at+q] (x) 1_d``, q = p / d: a principal block of X times 1_d."""
+
+    d: int
+    scale: float = 1.0
+    at: int = 0
+
+    def apply(self, X, p):
+        s = slice(self.at, self.at + p // self.d)
+        return self.scale * np.kron(X[s, s], np.eye(self.d))
+
+
+@dataclass(frozen=True, eq=False)
+class Map:
+    """``X -> H``, ``H[x, y] = <T[x, y], X> = tr(T[x, y]^dag X)``, for a tensor T of
+    shape (p, p, dim, dim) with ``T[y, x] = T[x, y]^dag``; or, for T of shape
+    (p, dim, dim), the diagonal ``H[x, x] = <T[x], X>``, T[x] Hermitian."""
+
+    T: np.ndarray
+
+    @classmethod
+    def partial_trace(cls, d: int, p: int, first: bool = True) -> Map:
+        """The partial trace of a (d p)-dim block over its d-dim first factor
+        (``tr_A``), or its second: ``T[x, y] = 1_d (x) |x><y|`` or ``|x><y| (x) 1_d``."""
+        unit, one = np.eye(p * p).reshape(p, p, p, p), np.eye(d)
+        T = (one[None, None, :, None, :, None] * unit[:, :, None, :, None, :] if first
+             else unit[:, :, :, None, :, None] * one[None, None, None, :, None, :])
+        return cls(T.reshape(p, p, d * p, d * p))
+
+    def apply(self, X, p):
+        if np.ndim(self.T) == 3:
+            return np.diag(np.einsum("xab,ab->x", np.conj(self.T), X))
+        return np.einsum("xyab,ab->xy", np.conj(self.T), X)
+
+
+class Equation(NamedTuple):
+    """``sum_b terms[b](X_b) = rhs`` on Herm(p): ``terms`` maps block indices to
+    terms, and ``rhs`` is a Hermitian p x p matrix."""
+
+    terms: dict
+    rhs: np.ndarray
+
+
+def _has_imag(A) -> bool:
+    return np.iscomplexobj(A) and np.abs(np.imag(A)).max(initial=0) > 0
+
+
+def _data(problem):
+    """The program's data arrays: objective blocks, right-hand sides, frames and map tensors."""
+    terms = [t for ts, _ in problem.constraints for t in ts.values()]
+    return [A for A in (*problem.objective, *(rhs for _, rhs in problem.constraints),
+                        *(getattr(t, "frame", getattr(t, "T", None)) for t in terms))
+            if A is not None]
+
+
+def _rows(p: int, real: bool):
+    """The rows of an equation on Herm(p) in canonical order, as arrays (i, j, im)."""
+    iu, ju = np.triu_indices(p, 1)
+    n, diag = 1 if real else 2, np.arange(p)
+    im = np.zeros(p + n * len(iu), bool)
+    im[p + 1::2] = not real                 # (i, j, re), (i, j, im) alternate past the diagonal
+    return np.concatenate([diag, np.repeat(iu, n)]), np.concatenate([diag, np.repeat(ju, n)]), im
+
+
 @dataclass
 class SdpProblem:
     """Block conic program; see module docstring for the primal/dual pair."""
 
     blocks: list
     objective: list          # per block: dense Hermitian matrix or None
-    constraints: list        # list of (coeffs: dict block->Entry|ndarray, rhs: float)
+    constraints: list        # list of Equation (terms, rhs) pairs
     name: str = ""
 
     @property
+    def real(self) -> bool:
+        """All data is real: the solver drops the ``im`` rows and works in real arithmetic."""
+        return not any(map(_has_imag, _data(self)))
+
+    @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        """The number of rows m over all equations."""
+        real = self.real
+        return sum(len(r) * (len(r) + 1) // 2 if real else len(r) ** 2 for _, r in self.constraints)
 
     def validate(self, herm_tol: float = 1e-10):
-        """The checks of :func:`solve`, then shapes and Hermiticity of every
-        coefficient through its dense matrix."""
-        _preprocess(self)
+        """The checks of :func:`solve`, then shapes and Hermiticity of the
+        objective, the right-hand sides and every dense coefficient."""
+        data = _preprocess(self)[0]
         for b, C in zip(self.blocks, self.objective):
             if C is None:
                 continue
@@ -91,14 +181,12 @@ class SdpProblem:
                 raise ValidationError("objective block shape mismatch")
             if herm_deviation(A) > herm_tol:
                 raise ValidationError("objective block is not Hermitian")
-        for k, (coeffs, _) in enumerate(self.constraints):
-            for bi, A in coeffs.items():
-                blk = self.blocks[bi]
-                D = A.to_dense(blk.dim) if isinstance(A, Entry) else np.asarray(A)
-                if D.shape != (blk.dim, blk.dim):
-                    raise ValidationError(f"constraint {k}: coefficient shape mismatch")
-                if herm_deviation(D) > herm_tol:
-                    raise ValidationError(f"constraint {k}: coefficient is not Hermitian")
+        for k, (_, rhs) in enumerate(self.constraints):
+            if herm_deviation(np.asarray(rhs)) > herm_tol:
+                raise ValidationError(f"equation {k}: rhs is not Hermitian")
+        for d in data:
+            if np.abs(d.dA - np.conj(d.dA).transpose(0, 2, 1)).max(initial=0) > herm_tol:
+                raise ValidationError("a dense coefficient is not Hermitian")
 
 
 @dataclass
@@ -107,7 +195,7 @@ class SdpSolution:
     primal_value: float
     dual_value: float
     primal_blocks: list
-    dual_multipliers: np.ndarray
+    dual_multipliers: list   # one Hermitian matrix per equation
     dual_slacks: list
     gap: float
     iterations: int
@@ -161,78 +249,6 @@ def realify(H) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Entry-functional helpers shared by the SDP builders.
-#
-# The canonical enumeration of Hermitian entry functionals on Herm(n) is:
-# diagonal (i, i, 're') for each i, then (i, j, 're'), (i, j, 'im') for each
-# i < j.  In real mode the 'im' functionals are dropped; that restriction is
-# exact whenever every data matrix of the program is real.
-# ---------------------------------------------------------------------------
-
-def herm_entries(n: int, real: bool = False):
-    """Canonical entry-functional coordinates on Herm(n)."""
-    for i in range(n):
-        yield (i, i, "re")
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield (i, j, "re")
-            if not real:
-                yield (i, j, "im")
-
-
-def num_herm_entries(n: int, real: bool = False) -> int:
-    return n * (n + 1) // 2 if real else n * n
-
-
-@dataclass(frozen=True, eq=False)
-class Entry:
-    """Entry functional ``X -> scale * Re/Im (F^dag X F)[i, j]`` on a block matrix X,
-    for the ``frame`` F, any dim x r matrix (None: the identity).  With
-    ``F = theta^dag`` for an isometry theta, an r-dim block X reads as
-    ``theta X theta^dag``, a matrix on the range of theta."""
-
-    i: int
-    j: int
-    kind: str
-    scale: float = 1.0
-    frame: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("re", "im") or (self.i == self.j and self.kind != "re"):
-            raise ValidationError("entry kind must be 're' or 'im', and 're' on the diagonal")
-
-    @property
-    def weight(self):
-        """``c`` with ``<A, X> = Re(c (F^dag X F)[i, j])``."""
-        return self.scale if self.kind == "re" else -1j * self.scale
-
-    def to_dense(self, n: int, dtype=complex) -> np.ndarray:
-        F = np.eye(n) if self.frame is None else np.asarray(self.frame)
-        A = 0.5 * np.conj(self.weight) * np.outer(F[:, self.i], np.conj(F[:, self.j]))
-        return _cast(A + np.conj(A).T, np.dtype(dtype))
-
-
-entry_coeff = Entry  # the builders' name: entry_coeff(i, j, kind, scale=1.0, frame=None)
-
-
-def entry_value(M, i: int, j: int, kind: str) -> float:
-    return float(M[i, j].real) if kind == "re" else float(M[i, j].imag)
-
-
-def herm_from_entry_values(n: int, vals, real: bool = False) -> np.ndarray:
-    """Assemble ``sum_e vals[e] A_e`` over the canonical entry functionals."""
-    M = np.zeros((n, n), dtype=float if real else complex)
-    for (i, j, kind), v in zip(herm_entries(n, real), np.asarray(vals, dtype=float)):
-        if i == j:
-            M[i, i] = v
-        else:
-            h = 0.5 * v if kind == "re" else 0.5j * v
-            M[i, j] += h
-            M[j, i] += np.conj(h)
-    return M
-
-
-# ---------------------------------------------------------------------------
 # Preprocessed per-block constraint data
 # ---------------------------------------------------------------------------
 
@@ -272,7 +288,7 @@ def _add(M, rows, cols, B):
 
 
 class _EntryFamily:
-    """The :class:`Entry` coefficients of one (block, frame) group.
+    """The Read and Lift rows of one (block, frame) group.
 
     Row ``e`` (constraint ``k[e]``) pairs with a block matrix V as
     ``Re(c[e] (G V G^dag)[i[e], j[e]])``; ``G = F^dag`` maps block to frame
@@ -374,66 +390,112 @@ class _BlockData:
                 f.schur(g, W, M)
 
 
-def _has_imag(arr) -> bool:
-    return arr is not None and np.iscomplexobj(arr) and np.abs(np.imag(arr)).max(initial=0) > 0
+def _map_rows(t, i, j, im, real):
+    """The rows that a Map term touches, and their dense coefficients."""
+    if t.T.ndim == 3:
+        return i == j, t.T[i[i == j]]
+    # u T[i, j] + conj(u) T[j, i] for u = conj(weight) / 2: a float on the re rows
+    A = 0.5 * t.T[i, j] + 0.5 * t.T[j, i]
+    if not real:
+        A = A.astype(complex)
+        A[im] = 0.5j * t.T[i[im], j[im]] + np.conj(0.5j) * t.T[j[im], i[im]]
+    return slice(None), A
+
+
+def _check_term(k, t, dim, p):
+    """Reject a term that does not map a block of dimension ``dim`` into Herm(p)."""
+    if isinstance(t, Read):
+        ok = np.shape(t.frame) == (dim, p) if t.frame is not None else dim == p
+    elif isinstance(t, Lift):
+        ok = t.d >= 1 and p % t.d == 0 and 0 <= t.at <= dim - p // t.d
+    elif isinstance(t, Map):
+        ok = np.shape(t.T) in ((p, dim, dim), (p, p, dim, dim))
+    else:
+        raise ValidationError(f"equation {k}: unknown term {t!r}")
+    if not ok:
+        raise ValidationError(f"equation {k}: a {type(t).__name__} term does not map "
+                              f"a block of dimension {dim} into Herm({p})")
+    if not math.isfinite(getattr(t, "scale", 0.0)):
+        raise ValidationError(f"equation {k}: non-finite scale")
 
 
 def _preprocess(problem: SdpProblem):
-    """Check the program's data, then sort the constraint coefficients into
-    per-block entry families and dense data.  The checks take time linear
-    in the data: no coefficient is made dense."""
+    """Check the program's data, in time linear in it; enumerate each equation's rows
+    and sort them into per-block entry families and dense data.  Returns the block
+    data, the working dtype, the rows' right-hand side b, and each equation's rows."""
     blocks = problem.blocks
     if len(problem.objective) != len(blocks):
         raise ValidationError(f"{len(problem.objective)} objectives for {len(blocks)} blocks")
     valid = set(range(len(blocks)))
-    families = [{} for _ in blocks]   # id(frame) -> (frame, entries)
-    dk = [[] for _ in blocks]
-    dA = [[] for _ in blocks]
-    for k, (coeffs, rhs) in enumerate(problem.constraints):
-        if not math.isfinite(rhs):
-            raise ValidationError(f"constraint {k}: non-finite rhs")
-        if not coeffs.keys() <= valid:
-            raise ValidationError(f"constraint {k}: block index outside 0..{len(blocks) - 1}")
-        for bi, A in coeffs.items():
-            if isinstance(A, Entry):
-                families[bi].setdefault(id(A.frame), (A.frame, []))[1].append(
-                    (k, A.i, A.j, A.weight))
+    for k, (terms, rhs) in enumerate(problem.constraints):
+        if np.ndim(rhs) != 2 or np.shape(rhs)[0] != np.shape(rhs)[1]:
+            raise ValidationError(f"equation {k}: rhs must be a square matrix")
+        if not terms.keys() <= valid:
+            raise ValidationError(f"equation {k}: block index outside 0..{len(blocks) - 1}")
+        for bi, t in terms.items():
+            _check_term(k, t, blocks[bi].dim, len(rhs))
+    arrays = _data(problem)
+    if not all(np.all(np.isfinite(A)) for A in arrays):
+        raise ValidationError("non-finite objective, rhs, frame or map tensor")
+    real = not any(map(_has_imag, arrays))
+    dtype = np.float64 if real else np.complex128
+
+    families = [[] for _ in blocks]     # per block: [k, i, j, c, frame, width] lists
+    dense = [[] for _ in blocks]        # per block: (k, coefficients) arrays
+    rows, b, k0 = [], [], 0
+    for terms, rhs in problem.constraints:
+        p = len(rhs)
+        i, j, im = _rows(p, real)
+        k = k0 + np.arange(len(i))
+        rows.append((p, i, j, im))
+        R = np.asarray(rhs)[i, j]
+        b.append(np.where(im, R.imag, R.real) + 0.0)   # + 0.0: no negative zeros
+        k0 += len(i)
+        for bi, t in terms.items():
+            if isinstance(t, Map):
+                touched, A = _map_rows(t, i, j, im, real)
+                dense[bi].append((k[touched], A))
+                continue
+            c = np.where(im, -1j * t.scale, t.scale)
+            if isinstance(t, Lift):
+                sel = i % t.d == j % t.d
+                entries = [k[sel], t.at + i[sel] // t.d, t.at + j[sel] // t.d, c[sel]]
             else:
-                dk[bi].append(k)
-                dA[bi].append(A)
-    dA = [np.stack(As) if As else None for As in dA]
-
-    arrays = [*problem.objective, *dA]
-    groups = []   # per block, (k, i, j, weights, frame, frame width) of each family
-    for blk, f in zip(blocks, families):
-        groups.append([])
-        for frame, entries in f.values():
-            k, i, j, c = map(np.asarray, zip(*entries))
-            r = blk.dim
-            if frame is not None:
-                if np.ndim(frame) != 2 or np.shape(frame)[0] != blk.dim:
-                    raise ValidationError(f"an entry frame of shape {np.shape(frame)} "
-                                          f"does not fit a block of dimension {blk.dim}")
-                r = np.shape(frame)[1]
-            if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= r:
-                raise ValidationError(f"an entry index lies outside 0..{r - 1}")
-            groups[-1].append((k, i, j, c, frame, r))
-            arrays += [c, frame]
-    if not all(A is None or np.all(np.isfinite(A)) for A in arrays):
-        raise ValidationError("non-finite objective, coefficient, entry weight or frame")
-    dtype = np.complex128 if any(map(_has_imag, arrays)) else np.float64
-
+                entries = [k, i, j, c]
+            # the frame-less rows of a block form one family, each framed term another
+            frame = t.frame if isinstance(t, Read) else None
+            fam = next((f for f in families[bi] if frame is None and f[4] is None), None)
+            if fam is None:
+                fam = [[], [], [], [], frame, blocks[bi].dim if frame is None else p]
+                families[bi].append(fam)
+            for acc, new in zip(fam, entries):
+                acc.append(new)
     data = []
-    for blk, C, gs, ks, As in zip(blocks, problem.objective, groups, dk, dA):
+    for blk, C, fams, ds in zip(blocks, problem.objective, families, dense):
         d = _BlockData(blk.dim, dtype)
         if C is not None:
             d.C = _cast(np.asarray(C), dtype)
-        if ks:
-            d.dk = np.asarray(ks, dtype=np.intp)
-            d.dA = _cast(As, dtype)
-        d.families = [_EntryFamily(*g, dtype) for g in gs]
+        if ds:
+            d.dk = np.concatenate([k for k, _ in ds])
+            d.dA = _cast(np.concatenate([A for _, A in ds]), dtype)
+        d.families = [_EntryFamily(*map(np.concatenate, f[:4]), *f[4:], dtype) for f in fams]
         data.append(d)
-    return data, dtype
+    return data, dtype, np.concatenate(b) if b else np.zeros(0), rows
+
+
+def _multipliers(rows, y, real):
+    """One Hermitian matrix per equation, ``sum_e y_e E_e`` over its rows."""
+    out, k0 = [], 0
+    for p, i, j, im in rows:
+        v, k0 = y[k0:k0 + len(i)], k0 + len(i)
+        h = 0.5 * v if real else np.where(im, 0.5j * v, 0.5 * v)
+        d, off = i == j, i != j
+        Y = np.zeros((p, p), dtype=h.dtype)
+        Y[i[d], i[d]] = v[d]
+        np.add.at(Y, (i[off], j[off]), h[off])
+        np.add.at(Y, (j[off], i[off]), np.conj(h[off]))
+        out.append(Y)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +549,11 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution
 
 def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
     opts = opts or SolverOptions()
-    m = problem.num_constraints
+    data, dtype, b, rows = _preprocess(problem)
+    m = len(b)
     if m == 0:
         raise ValidationError("problem needs at least one constraint")
-    data, dtype = _preprocess(problem)
     blocks = problem.blocks
-    b = np.array([rhs for _, rhs in problem.constraints], dtype=float)
     nu = float(sum(bl.dim for bl in blocks))
     norm_b = float(np.linalg.norm(b))
     norm_C = np.sqrt(sum(float(np.linalg.norm(d.C) ** 2) for d in data))
@@ -689,7 +750,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         primal_value=pobj,
         dual_value=dobj,
         primal_blocks=Xb,
-        dual_multipliers=yb,
+        dual_multipliers=_multipliers(rows, yb, dtype == np.float64),
         dual_slacks=Zb,
         gap=relgap,
         iterations=it,
@@ -700,16 +761,12 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
 
 
 def constraint_residuals(problem: SdpProblem, primal_blocks) -> dict:
-    """Re-check a primal witness against the original complex-domain problem."""
-    m = problem.num_constraints
-    vals = np.zeros(m)
-    for k, (coeffs, rhs) in enumerate(problem.constraints):
-        acc = 0.0
-        for bi, A in coeffs.items():
-            x = primal_blocks[bi]
-            D = A.to_dense(len(x)) if isinstance(A, Entry) else np.asarray(A)
-            acc += float(np.vdot(D, x).real)
-        vals[k] = acc - rhs
+    """Re-check a primal witness against the original complex-domain problem:
+    the largest entry of ``sum_b term_b(X_b) - rhs`` over the equations, and the
+    smallest eigenvalue of a block."""
+    viol = 0.0
+    for terms, rhs in problem.constraints:
+        R = sum(t.apply(np.asarray(primal_blocks[bi]), len(rhs)) for bi, t in terms.items()) - rhs
+        viol = max(viol, np.abs(np.real(R)).max(), np.abs(np.imag(R)).max())
     min_eigs = [float(np.linalg.eigvalsh(_herm(np.asarray(x)))[0]) for x in primal_blocks]
-    return {"max_equality_violation": float(np.abs(vals).max(initial=0.0)),
-            "min_eigenvalue": min(min_eigs)}
+    return {"max_equality_violation": float(viol), "min_eigenvalue": min(min_eigs)}

@@ -37,6 +37,10 @@ class TheoremCheck:
     passed: bool
     vacuous: bool = False
     note: str = ""
+    # the cost of the check in run_suite: seconds, capacity solves and cache hits
+    elapsed_s: float = 0.0
+    solves: int = 0
+    cache_hits: int = 0
 
     def line(self) -> str:
         status = "VACUOUS" if self.vacuous else ("PASS" if self.passed else "FAIL")
@@ -105,22 +109,29 @@ def random_cq_graph(seed: int, max_inputs: int = 4, max_dim: int = 3) -> gs.CqGr
 
 
 class CapacityCache:
-    """Memoizes capacity solves keyed by exact graph bytes (results are pure)."""
+    """Memoizes capacity solves keyed by exact graph bytes (results are pure),
+    counting the solves it ran and the lookups it answered from memory."""
 
     def __init__(self, opts: SolverOptions | None = None):
         self.opts = opts
         self._store = {}
+        self.solves = self.hits = 0
 
-    def _key(self, fn: str, K: gs.NCGraph):
+    def _key(self, fn: str, K):
+        if isinstance(K, gs.CqGraph):
+            return (fn, *(P.tobytes() for P in K.projections))
         return (fn, K.d_A, K.d_B, K.P_AB.tobytes())
 
-    def result(self, fn: str, K: gs.NCGraph):
+    def result(self, fn: str, K):
         key = self._key(fn, K)
-        if key not in self._store:
+        if key in self._store:
+            self.hits += 1
+        else:
+            self.solves += 1
             self._store[key] = getattr(cap, fn)(K, self.opts)
         return self._store[key]
 
-    def value(self, fn: str, K: gs.NCGraph) -> float:
+    def value(self, fn: str, K) -> float:
         return self.result(fn, K).value
 
     def upsilon(self, K):
@@ -284,7 +295,7 @@ def check_theorem9(K: gs.NCGraph, label: str = "",
     report = cap.thm9_criteria(K, opts=cache.opts, value=cache.value)
     uh = cache.upsilon_hat(K)
     sdb = cap.superdense_bound(K)
-    acq = cap.aram_cq(gs.superdense_cq(K), cache.opts).value
+    acq = cache.value("aram_cq", gs.superdense_cq(K))
     agree = report.all_agree()
     bound_ok = uh >= sdb - 1e-6
     attain_ok = abs(acq - sdb) <= tol
@@ -294,11 +305,13 @@ def check_theorem9(K: gs.NCGraph, label: str = "",
     return TheoremCheck("theorem9", label, uh, sdb, "ge", 1e-6, passed, note=note)
 
 
-def check_prop11(opts: SolverOptions | None = None) -> TheoremCheck:
+def check_prop11(opts: SolverOptions | None = None,
+                 cache: CapacityCache | None = None) -> TheoremCheck:
     """The activated capacity can exceed the packing number (built-in witness)."""
+    cache = cache or CapacityCache(opts)
     K = gs.ncgraph_from_channel(gs.prop11_channel())
-    uh = cap.upsilon_hat(K, opts).value
-    a = cap.aram(K, opts).value
+    uh = cache.upsilon_hat(K)
+    a = cache.aram(K)
     T = gs.prop11_packing_dual_witness()
     feas = cap.check_aram_dual_witness(K, T)
     tr_ok = abs(np.trace(T).real - 1.1751) <= 1e-6
@@ -397,6 +410,10 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
     checks = []
 
     def emit(check):
+        now = time.perf_counter()
+        check.elapsed_s, check.solves, check.cache_hits = \
+            now - last[0], cache.solves - last[1], cache.hits - last[2]
+        last[:] = now, cache.solves, cache.hits
         checks.append(check)
         if progress:
             progress(check)
@@ -409,6 +426,7 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
     depol = gs.ncgraph_from_channel(gs.depolarizing_channel(2))
     builtins = [("example4(0.75)", ex4), ("amplitude-damping(0.75)", damp)]
     rand = [(s.label(), random_graph(s)) for s in map(_spec_from_seed, seeds)]
+    last = [time.perf_counter(), 0, 0]   # clock, solves and hits at the last check
 
     if want("lemma2"):
         for label, K in builtins + rand:
@@ -449,7 +467,7 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
         for label, K in builtins + [("depolarizing(2)", depol)] + rand:
             emit(check_theorem9(K, label, cache, tol))
     if want("prop11"):
-        emit(check_prop11(opts))
+        emit(check_prop11(opts, cache))
     if want("sandwich"):
         emit(check_sandwich(gs.delta(2), 2, "delta(2)", cache, dim_limit, tol))
         # isometry channels have one-shot capacity >= 2, so n0 = 1

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from nszcap import capacities as cap
 from nszcap import graphspace as gs
 from nszcap.capacities import DimensionLimitError
 from nszcap.matrixcore import ValidationError, partial_trace
-from nszcap.sdpsolver import entry_coeff, entry_value, herm_entries, solve
+from nszcap.sdpsolver import (
+    PSD,
+    Block,
+    Equation,
+    Read,
+    SdpProblem,
+    Map,
+    _map_rows,
+    _preprocess,
+    _rows,
+    solve,
+)
 from nszcap.theoremsuite import (
     RandomChannelSpec,
     random_channel,
@@ -120,26 +132,28 @@ def _random_herm(rng, n, real):
     return M + M.conj().T
 
 
-def _pairing(A, X) -> float:
-    D = A.to_dense(X.shape[0]) if hasattr(A, "to_dense") else A
-    return float(np.vdot(D, X).real)
+def _row_values(M, real):
+    """Re/Im of the entries of M that the rows of an equation on Herm(len(M)) read."""
+    i, j, im = _rows(len(M), real)
+    return np.where(im, M[i, j].imag, M[i, j].real)
 
 
 class TestCoefficientHelpers:
     @pytest.mark.parametrize("real", [False, True])
     def test_lifted_functional_reads_partial_traces(self, real):
+        # the dense rows of tr_A and tr_B terms read the partial traces' entries
         rng = np.random.default_rng(41)
         dA, dB = 2, 3
         U = _random_herm(rng, dA * dB, real)
         V = _random_herm(rng, dA * dB, real)
-        trA_U = partial_trace(U, dA, dB, "first")
-        trB_V = partial_trace(V, dA, dB, "second")
-        for (i, j, kind) in herm_entries(dB, real):
-            A = cap._lifted_entry_coeff(dA, dB, i, j, kind, on="B")
-            assert _pairing(A, U) == pytest.approx(entry_value(trA_U, i, j, kind), abs=1e-12)
-        for (i, j, kind) in herm_entries(dA, real):
-            A = cap._lifted_entry_coeff(dA, dB, i, j, kind, on="A")
-            assert _pairing(A, V) == pytest.approx(entry_value(trB_V, i, j, kind), abs=1e-12)
+        for X, term, p, traced in ((U, Map.partial_trace(dA, dB), dB,
+                                    partial_trace(U, dA, dB, "first")),
+                                   (V, Map.partial_trace(dB, dA, first=False), dA,
+                                    partial_trace(V, dA, dB, "second"))):
+            _, A = _map_rows(term, *_rows(p, real), real)
+            assert_allclose([np.vdot(a, X).real for a in A], _row_values(traced, real),
+                            atol=1e-12)
+            assert_allclose(term.apply(X, p), traced, atol=1e-12)
 
     @pytest.mark.parametrize("frame", ["theta", "theta_dag"])
     @pytest.mark.parametrize("real", [False, True])
@@ -155,9 +169,14 @@ class TestCoefficientHelpers:
         frame = theta if frame == "theta" else theta.conj().T
         X = _random_herm(rng, frame.shape[0], real)
         Xf = frame.conj().T @ X @ frame
-        for (i, j, kind) in herm_entries(Xf.shape[0], real):
-            L = entry_coeff(i, j, kind, frame=frame)
-            assert _pairing(L, X) == pytest.approx(entry_value(Xf, i, j, kind), abs=1e-12)
+        p = frame.shape[1]
+        problem = SdpProblem([Block(PSD, frame.shape[0])], [None],
+                             [Equation({0: Read(frame)}, np.zeros((p, p)))])
+        data, _, b, _ = _preprocess(problem)
+        values = np.zeros(len(b))
+        data[0].pair_all(X, values)
+        assert_allclose(values, _row_values(Xf, real), atol=1e-12)
+        assert_allclose(Read(frame).apply(X, p), Xf, atol=1e-12)
 
 
 class TestAram:
@@ -196,7 +215,7 @@ class TestCqDiagonalBlock:
     @pytest.mark.parametrize("variant", ["upsilon", "hat", "aram"])
     def test_s_block_stays_diagonal(self, variant, seed):
         C = random_cq_graph(seed)
-        problem, _ = cap.build_cq_problem(C, variant)
+        problem = cap.build_cq_problem(C, variant)
         sol = solve(problem)
         assert sol.optimal
         for S in (sol.primal_blocks[0], sol.dual_slacks[0]):

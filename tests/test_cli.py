@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from nszcap import graphspace as gs
+from nszcap import capacities as cap
 from nszcap import cli
+from nszcap import graphspace as gs
 from nszcap.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -225,6 +226,19 @@ class TestVerify:
         assert doc["num_failed"] == 0
         assert all(c["name"] == "lemma2" for c in doc["checks"])
         assert "lemma2" in err
+
+    def test_checks_report_their_cost(self, capsys, monkeypatch):
+        solves = []
+        solve = cap.solve
+        monkeypatch.setattr(cap, "solve", lambda *args: solves.append(1) or solve(*args))
+        code, out, err = run_cli(capsys, "verify", "--only", "theorem7",
+                                 "--seed", "1", "--seed", "2")
+        assert code == EXIT_OK
+        checks = json.loads(out)["checks"]
+        assert all({"elapsed_s", "solves", "cache_hits"} <= c.keys() for c in checks)
+        assert all(c["elapsed_s"] > 0.0 for c in checks)
+        assert sum(c["solves"] for c in checks) == len(solves) > 0
+        assert "elapsed_s" not in err
 
     def test_unreasonable_tolerance_exits_3(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "theorem7",

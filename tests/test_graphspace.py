@@ -25,8 +25,8 @@ from nszcap.graphspace import (
     tensor_graph,
     tensor_power,
 )
-from nszcap.matrixcore import ValidationError, partial_trace, tensor
-from nszcap.theoremsuite import RandomChannelSpec, random_channel
+from nszcap.matrixcore import ValidationError, partial_trace, support_projection, tensor
+from nszcap.theoremsuite import RandomChannelSpec, _spec_from_seed, random_channel
 
 
 def _random_graph(seed, d_in=2, d_out=2, k=2):
@@ -106,6 +106,18 @@ class TestNCGraphConstruction:
         K1 = ncgraph_from_channel(ch)
         K2 = ncgraph_from_channel(KrausChannel(2, 3, mixed))
         assert np.abs(K1.P_AB - K2.P_AB).max() <= 1e-8
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-12])
+    def test_weak_damping_keeps_both_kraus_operators(self, r):
+        # the graph is the span of the Kraus operators, whatever their weights:
+        # Choi eigenvalues cut at 1e-9 lambda_max dropped the second one here
+        assert ncgraph_from_channel(amplitude_damping_channel(r)).rank() == 2
+
+    def test_kraus_span_is_the_choi_support(self):
+        for seed in range(1, 41):
+            ch = random_channel(_spec_from_seed(seed))
+            P = support_projection(choi_matrix(ch))
+            assert np.abs(ncgraph_from_channel(ch).P_AB - P).max() <= 1e-12
 
     def test_rejects_non_projector(self):
         with pytest.raises(ValidationError):

@@ -12,15 +12,18 @@ from nszcap.matrixcore import ValidationError
 from nszcap.sdpsolver import (
     PSD,
     Block,
+    Equation,
+    Lift,
+    Map,
+    Read,
     SdpProblem,
     SolverOptions,
     _herm,
+    _multipliers,
     _nt_frame,
     _preprocess,
+    _rows,
     constraint_residuals,
-    entry_coeff,
-    herm_entries,
-    herm_from_entry_values,
     realify,
     solve,
 )
@@ -116,6 +119,23 @@ class TestNtFrame:
         self._check(X, Z)
 
 
+def _entries(p, real):
+    """The canonical rows of Herm(p): (i, i, re), then (i, j, re), (i, j, im) for i < j."""
+    out = [(i, i, "re") for i in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            out += [(i, j, "re")] + ([] if real else [(i, j, "im")])
+    return out
+
+
+def _unit(p, i, j, kind):
+    """The Hermitian E with <E, H> = Re H[i, j] (kind re) or Im H[i, j] (kind im)."""
+    E = np.zeros((p, p), dtype=complex)
+    E[i, j] += 0.5j if kind == "im" else 0.5
+    E[j, i] += -0.5j if kind == "im" else 0.5
+    return E
+
+
 class TestEntryHelpers:
     @pytest.mark.parametrize("real", [False, True])
     def test_functionals_read_entries(self, real):
@@ -124,19 +144,20 @@ class TestEntryHelpers:
         if not real:
             M = M + 1j * rng.standard_normal((3, 3))
         M = M + M.conj().T
-        for (i, j, kind) in herm_entries(3, real):
-            A = entry_coeff(i, j, kind).to_dense(3)
-            want = M[i, j].real if kind == "re" else M[i, j].imag
-            assert np.vdot(A, M).real == pytest.approx(want, abs=1e-12)
+        i, j, im = _rows(3, real)
+        assert list(zip(i, j, np.where(im, "im", "re"))) == _entries(3, real)
+        for a, b, kind in _entries(3, real):
+            want = M[a, b].imag if kind == "im" else M[a, b].real
+            assert np.vdot(_unit(3, a, b, kind), M).real == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("real", [False, True])
     def test_assembly_matches_dense_sum(self, real):
+        # the multiplier matrix of an equation is sum_e y_e E_e over its rows
         rng = np.random.default_rng(22)
-        coords = list(herm_entries(3, real))
-        vals = rng.standard_normal(len(coords))
-        expected = sum(v * entry_coeff(i, j, kind).to_dense(3)
-                       for v, (i, j, kind) in zip(vals, coords))
-        assert_allclose(herm_from_entry_values(3, vals, real), expected, atol=1e-12)
+        vals = rng.standard_normal(len(_entries(3, real)))
+        expected = sum(v * _unit(3, *e) for v, e in zip(vals, _entries(3, real)))
+        assert_allclose(_multipliers([(3, *_rows(3, real))], vals, real)[0], expected,
+                        atol=1e-12)
 
 
 def _lp(c, rows):
@@ -144,7 +165,8 @@ def _lp(c, rows):
     one PSD block whose objective and coefficients are diagonal: only the
     diagonal x of the block enters, and x >= 0 is exactly its PSD-ness."""
     return SdpProblem([Block(PSD, len(c))], [np.diag(np.asarray(c, dtype=float))],
-                      [({0: np.diag(np.asarray(a, dtype=float))}, rhs) for a, rhs in rows])
+                      [Equation({0: Map(np.diag(np.asarray(a, dtype=float))[None, None])},
+                                np.array([[rhs]])) for a, rhs in rows])
 
 
 class TestSolveBasics:
@@ -152,7 +174,7 @@ class TestSolveBasics:
         p = SdpProblem(
             blocks=[Block(PSD, 1), Block(PSD, 1)],
             objective=[np.array([[1.0]]), None],
-            constraints=[({0: entry_coeff(0, 0, "re"), 1: np.array([[1.0]])}, 1.0)],
+            constraints=[Equation({0: Read(), 1: Read()}, np.eye(1))],
         )
         sol = solve(p)
         assert sol.optimal
@@ -160,7 +182,7 @@ class TestSolveBasics:
 
     def test_largest_eigenvalue_complex(self):
         Y = np.array([[0, -1j], [1j, 0]])
-        p = SdpProblem([Block(PSD, 2)], [Y], [({0: np.eye(2)}, 1.0)])
+        p = SdpProblem([Block(PSD, 2)], [Y], [Equation({0: Map.partial_trace(2, 1)}, np.eye(1))])
         sol = solve(p)
         assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
 
@@ -170,28 +192,32 @@ class TestSolveBasics:
         assert sol.primal_value == pytest.approx(2.0, abs=1e-7)
 
     def test_noiseless_capacity_program(self):
-        prob, _ = build_upsilon_problem(delta(3), hat=False)
+        prob = build_upsilon_problem(delta(3), hat=False)
         sol = solve(prob)
         assert sol.optimal
         assert sol.primal_value == pytest.approx(3.0, abs=1e-7)
 
     def test_activated_program_example_channel(self):
         K = ncgraph_from_channel(example4_channel(0.75))
-        prob, _ = build_upsilon_problem(K, hat=True)
+        prob = build_upsilon_problem(K, hat=True)
         sol = solve(prob)
         assert sol.primal_value == pytest.approx(4.0 / 3.0, abs=1e-6)
 
     def test_weak_duality_and_gap(self):
-        prob, _ = build_upsilon_problem(delta(2), hat=True)
+        prob = build_upsilon_problem(delta(2), hat=True)
         opts = SolverOptions()
         sol = solve(prob, opts)
         scale = 1.0 + abs(sol.primal_value)
         assert sol.primal_value <= sol.dual_value + 10 * opts.feas_tol * scale
         assert abs(sol.primal_value - sol.dual_value) <= opts.gap_tol * scale
+        # the dual objective is sum <rhs, Y> over the equations' multiplier matrices
+        pairs = zip(prob.constraints, sol.dual_multipliers)
+        assert sum(np.vdot(rhs, Y).real for (_, rhs), Y in pairs) == \
+            pytest.approx(sol.dual_value, abs=1e-12)
 
     def test_deterministic(self):
         K = ncgraph_from_channel(example4_channel(2 / 3))
-        prob, _ = build_upsilon_problem(K, hat=True)
+        prob = build_upsilon_problem(K, hat=True)
         a = solve(prob).primal_value
         b = solve(prob).primal_value
         assert abs(a - b) <= 1e-9
@@ -212,7 +238,7 @@ class TestSolveBasics:
             "random": lambda: ncgraph_from_channel(
                 random_channel(RandomChannelSpec(2, 3, 2, 77))),
         }[graph]()
-        prob, _ = build_upsilon_problem(K, hat=hat)
+        prob = build_upsilon_problem(K, hat=hat)
         opts = SolverOptions()
         sol = solve(prob, opts)
         res = constraint_residuals(prob, sol.primal_blocks)
@@ -255,52 +281,59 @@ class TestStatuses:
 class TestValidation:
     def test_rejects_non_hermitian_coefficient(self):
         p = SdpProblem([Block(PSD, 2)], [np.eye(2)],
-                       [({0: np.array([[0.0, 1.0], [0.0, 0.0]])}, 0.0)])
+                       [Equation({0: Map(np.array([[0.0, 1.0], [0.0, 0.0]])[None, None])},
+                                 np.zeros((1, 1)))])
         with pytest.raises(ValidationError):
             p.validate()
 
     def test_accepts_canonical_problem(self):
         K = ncgraph_from_channel(example4_channel(0.75))
         for hat in (False, True):
-            prob, _ = build_upsilon_problem(K, hat=hat)
+            prob = build_upsilon_problem(K, hat=hat)
             prob.validate()
 
     def test_rejects_frame_of_wrong_shape(self):
         p = SdpProblem([Block(PSD, 2)], [np.eye(2)],
-                       [({0: entry_coeff(0, 0, "re", frame=np.ones((3, 2)))}, 1.0)])
+                       [Equation({0: Read(np.ones((3, 2)))}, np.eye(2))])
         with pytest.raises(ValidationError):
             p.validate()
 
 
 def _bad_program(case):
-    """A 2x2 program with one framed entry row and one dense row, broken as
-    ``case`` names."""
+    """A 2x2 program with one framed Read equation and one trace equation,
+    broken as ``case`` names."""
     nan = float("nan")
     frame = np.eye(2)[:, :1]
-    rows = [({0: entry_coeff(0, 0, "re", frame=frame)}, 1.0), ({0: np.eye(2)}, 2.0)]
+    rows = [Equation({0: Read(frame)}, np.eye(1)), Equation({0: Map.partial_trace(2, 1)}, 2 * np.eye(1))]
     objective = [np.eye(2)]
     if case == "nan rhs":
-        rows[1] = (rows[1][0], nan)
+        rows[1] = Equation(rows[1].terms, np.array([[nan]]))
     elif case == "inf objective":
         objective = [np.diag([1.0, np.inf])]
     elif case == "nan dense coefficient":
-        rows[1] = ({0: np.diag([1.0, nan])}, 2.0)
+        rows[1] = Equation({0: Map(np.diag([1.0, nan])[None, None])}, 2 * np.eye(1))
     elif case == "nan entry weight":
-        rows[0] = ({0: entry_coeff(0, 0, "re", scale=nan, frame=frame)}, 1.0)
+        rows[0] = Equation({0: Read(frame, scale=nan)}, np.eye(1))
     elif case == "nan frame":
-        rows[0] = ({0: entry_coeff(0, 0, "re", frame=np.array([[1.0], [nan]]))}, 1.0)
+        rows[0] = Equation({0: Read(np.array([[1.0], [nan]]))}, np.eye(1))
     elif case == "frame rows differ from the block":
-        rows[0] = ({0: entry_coeff(0, 0, "re", frame=np.ones((3, 1)))}, 1.0)
+        rows[0] = Equation({0: Read(np.ones((3, 1)))}, np.eye(1))
     elif case == "block index past the end":
-        rows[1] = ({1: np.eye(2)}, 2.0)
+        rows[1] = Equation({1: Map.partial_trace(2, 1)}, 2 * np.eye(1))
     elif case == "negative block index":
-        rows[1] = ({-1: np.eye(2)}, 2.0)
+        rows[1] = Equation({-1: Map.partial_trace(2, 1)}, 2 * np.eye(1))
     elif case == "short objective list":
         objective = []
     elif case == "negative entry index":
-        rows[1] = ({0: entry_coeff(-1, -1, "re")}, 2.0)
+        rows[0] = Equation({0: Lift(1, at=-1)}, np.eye(1))
     elif case == "entry index past the frame":
-        rows[0] = ({0: entry_coeff(1, 1, "re", frame=frame)}, 1.0)
+        rows[0] = Equation({0: Lift(1, at=2)}, np.eye(1))
+    elif case == "rhs not square":
+        rows[1] = Equation(rows[1].terms, np.eye(1, 2))
+    elif case == "map of the wrong shape":
+        rows[1] = Equation({0: Map(np.ones((1, 2, 2, 2)))}, 2 * np.eye(1))
+    elif case == "trace of the wrong dimension":
+        rows[1] = Equation({0: Map.partial_trace(3, 1)}, 2 * np.eye(1))
     return SdpProblem([Block(PSD, 2)], objective, rows)
 
 
@@ -310,7 +343,8 @@ class TestMalformedPrograms:
     CASES = ["nan rhs", "inf objective", "nan dense coefficient", "nan entry weight",
              "nan frame", "frame rows differ from the block", "block index past the end",
              "negative block index",
-             "short objective list", "negative entry index", "entry index past the frame"]
+             "short objective list", "negative entry index", "entry index past the frame",
+             "rhs not square", "map of the wrong shape", "trace of the wrong dimension"]
 
     def test_well_formed_program_solves(self):
         sol = solve(_bad_program("none"))
@@ -332,8 +366,8 @@ class TestFramedBlocks:
     def test_framed_block_matches_dense_coefficients(self):
         # a 2x2 block X on a plane theta in R^3 and a nonnegative slack s, the
         # diagonal of a 3x3 block, with (theta X theta^T)[i, i] + s_i = c_i,
-        # maximizing tr X; once through entries framed by theta^T, once
-        # through their dense matrices
+        # maximizing tr X; once through Reads framed by columns of theta^T,
+        # once through their dense matrices
         rng = np.random.default_rng(3)
         theta, _ = np.linalg.qr(rng.standard_normal((3, 2)))
         frame = theta.T
@@ -342,9 +376,8 @@ class TestFramedBlocks:
         def program(dense):
             cons = []
             for i in range(3):
-                L = entry_coeff(i, i, "re", frame=frame)
-                cons.append(({0: L.to_dense(2) if dense else L,
-                              1: np.diag(np.where(np.arange(3) == i, 1.0, 0.0))}, c[i]))
+                row = Map(np.outer(theta[i], theta[i])[None, None]) if dense else Read(frame[:, [i]])
+                cons.append(Equation({0: row, 1: Lift(1, at=i)}, np.array([[c[i]]])))
             return SdpProblem([Block(PSD, 2), Block(PSD, 3)], [np.eye(2), None], cons)
 
         framed, dense = solve(program(False)), solve(program(True))
@@ -359,13 +392,36 @@ class TestFramedBlocks:
         assert np.diag(lifted) + np.diag(framed.primal_blocks[1]) == pytest.approx(c, abs=1e-7)
 
 
+def _coefficients(problem):
+    """Each row's dense coefficient per block, probed from the terms' forward
+    maps: for a row reading ``Re(w H[i, j])``, ``A[b, a] = l(term(E_ab))`` with
+    the complex-linear ``l(H) = (w H[i, j] + conj(w) H[j, i]) / 2``."""
+    real = problem.real
+    out = []
+    for terms, rhs in problem.constraints:
+        p = len(rhs)
+        for i, j, kind in _entries(p, real):
+            w = 1.0 if kind == "re" else -1j
+            row = {}
+            for bi, t in terms.items():
+                n = problem.blocks[bi].dim
+                A = np.zeros((n, n), dtype=complex)
+                for a in range(n):
+                    for b in range(n):
+                        E = np.zeros((n, n), dtype=complex)
+                        E[a, b] = 1.0
+                        H = t.apply(E, p)
+                        A[b, a] = 0.5 * (w * H[i, j] + np.conj(w) * H[j, i])
+                row[bi] = A
+            out.append(row)
+    return out
+
+
 def _brute_schur(problem, Ws):
     """``sum_b <A_k, W_b A_l W_b>`` from the dense matrix of every coefficient."""
-    dense = []
-    for coeffs, _ in problem.constraints:
-        dense.append({bi: A.to_dense(problem.blocks[bi].dim) if hasattr(A, "to_dense")
-                      else np.asarray(A, dtype=complex) for bi, A in coeffs.items()})
+    dense = _coefficients(problem)
     m = problem.num_constraints
+    assert len(dense) == m
     M = np.zeros((m, m))
     for k in range(m):
         for l in range(m):
@@ -400,7 +456,7 @@ class TestSchurOracle:
 
     @staticmethod
     def _compare(problem, seed):
-        data, dtype = _preprocess(problem)
+        data, dtype, _, _ = _preprocess(problem)
         rng = np.random.default_rng(seed)
         Ws = []
         for blk in problem.blocks:
@@ -417,28 +473,30 @@ class TestSchurOracle:
     @pytest.mark.parametrize("graph", sorted(_NC_GRAPHS))
     @pytest.mark.parametrize("builder", sorted(_NC_BUILDERS))
     def test_nc_builders(self, builder, graph):
-        problem, _ = _NC_BUILDERS[builder](_NC_GRAPHS[graph]())
+        problem = _NC_BUILDERS[builder](_NC_GRAPHS[graph]())
         self._compare(problem, seed=7)
 
     @pytest.mark.parametrize("graph", sorted(_CQ_GRAPHS))
     @pytest.mark.parametrize("variant", ["upsilon", "hat", "aram"])
     def test_cq_builders(self, variant, graph):
-        problem, _ = cap.build_cq_problem(_CQ_GRAPHS[graph](), variant)
+        problem = cap.build_cq_problem(_CQ_GRAPHS[graph](), variant)
         self._compare(problem, seed=8)
 
     def test_two_frames_on_one_block(self):
         # a rank-deficient output puts unframed coupling rows and
         # theta^dag-framed marginal rows on the same kernel block
-        problem, meta = cap.build_cq_problem(random_cq_graph(1), "hat")
-        data, _ = _preprocess(problem)
-        assert meta["r_blk"]
-        assert all(len(data[b].families) == 2 for b in meta["r_blk"].values())
+        problem = cap.build_cq_problem(random_cq_graph(1), "hat")
+        data, _, _, _ = _preprocess(problem)
+        kernels = [b for b, t in problem.constraints[-1].terms.items()
+                   if isinstance(t, Read) and t.frame is not None]
+        assert kernels
+        assert all(len(data[b].families) == 2 for b in kernels)
 
 
 class TestPhaseTimes:
     def test_phases_cover_the_solve(self):
         K = ncgraph_from_channel(example4_channel(0.75))
-        prob, _ = build_upsilon_problem(K, hat=True)
+        prob = build_upsilon_problem(K, hat=True)
         t0 = time.perf_counter()
         sol = solve(prob)
         wall = time.perf_counter() - t0

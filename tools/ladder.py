@@ -1,14 +1,14 @@
 """Equivalence ladder: record capacity solves on fixed instances, or compare two records.
 
-    python3 tools/ladder.py --out FILE [--large]
+    python3 tools/ladder.py --out FILE [--large] [--xl]
     python3 tools/ladder.py --compare A B
 
 Run it from the root of a checkout; it imports ``nszcap`` from that
 checkout's ``src/``.  ``--out`` solves the ladder and writes, per instance and
 quantity, the value, the iteration count, the status (``optimal``, or the
 status of a ``SolverFailure``) and a sha256 digest of the bits of the value and
-of every witness array (of the dual multipliers, for a failure).  The ladder
-is:
+of every witness array (of the dual multiplier matrices, one per equation, for a
+failure).  The ladder is:
 
 - ``upsilon``, ``upsilon_hat``, ``upsilon_hat_dual`` and ``aram`` on five
   built-in channels and on the random channels of ``verify`` seeds 1..40;
@@ -17,7 +17,10 @@ is:
   cq programs have dependent rows and a rank-deficient Schur matrix;
 - with ``--large``, ``upsilon``, ``upsilon_hat`` and ``upsilon_hat_dual`` on
   K (x) delta(2) at Choi dimension 36, from ``perfbench``'s
-  ``product_channel(1, 0..1)``.
+  ``product_channel(1, 0..1)``;
+- with ``--xl``, ``upsilon``, ``upsilon_hat`` and ``upsilon_hat_dual`` on K (x) K
+  at Choi dimension 81, K the random channel ``RandomChannelSpec(3, 3, 2, 7)``
+  (about 150 s and 1.1 GB; ``upsilon_hat_dual`` ends ``numerical-failure``).
 
 ``--compare`` exits 1 unless both records hold the same solves, every value
 agrees to 1e-8 relative, the statuses are equal and the iteration counts
@@ -44,10 +47,11 @@ CQ = ("upsilon_cq", "upsilon_hat_cq", "aram_cq")
 LARGE = ("upsilon", "upsilon_hat", "upsilon_hat_dual")
 
 
-def ladder(large: bool):
+def ladder(large: bool, xl: bool):
     """Yield (instance label, quantities, graph) in a fixed order."""
     from nszcap import graphspace as gs
-    from nszcap.theoremsuite import _spec_from_seed, random_cq_graph, random_graph
+    from nszcap.theoremsuite import (RandomChannelSpec, _spec_from_seed, random_cq_graph,
+                                     random_graph)
 
     builtins = {
         "example4(0.75)": gs.example4_channel(0.75),
@@ -70,6 +74,9 @@ def ladder(large: bool):
             _, kraus = product_channel(1, index)
             yield (f"K{index}xdelta(2)", LARGE,
                    gs.ncgraph_from_channel(gs.KrausChannel(6, 6, kraus)))
+    if xl:
+        spec = RandomChannelSpec(3, 3, 2, 7)
+        yield f"{spec.label()}^2", LARGE, gs.tensor_power(random_graph(spec), 2)
 
 
 def digest(value: float, arrays: dict) -> str:
@@ -95,12 +102,12 @@ def digest(value: float, arrays: dict) -> str:
     return h.hexdigest()
 
 
-def record(large: bool) -> dict:
+def record(large: bool, xl: bool) -> dict:
     from nszcap import capacities as cap
     from nszcap.sdpsolver import SolverFailure
 
     rows = {}
-    for label, quantities, graph in ladder(large):
+    for label, quantities, graph in ladder(large, xl):
         for q in quantities:
             t0 = time.perf_counter()
             try:
@@ -146,6 +153,8 @@ def main(argv=None) -> int:
                        help="compare two records")
     parser.add_argument("--large", action="store_true",
                         help="also solve the n = 36 product instances (about a minute)")
+    parser.add_argument("--xl", action="store_true",
+                        help="also solve the n = 81 instance (about 150 s and 1.1 GB)")
     args = parser.parse_args(argv)
 
     if args.compare:
@@ -167,8 +176,8 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     t0 = time.perf_counter()
-    rows = record(args.large)
-    doc = {"large": args.large, "seconds": round(time.perf_counter() - t0, 2), "solves": rows}
+    rows = record(args.large, args.xl)
+    doc = {"large": args.large, "xl": args.xl, "seconds": round(time.perf_counter() - t0, 2), "solves": rows}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     failed = sum(r["status"] != "optimal" for r in rows.values())
     print(f"{len(rows)} solves, {failed} not optimal, {doc['seconds']} s -> {args.out}")
