@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,7 @@ class CapacityResult:
     gap: float
     status: str = "optimal"
     iterations: int = 0
+    trace: list = field(default_factory=list)    # the solve's per-iteration records
 
     @property
     def log2_value(self) -> float:
@@ -99,7 +100,9 @@ def _run(problem: SdpProblem, opts: SolverOptions | None, quantity: str) -> SdpS
         raise SolverFailure(
             f"{quantity}: solver returned status {sol.status!r} "
             f"(gap {sol.gap:.3e}, primal residual {sol.primal_residual:.3e}, "
-            f"dual residual {sol.dual_residual:.3e})", solution=sol)
+            f"dual residual {sol.dual_residual:.3e}); last iteration: "
+            + ", ".join(f"{k} {v:.3e}" if isinstance(v, float) else f"{k} {v}"
+                        for k, v in sol.trace[-1].items()), solution=sol)
     return sol
 
 
@@ -149,7 +152,7 @@ def _upsilon_result(K: NCGraph, hat: bool, opts) -> CapacityResult:
               "U_AB": np.asarray(sol.primal_blocks[1])}
     V, T = sol.dual_multipliers
     return CapacityResult(quantity, sol.primal_value, primal, {"T_B": T, "V_AB": -V},
-                          sol.gap, sol.status, sol.iterations)
+                          sol.gap, sol.status, sol.iterations, sol.trace)
 
 
 def upsilon(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
@@ -196,7 +199,7 @@ def upsilon_hat_dual(K: NCGraph, opts: SolverOptions | None = None) -> CapacityR
     V = tensor(np.eye(K.d_A, dtype=T.dtype), T) - Y1
     primal = {"T_B": T, "V_AB": V}
     return CapacityResult("upsilon_hat_dual", -sol.primal_value, primal, {},
-                          sol.gap, sol.status, sol.iterations)
+                          sol.gap, sol.status, sol.iterations, sol.trace)
 
 
 def build_aram_problem(K: NCGraph) -> SdpProblem:
@@ -214,7 +217,7 @@ def aram(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
     sol = _run(build_aram_problem(K), opts, "aram")
     primal = {"S_A": np.asarray(sol.primal_blocks[0])}
     return CapacityResult("aram", sol.primal_value, primal, {"T_B": sol.dual_multipliers[0]},
-                          sol.gap, sol.status, sol.iterations)
+                          sol.gap, sol.status, sol.iterations, sol.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,7 @@ def _cq_result(quantity: str, C: CqGraph, variant: str, opts) -> CapacityResult:
                        if i in thetas else np.zeros((C.d_B, C.d_B))
                        for i in range(C.num_inputs)]
     return CapacityResult(quantity, sol.primal_value, primal, {}, sol.gap,
-                          sol.status, sol.iterations)
+                          sol.status, sol.iterations, sol.trace)
 
 
 def upsilon_cq(C: CqGraph, opts: SolverOptions | None = None) -> CapacityResult:

@@ -32,6 +32,18 @@ restriction).  A Read or Lift row reads one scaled real or imaginary entry of
 the closed-form Schur block ``M[e, f] = <E_e, Y E_f Y^dag>``,
 ``Y = F^dag W F``: row e is ``Y^dag E_e Y``, two outer products of rows of Y,
 read at the entries f.  Map rows are dense matrices and take one dense path.
+
+The Newton system takes one of two paths, chosen from the program alone.  The
+dense path assembles M and factors it.  The core path (:class:`_CoreNewton`)
+never forms M: it serves programs with at least ``_CORE_MIN_ROWS`` rows and a
+core equation, one that holds most rows, reads a block u whole and one block w
+through a frame, and shares no other block with the other equations (Upsilon
+and Upsilon-hat, ``U + theta W theta^dag - S (x) 1_B = 0``).  In the frame that
+makes the u and w parts of M diagonal it eliminates the well-conditioned
+coordinates in closed form and factors only the border, the rest of the
+coordinates and the other equations' rows.  On that path ``phase_s["schur"]``
+is the frame and the border, and ``phase_s["factor"]`` the border's pivoted
+Cholesky.
 """
 from __future__ import annotations
 
@@ -201,10 +213,16 @@ class SdpSolution:
     iterations: int
     primal_residual: float = 0.0
     dual_residual: float = 0.0
-    # seconds in "scaling" (NT frames and W), "schur" (assembly), "factor" (pivoted
-    # Cholesky), "newton" (both solves and right-hand sides), "step" (steps,
-    # residuals, stopping)
+    # seconds in "scaling" (NT frames and W), "schur" (assembly of M, or the core
+    # path's frame and border), "factor" (pivoted Cholesky of M or the border),
+    # "newton" (both solves and right-hand sides), "step" (steps, residuals, stopping)
     phase_s: dict = field(default_factory=dict)
+    # one record per iteration: "pobj", "dobj", "gap", "pinf", "dinf", "mu" at its
+    # iterate; the Newton "path" ("dense" or "core"); the "size" and pivoted-Cholesky
+    # "rank" of the matrix it factored (M, or the border); and "sigma" and the step
+    # lengths "alpha_p" and "alpha_d".  An iteration that stops before a step
+    # leaves the fields it did not reach None
+    trace: list = field(default_factory=list)
 
     @property
     def optimal(self) -> bool:
@@ -390,6 +408,217 @@ class _BlockData:
                 f.schur(g, W, M)
 
 
+class _Pivoted:
+    """Pivoted Cholesky ``P^T M P = U^T U`` of a symmetric PSD matrix, to the rank
+    tolerance ``tol`` (by default LAPACK's, ``n eps max(diag M)``); the pivots past
+    the rank (dependent rows, or the near-singular endgame) take a zero step."""
+
+    def __init__(self, M, tol=-1.0):
+        self.size = len(M)
+        U, piv, rank = (sla.lapack.dpstrf(M, tol)[:3] if self.size
+                        else (M, np.zeros(0, dtype=np.intp), 0))
+        self.U1, self.U12, self.rank = U[:rank, :rank], U[:rank, rank:], rank
+        self.kept, self.dropped = piv[:rank] - 1, piv[rank:] - 1
+
+    def solve(self, r):
+        x = np.zeros(self.size)
+        if self.rank:
+            x[self.kept] = sla.cho_solve((self.U1, False), r[self.kept], check_finite=False)
+        return x
+
+    def residue(self, r):
+        """``r`` on the dropped pivots minus what the kept ones predict there: zero
+        for ``r`` in the range of M."""
+        K = sla.solve_triangular(self.U1, self.U12, check_finite=False)
+        return r[self.dropped] - K.T @ r[self.kept]
+
+
+# The core path (_CoreNewton) serves programs from this many rows m up.  Median
+# ms per iteration, dense / core, on Upsilon and Upsilon-hat of random channels
+# (2-core VM, one BLAS thread): n = 4, m = 20: 2.2 / 3.2; n = 9, m = 90:
+# 2.8 / 4.0; m = 153-180: 3.8-4.8 / 4.2-6.4; n = 16, m = 272: 7.7 / 6.6 and
+# 7.0 / 6.9; n = 16, m = 320: 10.0 / 6.9; n = 25, m = 650: 35 / 12; n = 36,
+# m = 1332: 115 / 20.
+_CORE_MIN_ROWS = 300
+# Frame coordinates with den >= _CORE_TAU max(den) are eliminated in closed
+# form; the others join the border.  On n = 36 Upsilon and Upsilon-hat, 1e-1,
+# 1e-2 and 1e-3 all end optimal in 12 iterations, with a worst relative Newton
+# residual of 2.5e-10, 4.0e-10 and 4.1e-10 (the dense path: 7.7e-11); per
+# iteration, 1e-1 stays within 5 times the dense path's, 1e-3 reaches 200 times.
+_CORE_TAU = 1e-1
+
+
+def _herm_basis(d, real):
+    """An orthonormal basis of Herm(d) (real: of Sym(d)), as a (d^2, d, d) stack."""
+    i, j, im = _rows(d, real)
+    v = np.where(i == j, 1.0, math.sqrt(0.5)) * np.where(im, 1j, 1.0)
+    Z = np.zeros((len(i), d, d), dtype=float if real else complex)
+    e = np.arange(len(i))
+    Z[e, i, j] = v.real if real else v
+    Z[e, j, i] = v.real if real else np.conj(v)
+    return Z
+
+
+class _CoreNewton:
+    """The Newton solve of a program with a core equation, without the m x m M.
+
+    The core equation, on Herm(p), holds more than half of the m rows.  Its terms
+    are a frameless Read of a block u, one other Read (of a block w, frame F_w)
+    and any other terms T_l, and none of its blocks but u appears in another
+    equation.  On its multiplier matrix Y, M then acts as
+    ``A Y A + B Y B + sum_l T_l(W_l T_l^dag(Y) W_l)`` with ``A = |s_u| W_u`` and
+    ``B = |s_w| F_w^dag W_w F_w``, and the other equations' rows couple to it
+    only through u, as ``s_u W_u A_f W_u`` for their coefficients A_f on u.
+
+    Each iteration takes F from ``eigh(B, A + B)`` and the diagonals
+    a = diag(F^dag A F), b = diag(F^dag B F).  In orthonormal coordinates x of
+    ``Y~ = F^-1 Y F^-dag`` the A, B part is the diagonal
+    ``den_ij = a_i a_j + b_i b_j``.  Coordinates with den >= _CORE_TAU max(den)
+    are eliminated in closed form, the T_l part by Woodbury over the columns
+    ``T_l(G_l Z G_l^dag)`` (Z an orthonormal basis, ``W_l = G_l G_l^dag``),
+    whose capacitance matrix ``1 + V^T D^-1 V`` is SPD and >= 1.  The other
+    coordinates and the other equations' rows form the border, which is
+    Jacobi-scaled and factored by :class:`_Pivoted`.
+
+    The second Read is required: A + B stays well conditioned (U and the slack
+    W live on complementary subspaces), so F does.  Without it den is 1
+    everywhere and the spread of W_u moves into the Woodbury columns; aram's
+    program, forced onto this path, loses its primal residual (4e-2 after 7
+    iterations on delta(2))."""
+
+    @classmethod
+    def find(cls, problem, rows, m, dtype):
+        """The program's core path, or None: m is below ``_CORE_MIN_ROWS`` or no
+        equation has the structure above."""
+        if m < _CORE_MIN_ROWS:
+            return None
+        eqs = problem.constraints
+        for c, (terms, _) in enumerate(eqs):
+            if 2 * len(rows[c][1]) <= m:
+                continue
+            reads = [bi for bi, t in terms.items() if isinstance(t, Read)]
+            u = next((bi for bi in reads if terms[bi].frame is None), None)
+            reads = [bi for bi in reads if bi != u]
+            elsewhere = {bi for k, (ts, _) in enumerate(eqs) if k != c for bi in ts}
+            if u is None or len(reads) != 1 or (terms.keys() - {u}) & elsewhere:
+                return None
+            return cls(problem, rows, c, u, reads[0], dtype)
+        return None
+
+    def __init__(self, problem, rows, c, u, w, dtype):
+        terms = problem.constraints[c].terms
+        self.real = real = dtype == np.float64
+        self.p, self.i, self.j, self.im = rows[c]
+        self.wt2 = np.where(self.i == self.j, 1.0, 2.0)     # 1 / <E_e, E_e>
+        self.wt = np.sqrt(self.wt2)
+        self.u, self.su = u, terms[u].scale
+        self.w, self.read_w = w, Read(terms[w].frame, abs(terms[w].scale))
+        self.low = [(bi, t, _herm_basis(problem.blocks[bi].dim, real))
+                    for bi, t in terms.items() if bi not in (u, w)]
+        ends = np.cumsum([len(r[1]) for r in rows])
+        starts = ends - [len(r[1]) for r in rows]
+        self.core = np.arange(starts[c], ends[c])
+        self.other = np.concatenate([np.arange(starts[k], ends[k]) for k in range(len(rows))
+                                     if k != c] + [np.zeros(0, dtype=np.intp)])
+        others = [e for k, e in enumerate(problem.constraints) if k != c]
+        self.sub = _preprocess(SdpProblem(problem.blocks, problem.objective, others), real)[0]
+        m1 = len(self.other)
+        self.Au = np.zeros((m1, self.p, self.p), dtype=dtype)   # the other rows' coefficients on u
+        for f in range(m1):
+            acc = np.zeros((self.p, self.p), dtype=dtype)
+            self.sub[u].scatter(np.eye(1, m1, f)[0], acc)
+            self.Au[f] = _herm(acc)
+        self.m = len(self.core) + m1
+
+    def read(self, Y):
+        """The core rows' values at Hermitian matrices Y (..., p, p)."""
+        E = Y[..., self.i, self.j]
+        return np.where(self.im, E.imag, E.real)
+
+    def coords(self, Y):
+        """Orthonormal coordinates of Hermitian matrices Y (..., p, p)."""
+        return self.wt * self.read(Y)
+
+    def matrix(self, x):
+        """The Hermitian matrix with orthonormal coordinates x."""
+        return _multipliers([(self.p, self.i, self.j, self.im)], self.wt * x, self.real)[0]
+
+    def reduce(self, Ws, Gs):
+        """Frame and closed-form elimination at the NT points ``W_b = G_b G_b^dag``;
+        returns the Jacobi-scaled border matrix."""
+        p = self.p
+        A = abs(self.su) * Ws[self.u]
+        B = self.read_w.apply(Ws[self.w], p)
+        _, F = sla.eigh(B, A + B)
+        Fh = np.conj(F).T
+        a, b = (np.diagonal(Fh @ X @ F).real for X in (A, B))
+        den = (np.outer(a, a) + np.outer(b, b))[self.i, self.j]
+        self.F, self.E = F, den >= _CORE_TAU * den.max()
+        K = ~self.E
+        cols = [t.apply(Gs[bi] @ Z @ np.conj(Gs[bi]).T, p)
+                for bi, t, basis in self.low for Z in basis]
+        V = self.coords(Fh @ np.reshape(cols, (-1, p, p)) @ F).T          # (N, k)
+        FW = Fh @ Ws[self.u]
+        C = self.coords(self.su * (FW @ self.Au @ np.conj(FW).T)).T       # (N, m1)
+        M11 = np.zeros((len(self.other),) * 2)
+        for d, W in zip(self.sub, Ws):
+            d.schur(W, M11)
+        # eliminate E: with V~ = D_E^-1/2 V_E, C- = D_E^-1/2 C_E and the capacitance
+        # 1 + V~^T V~ = L L^T, the border is [[D_K + P P^T, C_K - P Q], [., M11 - C-^T C- + Q^T Q]]
+        # for P = V_K L^-T and Q = L^-1 V~^T C-
+        self.sD = np.sqrt(den[self.E])
+        self.Vt, self.Cb = V[self.E] / self.sD[:, None], C[self.E] / self.sD[:, None]
+        self.L = np.linalg.cholesky(np.eye(V.shape[1]) + self.Vt.T @ self.Vt)
+        self.VK = V[K]
+        self.P = sla.solve_triangular(self.L, self.VK.T, lower=True, check_finite=False).T
+        self.Q = sla.solve_triangular(self.L, self.Vt.T @ self.Cb, lower=True, check_finite=False)
+        top = np.diag(den[K]) + self.P @ self.P.T
+        side = C[K] - self.P @ self.Q
+        corner = 0.5 * (M11 + M11.T) - self.Cb.T @ self.Cb + self.Q.T @ self.Q
+        border = np.block([[top, side], [side.T, corner]])
+        # each border row is scaled by its diagonal in M, before the elimination:
+        # a row that the elimination cancels stays small, and dpstrf drops it
+        diag = np.concatenate([den[K] + np.sum(self.VK ** 2, axis=1), np.diagonal(M11)])
+        self.jac = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+        return self.jac[:, None] * border * self.jac
+
+    def factor(self, border):
+        # the dense path's tolerance m eps max(diag M), in the rows' own units
+        self.chol = _Pivoted(border, self.m * np.finfo(float).eps)
+        self.size, self.rank = self.chol.size, self.chol.rank
+        return self
+
+    def _border_rhs(self, r):
+        """The eliminated coordinates' scaled rhs g, and the scaled border rhs."""
+        R = self.matrix(self.wt * r[self.core])                 # the rows' values are r
+        rho = self.coords(np.conj(self.F).T @ R @ self.F)
+        g = rho[self.E] / self.sD
+        v = sla.solve_triangular(self.L, self.Vt.T @ g, lower=True, check_finite=False)
+        rb = np.concatenate([rho[~self.E] - self.P @ v,
+                             r[self.other] - self.Cb.T @ g + self.Q.T @ v])
+        return g, self.jac * rb
+
+    def solve(self, r):
+        """The Newton step dy for the rows' rhs r: M dy = r."""
+        g, rb = self._border_rhs(r)
+        z = self.jac * self.chol.solve(rb)
+        nK = int(np.count_nonzero(~self.E))
+        xK, y1 = z[:nK], z[nK:]
+        g = g - self.Vt @ (self.VK.T @ xK) - self.Cb @ y1
+        x = np.empty(len(self.E))
+        x[self.E] = (g - self.Vt @ sla.cho_solve((self.L, True), self.Vt.T @ g)) / self.sD
+        x[~self.E] = xK
+        Y = self.F @ self.matrix(x) @ np.conj(self.F).T
+        dy = np.zeros(self.m)
+        dy[self.core] = self.wt2 * self.read(Y)
+        dy[self.other] = y1
+        return dy
+
+    def residue(self, r):
+        """:meth:`_Pivoted.residue` of the border rhs, in the border's units."""
+        return self.chol.residue(self._border_rhs(r)[1]) / self.jac[self.chol.dropped]
+
+
 def _map_rows(t, i, j, im, real):
     """The rows that a Map term touches, and their dense coefficients."""
     if t.T.ndim == 3:
@@ -419,10 +648,11 @@ def _check_term(k, t, dim, p):
         raise ValidationError(f"equation {k}: non-finite scale")
 
 
-def _preprocess(problem: SdpProblem):
+def _preprocess(problem: SdpProblem, real: bool | None = None):
     """Check the program's data, in time linear in it; enumerate each equation's rows
-    and sort them into per-block entry families and dense data.  Returns the block
-    data, the working dtype, the rows' right-hand side b, and each equation's rows."""
+    and sort them into per-block entry families and dense data, in real arithmetic
+    when ``real`` (by default: when all data is real).  Returns the block data, the
+    working dtype, the rows' right-hand side b, and each equation's rows."""
     blocks = problem.blocks
     if len(problem.objective) != len(blocks):
         raise ValidationError(f"{len(problem.objective)} objectives for {len(blocks)} blocks")
@@ -437,7 +667,8 @@ def _preprocess(problem: SdpProblem):
     arrays = _data(problem)
     if not all(np.all(np.isfinite(A)) for A in arrays):
         raise ValidationError("non-finite objective, rhs, frame or map tensor")
-    real = not any(map(_has_imag, arrays))
+    if real is None:
+        real = not any(map(_has_imag, arrays))
     dtype = np.float64 if real else np.complex128
 
     families = [[] for _ in blocks]     # per block: [k, i, j, c, frame, width] lists
@@ -559,6 +790,8 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
     norm_C = np.sqrt(sum(float(np.linalg.norm(d.C) ** 2) for d in data))
     eta = 1.0 + float(np.abs(b).max(initial=0.0))
 
+    core = _CoreNewton.find(problem, rows, m, dtype)
+    path = "dense" if core is None else "core"
     X = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
     Z = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
     y = np.zeros(m)
@@ -590,6 +823,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
     tau = 0.9
     stall = 0
     phase_s = dict.fromkeys(("scaling", "schur", "factor", "newton", "step"), 0.0)
+    trace = []
     t_lap = perf_counter()
 
     def lap(phase):
@@ -601,6 +835,9 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
     for it in range(1, opts.max_iter + 1):
         pobj = inner([d.C for d in data], X)
         dobj = float(b @ y)
+        record = dict(pobj=pobj, dobj=dobj, gap=None, pinf=None, dinf=None, mu=None, path=path,
+                      sigma=None, alpha_p=None, alpha_d=None, size=None, rank=None)
+        trace.append(record)
         if not (np.isfinite(pobj) and np.isfinite(dobj)) \
                 or not all(np.all(np.isfinite(x)) for x in X):
             if best is not None and best[0] > 1e6 * eta:
@@ -623,6 +860,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         mu = inner(X, Z) / nu
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj))
         score = max(relgap, pinf, dinf)
+        record.update(gap=relgap, pinf=pinf, dinf=dinf, mu=mu)
         if score < 0.9 * best_score:
             stall = 0
         else:
@@ -657,39 +895,30 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             status = _STATUS_NUMFAIL
             break
 
-        # Schur complement
+        # the Schur complement M, or the core path's border, and its pivoted Cholesky
         lap("scaling")
-        M = np.zeros((m, m))
-        for d, W in zip(data, Ws):
-            d.schur(W, M)
-        M = 0.5 * (M + M.T)
+        if core is None:
+            M = np.zeros((m, m))
+            for d, W in zip(data, Ws):
+                d.schur(W, M)
+            M = 0.5 * (M + M.T)
+        else:
+            M = core.reduce(Ws, [G for G, _ in frames])
         lap("schur")
-
-        # pivoted Cholesky P^T M P = U^T U, to LAPACK's rank tolerance; the
-        # pivots past the rank (dependent rows, or the near-singular endgame)
-        # take a zero step
-        U, piv, rank, _ = sla.lapack.dpstrf(M)
-        kept, dropped = piv[:rank] - 1, piv[rank:] - 1
-        U1 = U[:rank, :rank]
+        fac = _Pivoted(M) if core is None else core.factor(M)
         lap("factor")
-        if it == 1 and rank < m:
+        record.update(size=fac.size, rank=fac.rank)
+        if it == 1 and fac.rank < fac.size:
             # here W = I and M = A A^T: the dropped rows are K^T times the kept
             # ones, and so must their right-hand sides be
-            K = sla.solve_triangular(U1, U[:rank, rank:], check_finite=False)
-            if np.abs(b[dropped] - K.T @ b[kept]).max() > opts.feas_tol * (1.0 + norm_b):
+            if np.abs(fac.residue(b)).max() > opts.feas_tol * (1.0 + norm_b):
                 status = _STATUS_INFEASIBLE
                 break
-
-        def solve_schur(rhs):
-            dy = np.zeros(m)
-            dy[kept] = sla.cho_solve((U1, False), rhs[kept], check_finite=False)
-            return dy
-
         A_WRdW = pair_all([_herm(W @ rd @ W) for W, rd in zip(Ws, R_d)])
 
         def newton(Rc):
             rhs = pair_all(Rc) + A_WRdW - r_p
-            dy = solve_schur(rhs)
+            dy = fac.solve(rhs)
             dZ = [ay - rd for ay, rd in zip(scatter(dy), R_d)]
             dX = [_herm(rc - W @ dz @ W) for rc, W, dz in zip(Rc, Ws, dZ)]
             return dX, dy, dZ
@@ -734,6 +963,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         ap, ad, _ = max_steps(dZ, Ds)
         a_step = min(1.0, tau * ap)
         b_step = min(1.0, tau * ad)
+        record.update(sigma=sigma, alpha_p=a_step, alpha_d=b_step)
         if a_step < 1e-10 and b_step < 1e-10:
             status = _STATUS_NUMFAIL
             break
@@ -757,6 +987,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         primal_residual=pinf,
         dual_residual=dinf,
         phase_s=phase_s,
+        trace=trace,
     )
 
 

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from nszcap import capacities as cap
 from nszcap import graphspace as gs
+from nszcap import sdpsolver
 from nszcap.capacities import build_upsilon_problem
 from nszcap.graphspace import delta, example4_channel, ncgraph_from_channel
 from nszcap.matrixcore import ValidationError
@@ -17,10 +19,13 @@ from nszcap.sdpsolver import (
     Map,
     Read,
     SdpProblem,
+    SolverFailure,
     SolverOptions,
+    _CoreNewton,
     _herm,
     _multipliers,
     _nt_frame,
+    _Pivoted,
     _preprocess,
     _rows,
     constraint_residuals,
@@ -491,6 +496,158 @@ class TestSchurOracle:
                    if isinstance(t, Read) and t.frame is not None]
         assert kernels
         assert all(len(data[b].families) == 2 for b in kernels)
+
+
+def _with_path(monkeypatch, path):
+    """Send every qualifying program (any size) to the core path, or none."""
+    monkeypatch.setattr(sdpsolver, "_CORE_MIN_ROWS", 0 if path == "core" else math.inf)
+
+
+def _duplicated_marginal(K, rhs2):
+    """The Upsilon-hat program with its output-marginal equation stated twice, the
+    second time with right-hand side ``rhs2``: dependent rows outside the core."""
+    prob = cap.build_upsilon_problem(K, hat=True)
+    coupling, marginal = prob.constraints
+    prob.constraints = [coupling, marginal, Equation(marginal.terms, rhs2)]
+    return prob
+
+
+def _k16():
+    """A random 2 -> 8 channel's graph: Upsilon has n = 16 and m = 320, above the crossover."""
+    return random_graph(RandomChannelSpec(2, 8, 2, 7))
+
+
+class TestNewtonOracle:
+    """The core path solves the Newton system M dy = r that the dense path
+    factors: at the NT points of a real solve, its relative residual in M is
+    within 100 times the dense path's, plus 1e-12."""
+
+    def test_core_matches_dense_at_nt_points(self, monkeypatch):
+        prob = cap.build_upsilon_problem(_k16(), hat=True)
+        data, dtype, b, rows = _preprocess(prob)
+        points = []
+        reduce, core_solve = _CoreNewton.reduce, _CoreNewton.solve
+
+        def spy_reduce(self, Ws, Gs):
+            points.append(([W.copy() for W in Ws], [G.copy() for G in Gs], []))
+            return reduce(self, Ws, Gs)
+
+        def spy_solve(self, r):
+            points[-1][2].append(r.copy())
+            return core_solve(self, r)
+
+        monkeypatch.setattr(_CoreNewton, "reduce", spy_reduce)
+        monkeypatch.setattr(_CoreNewton, "solve", spy_solve)
+        sol = solve(prob)
+        monkeypatch.undo()
+        assert sol.optimal and {r["path"] for r in sol.trace} == {"core"}
+        assert len(points) == sol.iterations - 1           # endgame included
+
+        core = _CoreNewton.find(prob, rows, len(b), dtype)
+        for Ws, Gs, rhs in points:
+            M = np.zeros((len(b),) * 2)
+            for d, W in zip(data, Ws):
+                d.schur(W, M)
+            dense = _Pivoted(0.5 * (M + M.T))
+            fast = core.factor(core.reduce(Ws, Gs))
+            for r in rhs:
+                res = [np.linalg.norm(M @ f.solve(r) - r) / np.linalg.norm(r)
+                       for f in (dense, fast)]
+                assert res[1] <= 100 * res[0] + 1e-12
+
+    @pytest.mark.parametrize("rhs2,status", [(1.0, "optimal"), (2.0, "infeasible")],
+                             ids=["consistent", "inconsistent"])
+    def test_dependent_border_rows(self, monkeypatch, rhs2, status):
+        K = _k16()
+        prob = _duplicated_marginal(K, rhs2 * np.eye(K.d_B))
+        sols = {}
+        for path in ("dense", "core"):
+            _with_path(monkeypatch, path)
+            sols[path] = solve(prob)
+            first = sols[path].trace[0]
+            assert first["path"] == path and first["rank"] < first["size"]
+        assert sols["core"].trace[0]["size"] == 2 * K.d_B ** 2    # the border: both marginals
+        assert sols["dense"].status == sols["core"].status == status
+        if status == "optimal":
+            assert sols["core"].primal_value == pytest.approx(sols["dense"].primal_value, rel=1e-8)
+
+    @pytest.mark.parametrize("graph", ["delta(2)", "amplitude-damping(0.75)", "complex 3->2"])
+    @pytest.mark.parametrize("builder", ["upsilon", "upsilon_hat"])
+    def test_small_programs_agree(self, monkeypatch, builder, graph):
+        # below the crossover these programs take the dense path; forced onto the
+        # core path (real and complex), they reach the same solution
+        prob = _NC_BUILDERS[builder](_NC_GRAPHS[graph]())
+        sols = {}
+        for path in ("dense", "core"):
+            _with_path(monkeypatch, path)
+            sols[path] = solve(prob)
+            assert {r["path"] for r in sols[path].trace} == {path}
+        dense, core = sols["dense"], sols["core"]
+        assert dense.optimal and core.optimal
+        assert core.primal_value == pytest.approx(dense.primal_value, rel=1e-8, abs=1e-8)
+        assert abs(core.iterations - dense.iterations) <= 1
+
+
+class TestCoreRule:
+    """The core path is chosen from the program's structure and its row count alone."""
+
+    @pytest.mark.parametrize("builder,qualifies", [
+        ("upsilon", True), ("upsilon_hat", True),
+        ("upsilon_hat_dual", False),      # Y1 also sits in the input-marginal equation
+        ("aram", False),                  # no second Read: nothing bounds A + B
+    ])
+    def test_nc_builders(self, monkeypatch, builder, qualifies):
+        prob = _NC_BUILDERS[builder](_k16())
+        data, dtype, b, rows = _preprocess(prob)
+        _with_path(monkeypatch, "core")
+        assert (_CoreNewton.find(prob, rows, len(b), dtype) is not None) == qualifies
+
+    @pytest.mark.parametrize("variant", ["upsilon", "hat", "aram"])
+    def test_cq_builders(self, monkeypatch, variant):
+        # the marginal equation holds most rows, but its block S also sits in the
+        # coupling equations, and aram's has no second Read
+        _with_path(monkeypatch, "core")
+        prob = cap.build_cq_problem(random_cq_graph(1), variant)
+        data, dtype, b, rows = _preprocess(prob)
+        assert _CoreNewton.find(prob, rows, len(b), dtype) is None
+
+
+class TestTrace:
+    @pytest.mark.parametrize("name,problem,path", [
+        ("upsilon n = 16", lambda: cap.build_upsilon_problem(_k16(), hat=False), "core"),
+        ("upsilon_hat n = 16", lambda: cap.build_upsilon_problem(_k16(), hat=True), "core"),
+        ("upsilon n = 16, m = 272", lambda: cap.build_upsilon_problem(
+            random_graph(RandomChannelSpec(4, 4, 2, 7)), hat=False), "dense"),
+        # Y1 also sits in the input-marginal equation
+        ("upsilon_hat_dual n = 16", lambda: cap.build_upsilon_hat_dual_problem(_k16()), "dense"),
+        ("aram n = 16", lambda: cap.build_aram_problem(_k16()), "dense"),
+        ("cq", lambda: cap.build_cq_problem(random_cq_graph(1), "hat"), "dense"),
+    ])
+    def test_one_record_per_iteration(self, name, problem, path):
+        sol = solve(problem())
+        assert sol.optimal
+        assert len(sol.trace) == sol.iterations
+        assert all(r["path"] == path for r in sol.trace)
+        m = sol.trace[0]["size"]
+        if path == "dense":
+            assert m == problem().num_constraints
+        for r in sol.trace[:-1]:
+            assert 0 < r["rank"] <= r["size"] and 0 < r["alpha_p"] <= 1 and 0 < r["alpha_d"] <= 1
+            assert r["mu"] > 0 and r["sigma"] >= 0
+        last = sol.trace[-1]
+        assert last["gap"] == sol.gap and last["pinf"] == sol.primal_residual
+        assert last["size"] is None                       # converged before its step
+
+    def test_capacity_result_and_failure_carry_the_trace(self):
+        K = ncgraph_from_channel(example4_channel(0.75))
+        res = cap.upsilon_hat(K)
+        assert len(res.trace) == res.iterations
+        with pytest.raises(SolverFailure) as info:
+            cap.upsilon_hat(K, SolverOptions(max_iter=3))
+        last = info.value.solution.trace[-1]
+        assert len(info.value.solution.trace) == 3
+        assert str(info.value).endswith(f"rank {last['rank']}")
+        assert f"path {last['path']}" in str(info.value)
 
 
 class TestPhaseTimes:

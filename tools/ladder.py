@@ -8,7 +8,9 @@ checkout's ``src/``.  ``--out`` solves the ladder and writes, per instance and
 quantity, the value, the iteration count, the status (``optimal``, or the
 status of a ``SolverFailure``) and a sha256 digest of the bits of the value and
 of every witness array (of the dual multiplier matrices, one per equation, for a
-failure).  The ladder is:
+failure), the seconds, and from the solve's trace its Newton ``path`` (``dense``
+or ``core``) and the largest matrix it factored (``factored``: m on the dense
+path, the border on the core path).  The ladder is:
 
 - ``upsilon``, ``upsilon_hat``, ``upsilon_hat_dual`` and ``aram`` on five
   built-in channels and on the random channels of ``verify`` seeds 1..40;
@@ -25,8 +27,9 @@ failure).  The ladder is:
 ``--compare`` exits 1 unless both records hold the same solves, every value
 agrees to 1e-8 relative, the statuses are equal and the iteration counts
 differ by at most 1.  It also reports how many solves are bit-identical (equal
-digests), the largest relative value deviation, and how many solves differ in
-their iteration counts.
+digests), the largest relative value deviation, how many solves differ in
+their iteration counts, and the summed seconds of each record per rung (base,
+``--large``, ``--xl``).
 """
 
 from __future__ import annotations
@@ -79,6 +82,12 @@ def ladder(large: bool, xl: bool):
         yield f"{spec.label()}^2", LARGE, gs.tensor_power(random_graph(spec), 2)
 
 
+def rung(key: str) -> str:
+    """The ladder rung of a solve's key: ``base``, ``large`` or ``xl``."""
+    label = key.rsplit("/", 1)[0]
+    return "xl" if label.endswith("^2") else "large" if label.endswith("xdelta(2)") else "base"
+
+
 def digest(value: float, arrays: dict) -> str:
     """sha256 over the bits of ``value`` and of every array in ``arrays`` (dicts by
     sorted key, lists in order), each with its name, dtype and shape."""
@@ -115,12 +124,16 @@ def record(large: bool, xl: bool) -> dict:
                 row = {"value": res.value, "iterations": res.iterations, "status": res.status,
                        "digest": digest(res.value, {"primal": res.primal_witness,
                                                     "dual": res.dual_witness})}
+                trace = res.trace
             except SolverFailure as exc:
                 sol = exc.solution
                 row = {"value": sol.primal_value, "iterations": sol.iterations,
                        "status": sol.status,
                        "digest": digest(sol.primal_value, {"y": sol.dual_multipliers})}
+                trace = sol.trace
             row["seconds"] = round(time.perf_counter() - t0, 4)
+            row["path"] = trace[0]["path"]
+            row["factored"] = max((r["size"] for r in trace if r["size"] is not None), default=0)
             rows[f"{label}/{q}"] = row
     return rows
 
@@ -172,6 +185,11 @@ def main(argv=None) -> int:
               f"total iterations {iters[0]} vs {iters[1]}")
         print(f"{same} of {len(common)} solves bit-identical; largest relative value "
               f"deviation {deviation:.2e}; {moved} solves with different iteration counts")
+        for name in ("base", "large", "xl"):
+            keys = [k for k in common if rung(k) == name]
+            if keys:
+                secs = [sum(rec[k].get("seconds", 0.0) for k in keys) for rec in (a, b)]
+                print(f"rung {name}: {len(keys)} solves, {secs[0]:.2f} s vs {secs[1]:.2f} s")
         return 1 if problems else 0
 
     sys.path.insert(0, str(ROOT / "src"))
