@@ -517,13 +517,20 @@ def _k16():
     return random_graph(RandomChannelSpec(2, 8, 2, 7))
 
 
+def _lemma2_graph():
+    """delta(2) x delta(3), whose Upsilon-hat `nszcap verify` solves in every lemma-2
+    check: n = 36 and, in real arithmetic, m = 687, above the crossover."""
+    return gs.tensor_graph(delta(2), delta(3))
+
+
 class TestNewtonOracle:
     """The core path solves the Newton system M dy = r that the dense path
     factors: at the NT points of a real solve, its relative residual in M is
     within 100 times the dense path's, plus 1e-12."""
 
-    def test_core_matches_dense_at_nt_points(self, monkeypatch):
-        prob = cap.build_upsilon_problem(_k16(), hat=True)
+    @pytest.mark.parametrize("graph", [_k16, _lemma2_graph], ids=["k16", "lemma2"])
+    def test_core_matches_dense_at_nt_points(self, monkeypatch, graph):
+        prob = cap.build_upsilon_problem(graph(), hat=True)
         data, dtype, b, rows = _preprocess(prob)
         points = []
         reduce, core_solve = _CoreNewton.reduce, _CoreNewton.solve
@@ -570,6 +577,20 @@ class TestNewtonOracle:
         assert sols["dense"].status == sols["core"].status == status
         if status == "optimal":
             assert sols["core"].primal_value == pytest.approx(sols["dense"].primal_value, rel=1e-8)
+
+    def test_lemma2_instance_agrees(self, monkeypatch):
+        # the one solve of `nszcap verify` that takes the core path at the default
+        # crossover; forced onto the dense path, it reaches the same solution
+        prob = cap.build_upsilon_problem(_lemma2_graph(), hat=True)
+        core = solve(prob)
+        _with_path(monkeypatch, "dense")
+        dense = solve(prob)
+        assert {r["path"] for r in core.trace} == {"core"}
+        assert {r["path"] for r in dense.trace} == {"dense"}
+        assert dense.optimal and core.optimal
+        assert core.primal_value == pytest.approx(dense.primal_value, rel=1e-8)
+        assert core.primal_value == pytest.approx(6.0, rel=1e-8)     # lemma 2: 3 x 2
+        assert abs(core.iterations - dense.iterations) <= 1
 
     @pytest.mark.parametrize("graph", ["delta(2)", "amplitude-damping(0.75)", "complex 3->2"])
     @pytest.mark.parametrize("builder", ["upsilon", "upsilon_hat"])
