@@ -32,7 +32,7 @@ from .graphspace import (
     superdense_cq,
     cq_from_states,
 )
-from .sdpsolver import SdpProblem, SdpSolution, SolverOptions, solve, realify
+from .sdpsolver import SdpProblem, SdpSolution, SolverOptions, solve
 from .capacities import (
     CapacityResult,
     upsilon,

@@ -17,17 +17,20 @@ the multipliers past the rank take a zero step.  Each block has one NT
 frame G, with ``X = G diag(lw) G^dag`` and ``G^dag Z G = diag(lw)``: both
 iterates are the same diagonal matrix in the frame, the NT point is
 ``W = G G^dag``, and step lengths and the corrector work elementwise on lw.
-:func:`realify` embeds a Hermitian matrix as a real symmetric one; the test
-suite uses it to cross-check PSD-ness in the real domain.
 
 An :class:`Equation` holds on Herm(p); each of its terms maps one block X
 into Herm(p): :class:`Read` ``scale F^dag X F`` (with ``F = theta^dag`` for an
 isometry theta, an r-dim block reads as ``theta X theta^dag``), :class:`Lift`
 a principal block of X times an identity, or :class:`Map` a small dense map,
-such as a partial trace.  The solver enumerates each equation's rows,
-the entry functionals ``(i, i, re)`` for each i, then ``(i, j, re), (i, j, im)``
-for each i < j, and drops the ``im`` rows when all data is real (an exact
-restriction).  A Read or Lift row reads one scaled real or imaginary entry of
+such as a partial trace; every term maps a stack (..., dim, dim) to a stack
+(..., p, p).  An equation's rows are the entry functionals ``(i, i, re)`` for
+each i, then ``(i, j, re), (i, j, im)`` for each i < j, without the ``im`` rows
+when all data is real (an exact restriction).  One row codec per equation,
+:class:`_Rows`, maps between Herm(p) and its rows: ``read`` takes a stack of
+Hermitian matrices to their row values and ``matrix`` is its inverse, in the
+manner of SDPT3's svec/smat pair (Toh, Todd & Tutuncu 1999).  The right-hand
+side, the dual multiplier matrices and the core path's coordinates all go
+through it.  A Read or Lift row reads one scaled real or imaginary entry of
 ``F^dag X F``; the rows of one (block, frame) pair form an entry family with
 the closed-form Schur block ``M[e, f] = <E_e, Y E_f Y^dag>``,
 ``Y = F^dag W F``: row e is ``Y^dag E_e Y``, two outer products of rows of Y,
@@ -55,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .matrixcore import ValidationError, herm_deviation
+from .matrixcore import HERM_TOL, ValidationError, herm_deviation
 
 PSD = "psd-hermitian"
 
@@ -106,7 +109,9 @@ class Lift:
 
     def apply(self, X, p):
         s = slice(self.at, self.at + p // self.d)
-        return self.scale * np.kron(X[s, s], np.eye(self.d))
+        S = X[..., s, s]
+        lifted = S[..., :, None, :, None] * np.eye(self.d)[:, None, :]   # [a, x, b, y]
+        return self.scale * lifted.reshape(S.shape[:-2] + (p, p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +133,8 @@ class Map:
 
     def apply(self, X, p):
         if np.ndim(self.T) == 3:
-            return np.diag(np.einsum("xab,ab->x", np.conj(self.T), X))
-        return np.einsum("xyab,ab->xy", np.conj(self.T), X)
+            return np.einsum("xab,...ab->...x", np.conj(self.T), X)[..., None] * np.eye(p)
+        return np.einsum("xyab,...ab->...xy", np.conj(self.T), X)
 
 
 class Equation(NamedTuple):
@@ -152,13 +157,41 @@ def _data(problem):
             if A is not None]
 
 
-def _rows(p: int, real: bool):
-    """The rows of an equation on Herm(p) in canonical order, as arrays (i, j, im)."""
-    iu, ju = np.triu_indices(p, 1)
-    n, diag = 1 if real else 2, np.arange(p)
-    im = np.zeros(p + n * len(iu), bool)
-    im[p + 1::2] = not real                 # (i, j, re), (i, j, im) alternate past the diagonal
-    return np.concatenate([diag, np.repeat(iu, n)]), np.concatenate([diag, np.repeat(ju, n)]), im
+class _Rows:
+    """The rows of an equation on Herm(p), with ids ``k`` from ``start``, in canonical
+    order: row e is ``<E_e, H>``, Re (``im[e]`` False) or Im of ``H[i[e], j[e]]``,
+    the diagonal rows first.  :meth:`read` and :meth:`matrix` are inverse to each
+    other on Herm(p) (real: on Sym(p)).  ``norm2`` is ``<E_e, E_e>``, 1 on the
+    diagonal and 1/2 past it, so ``sum_e y_e E_e`` is ``matrix(norm2 * y)``."""
+
+    def __init__(self, p: int, real: bool, start: int = 0):
+        iu, ju = np.triu_indices(p, 1)
+        n, diag = 1 if real else 2, np.arange(p)
+        self.p, self.real = p, real
+        self.i = np.concatenate([diag, np.repeat(iu, n)])
+        self.j = np.concatenate([diag, np.repeat(ju, n)])
+        self.im = np.zeros(len(self.i), bool)
+        self.im[p + 1::2] = not real        # (i, j, re), (i, j, im) alternate past the diagonal
+        self.k = start + np.arange(len(self.i))
+        self.norm2 = np.where(self.i == self.j, 1.0, 0.5)
+
+    def __len__(self):
+        return len(self.i)
+
+    def read(self, Y):
+        """The rows' values at Hermitian matrices Y (..., p, p)."""
+        E = Y[..., self.i, self.j]
+        return np.where(self.im, E.imag, E.real)
+
+    def matrix(self, v):
+        """The Hermitian matrices (..., p, p) whose rows read v (..., len)."""
+        p, i, j = self.p, self.i[self.p:], self.j[self.p:]
+        h = v if self.real else np.where(self.im, 1j * v, v)
+        Y = np.zeros(np.shape(v)[:-1] + (p, p), dtype=h.dtype)
+        Y[..., self.i[:p], self.i[:p]] = v[..., :p]
+        np.add.at(Y, (..., i, j), h[..., p:])
+        np.add.at(Y, (..., j, i), np.conj(h[..., p:]))
+        return Y
 
 
 @dataclass
@@ -181,24 +214,9 @@ class SdpProblem:
         real = self.real
         return sum(len(r) * (len(r) + 1) // 2 if real else len(r) ** 2 for _, r in self.constraints)
 
-    def validate(self, herm_tol: float = 1e-10):
-        """The checks of :func:`solve`, then shapes and Hermiticity of the
-        objective, the right-hand sides and every dense coefficient."""
-        data = _preprocess(self)[0]
-        for b, C in zip(self.blocks, self.objective):
-            if C is None:
-                continue
-            A = np.asarray(C)
-            if A.shape != (b.dim, b.dim):
-                raise ValidationError("objective block shape mismatch")
-            if herm_deviation(A) > herm_tol:
-                raise ValidationError("objective block is not Hermitian")
-        for k, (_, rhs) in enumerate(self.constraints):
-            if herm_deviation(np.asarray(rhs)) > herm_tol:
-                raise ValidationError(f"equation {k}: rhs is not Hermitian")
-        for d in data:
-            if np.abs(d.dA - np.conj(d.dA).transpose(0, 2, 1)).max(initial=0) > herm_tol:
-                raise ValidationError("a dense coefficient is not Hermitian")
+    def validate(self):
+        """The checks of :func:`solve`: raise :class:`ValidationError` on malformed data."""
+        _preprocess(self)
 
 
 @dataclass
@@ -248,22 +266,6 @@ class SolverFailure(RuntimeError):
     def __init__(self, message, solution=None):
         super().__init__(message)
         self.solution = solution
-
-
-def realify(H) -> np.ndarray:
-    """Embed a Hermitian matrix as ``[[Re H, -Im H], [Im H, Re H]]``.
-
-    The image is real symmetric with each eigenvalue of ``H`` doubled in
-    multiplicity, so positive semidefiniteness is preserved both ways;
-    traces double and ``<realify(A), realify(B)> = 2 Re <A, B>``.
-    """
-    A = np.asarray(H, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError("realify expects a square matrix")
-    if herm_deviation(A) > 1e-10:
-        raise ValidationError("realify expects a Hermitian matrix")
-    re, im = A.real, A.imag
-    return np.block([[re, -im], [im, re]])
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +450,6 @@ _CORE_MIN_ROWS = 300
 _CORE_TAU = 1e-1
 
 
-def _herm_basis(d, real):
-    """An orthonormal basis of Herm(d) (real: of Sym(d)), as a (d^2, d, d) stack."""
-    i, j, im = _rows(d, real)
-    v = np.where(i == j, 1.0, math.sqrt(0.5)) * np.where(im, 1j, 1.0)
-    Z = np.zeros((len(i), d, d), dtype=float if real else complex)
-    e = np.arange(len(i))
-    Z[e, i, j] = v.real if real else v
-    Z[e, j, i] = v.real if real else np.conj(v)
-    return Z
-
-
 class _CoreNewton:
     """The Newton solve of a program with a core equation, without the m x m M.
 
@@ -487,14 +478,15 @@ class _CoreNewton:
     iterations on delta(2))."""
 
     @classmethod
-    def find(cls, problem, rows, m, dtype):
-        """The program's core path, or None: m is below ``_CORE_MIN_ROWS`` or no
-        equation has the structure above."""
+    def find(cls, problem, data, rows):
+        """The program's core path, or None: it has fewer than ``_CORE_MIN_ROWS``
+        rows or no equation has the structure above."""
+        m = sum(map(len, rows))
         if m < _CORE_MIN_ROWS:
             return None
         eqs = problem.constraints
         for c, (terms, _) in enumerate(eqs):
-            if 2 * len(rows[c][1]) <= m:
+            if 2 * len(rows[c]) <= m:
                 continue
             reads = [bi for bi, t in terms.items() if isinstance(t, Read)]
             u = next((bi for bi in reads if terms[bi].frame is None), None)
@@ -502,67 +494,56 @@ class _CoreNewton:
             elsewhere = {bi for k, (ts, _) in enumerate(eqs) if k != c for bi in ts}
             if u is None or len(reads) != 1 or (terms.keys() - {u}) & elsewhere:
                 return None
-            return cls(problem, rows, c, u, reads[0], dtype)
+            return cls(problem, data, rows, c, u, reads[0], elsewhere)
         return None
 
-    def __init__(self, problem, rows, c, u, w, dtype):
+    def __init__(self, problem, data, rows, c, u, w, elsewhere):
         terms = problem.constraints[c].terms
-        self.real = real = dtype == np.float64
-        self.p, self.i, self.j, self.im = rows[c]
-        self.wt2 = np.where(self.i == self.j, 1.0, 2.0)     # 1 / <E_e, E_e>
-        self.wt = np.sqrt(self.wt2)
+        self.rows = rows[c]
+        self.wt = np.sqrt(1.0 / self.rows.norm2)      # wt_e E_e is an orthonormal basis
         self.u, self.su = u, terms[u].scale
         self.w, self.read_w = w, Read(terms[w].frame, abs(terms[w].scale))
-        self.low = [(bi, t, _herm_basis(problem.blocks[bi].dim, real))
-                    for bi, t in terms.items() if bi not in (u, w)]
-        ends = np.cumsum([len(r[1]) for r in rows])
-        starts = ends - [len(r[1]) for r in rows]
-        self.core = np.arange(starts[c], ends[c])
-        self.other = np.concatenate([np.arange(starts[k], ends[k]) for k in range(len(rows))
-                                     if k != c] + [np.zeros(0, dtype=np.intp)])
-        others = [e for k, e in enumerate(problem.constraints) if k != c]
-        self.sub = _preprocess(SdpProblem(problem.blocks, problem.objective, others), real)[0]
-        m1 = len(self.other)
-        self.Au = np.zeros((m1, self.p, self.p), dtype=dtype)   # the other rows' coefficients on u
-        for f in range(m1):
-            acc = np.zeros((self.p, self.p), dtype=dtype)
-            self.sub[u].scatter(np.eye(1, m1, f)[0], acc)
-            self.Au[f] = _herm(acc)
-        self.m = len(self.core) + m1
-
-    def read(self, Y):
-        """The core rows' values at Hermitian matrices Y (..., p, p)."""
-        E = Y[..., self.i, self.j]
-        return np.where(self.im, E.imag, E.real)
-
-    def coords(self, Y):
-        """Orthonormal coordinates of Hermitian matrices Y (..., p, p)."""
-        return self.wt * self.read(Y)
-
-    def matrix(self, x):
-        """The Hermitian matrix with orthonormal coordinates x."""
-        return _multipliers([(self.p, self.i, self.j, self.im)], self.wt * x, self.real)[0]
+        self.low = []
+        for bi, t in terms.items():
+            if bi not in (u, w):
+                basis = _Rows(problem.blocks[bi].dim, self.rows.real)
+                self.low.append((bi, t, basis.matrix(np.diag(np.sqrt(basis.norm2)))))
+        self.other = np.concatenate([r.k for k, r in enumerate(rows) if k != c]
+                                    + [np.zeros(0, dtype=np.intp)])
+        self.m = len(self.rows) + len(self.other)
+        # the other rows' coefficient stack A_b on each block b they touch (and on
+        # u, where it may be zero), read once from the program's data by scattering
+        # unit vectors
+        self.A = {}
+        for bi in sorted(elsewhere | {u}):
+            self.A[bi] = A = np.zeros((len(self.other),) + data[bi].C.shape, data[bi].C.dtype)
+            for f, k in enumerate(self.other):
+                acc = np.zeros_like(A[f])
+                data[bi].scatter(np.eye(1, self.m, k)[0], acc)
+                A[f] = _herm(acc)
 
     def reduce(self, Ws, Gs):
         """Frame and closed-form elimination at the NT points ``W_b = G_b G_b^dag``;
         returns the Jacobi-scaled border matrix."""
-        p = self.p
+        p, rows, wt = self.rows.p, self.rows, self.wt
         A = abs(self.su) * Ws[self.u]
         B = self.read_w.apply(Ws[self.w], p)
         _, F = sla.eigh(B, A + B)
         Fh = np.conj(F).T
         a, b = (np.diagonal(Fh @ X @ F).real for X in (A, B))
-        den = (np.outer(a, a) + np.outer(b, b))[self.i, self.j]
+        den = (np.outer(a, a) + np.outer(b, b))[rows.i, rows.j]
         self.F, self.E = F, den >= _CORE_TAU * den.max()
         K = ~self.E
-        cols = [t.apply(Gs[bi] @ Z @ np.conj(Gs[bi]).T, p)
-                for bi, t, basis in self.low for Z in basis]
-        V = self.coords(Fh @ np.reshape(cols, (-1, p, p)) @ F).T          # (N, k)
-        FW = Fh @ Ws[self.u]
-        C = self.coords(self.su * (FW @ self.Au @ np.conj(FW).T)).T       # (N, m1)
+        cols = np.concatenate([np.zeros((0, p, p))] + [
+            t.apply(Gs[bi] @ Z @ np.conj(Gs[bi]).T, p) for bi, t, Z in self.low])
+        V = (wt * rows.read(Fh @ cols @ F)).T                              # (N, k)
+        # D_b = W_b A_b W_b: the cross columns <E_e, s_u W_u A_f W_u>, and M11, the
+        # other rows' block of M, sum_b <A_b,f, D_b,g>
+        D = {bi: Ws[bi] @ Ab @ Ws[bi] for bi, Ab in self.A.items()}
+        C = (wt * (self.su * rows.read(Fh @ D[self.u] @ F))).T             # (N, m1)
         M11 = np.zeros((len(self.other),) * 2)
-        for d, W in zip(self.sub, Ws):
-            d.schur(W, M11)
+        for bi, Ab in self.A.items():
+            M11 += _flat(Ab) @ _flat(D[bi]).T
         # eliminate E: with V~ = D_E^-1/2 V_E, C- = D_E^-1/2 C_E and the capacitance
         # 1 + V~^T V~ = L L^T, the border is [[D_K + P P^T, C_K - P Q], [., M11 - C-^T C- + Q^T Q]]
         # for P = V_K L^-T and Q = L^-1 V~^T C-
@@ -590,8 +571,8 @@ class _CoreNewton:
 
     def _border_rhs(self, r):
         """The eliminated coordinates' scaled rhs g, and the scaled border rhs."""
-        R = self.matrix(self.wt * r[self.core])                 # the rows' values are r
-        rho = self.coords(np.conj(self.F).T @ R @ self.F)
+        R = self.rows.matrix(r[self.rows.k])
+        rho = self.wt * self.rows.read(np.conj(self.F).T @ R @ self.F)
         g = rho[self.E] / self.sD
         v = sla.solve_triangular(self.L, self.Vt.T @ g, lower=True, check_finite=False)
         rb = np.concatenate([rho[~self.E] - self.P @ v,
@@ -608,9 +589,9 @@ class _CoreNewton:
         x = np.empty(len(self.E))
         x[self.E] = (g - self.Vt @ sla.cho_solve((self.L, True), self.Vt.T @ g)) / self.sD
         x[~self.E] = xK
-        Y = self.F @ self.matrix(x) @ np.conj(self.F).T
+        Y = self.F @ self.rows.matrix(x / self.wt) @ np.conj(self.F).T
         dy = np.zeros(self.m)
-        dy[self.core] = self.wt2 * self.read(Y)
+        dy[self.rows.k] = self.rows.read(Y) / self.rows.norm2        # Y = sum_e dy_e E_e
         dy[self.other] = y1
         return dy
 
@@ -619,13 +600,14 @@ class _CoreNewton:
         return self.chol.residue(self._border_rhs(r)[1]) / self.jac[self.chol.dropped]
 
 
-def _map_rows(t, i, j, im, real):
+def _map_rows(t, rows):
     """The rows that a Map term touches, and their dense coefficients."""
+    i, j, im = rows.i, rows.j, rows.im
     if t.T.ndim == 3:
         return i == j, t.T[i[i == j]]
     # u T[i, j] + conj(u) T[j, i] for u = conj(weight) / 2: a float on the re rows
     A = 0.5 * t.T[i, j] + 0.5 * t.T[j, i]
-    if not real:
+    if not rows.real:
         A = A.astype(complex)
         A[im] = 0.5j * t.T[i[im], j[im]] + np.conj(0.5j) * t.T[j[im], i[im]]
     return slice(None), A
@@ -648,14 +630,18 @@ def _check_term(k, t, dim, p):
         raise ValidationError(f"equation {k}: non-finite scale")
 
 
-def _preprocess(problem: SdpProblem, real: bool | None = None):
-    """Check the program's data, in time linear in it; enumerate each equation's rows
-    and sort them into per-block entry families and dense data, in real arithmetic
-    when ``real`` (by default: when all data is real).  Returns the block data, the
-    working dtype, the rows' right-hand side b, and each equation's rows."""
+def _preprocess(problem: SdpProblem):
+    """Check the program's data, in time linear in it: shapes, finiteness, and
+    Hermiticity to ``HERM_TOL``.  Enumerate each equation's rows and sort them
+    into per-block entry families and dense data, in real arithmetic when all data
+    is real.  Returns the block data, the working dtype, the rows' right-hand side
+    b, and each equation's :class:`_Rows`."""
     blocks = problem.blocks
     if len(problem.objective) != len(blocks):
         raise ValidationError(f"{len(problem.objective)} objectives for {len(blocks)} blocks")
+    for blk, C in zip(blocks, problem.objective):
+        if C is not None and np.shape(C) != (blk.dim, blk.dim):
+            raise ValidationError(f"objective block of shape {np.shape(C)} for dimension {blk.dim}")
     valid = set(range(len(blocks)))
     for k, (terms, rhs) in enumerate(problem.constraints):
         if np.ndim(rhs) != 2 or np.shape(rhs)[0] != np.shape(rhs)[1]:
@@ -667,27 +653,29 @@ def _preprocess(problem: SdpProblem, real: bool | None = None):
     arrays = _data(problem)
     if not all(np.all(np.isfinite(A)) for A in arrays):
         raise ValidationError("non-finite objective, rhs, frame or map tensor")
-    if real is None:
-        real = not any(map(_has_imag, arrays))
+    if any(herm_deviation(C) > HERM_TOL for C in problem.objective if C is not None):
+        raise ValidationError("objective block is not Hermitian")
+    for k, (_, rhs) in enumerate(problem.constraints):
+        if herm_deviation(rhs) > HERM_TOL:
+            raise ValidationError(f"equation {k}: rhs is not Hermitian")
+    real = not any(map(_has_imag, arrays))
     dtype = np.float64 if real else np.complex128
 
     families = [[] for _ in blocks]     # per block: [k, i, j, c, frame, width] lists
     dense = [[] for _ in blocks]        # per block: (k, coefficients) arrays
     rows, b, k0 = [], [], 0
     for terms, rhs in problem.constraints:
-        p = len(rhs)
-        i, j, im = _rows(p, real)
-        k = k0 + np.arange(len(i))
-        rows.append((p, i, j, im))
-        R = np.asarray(rhs)[i, j]
-        b.append(np.where(im, R.imag, R.real) + 0.0)   # + 0.0: no negative zeros
-        k0 += len(i)
+        r = _Rows(len(rhs), real, k0)
+        rows.append(r)
+        k0 += len(r)
+        b.append(r.read(np.asarray(rhs)) + 0.0)     # + 0.0: no negative zeros
+        i, j, k = r.i, r.j, r.k
         for bi, t in terms.items():
             if isinstance(t, Map):
-                touched, A = _map_rows(t, i, j, im, real)
+                touched, A = _map_rows(t, r)
                 dense[bi].append((k[touched], A))
                 continue
-            c = np.where(im, -1j * t.scale, t.scale)
+            c = np.where(r.im, -1j * t.scale, t.scale)
             if isinstance(t, Lift):
                 sel = i % t.d == j % t.d
                 entries = [k[sel], t.at + i[sel] // t.d, t.at + j[sel] // t.d, c[sel]]
@@ -697,7 +685,7 @@ def _preprocess(problem: SdpProblem, real: bool | None = None):
             frame = t.frame if isinstance(t, Read) else None
             fam = next((f for f in families[bi] if frame is None and f[4] is None), None)
             if fam is None:
-                fam = [[], [], [], [], frame, blocks[bi].dim if frame is None else p]
+                fam = [[], [], [], [], frame, blocks[bi].dim if frame is None else len(rhs)]
                 families[bi].append(fam)
             for acc, new in zip(fam, entries):
                 acc.append(new)
@@ -709,24 +697,11 @@ def _preprocess(problem: SdpProblem, real: bool | None = None):
         if ds:
             d.dk = np.concatenate([k for k, _ in ds])
             d.dA = _cast(np.concatenate([A for _, A in ds]), dtype)
+            if np.abs(d.dA - np.conj(d.dA).transpose(0, 2, 1)).max(initial=0) > HERM_TOL:
+                raise ValidationError("a dense coefficient is not Hermitian")
         d.families = [_EntryFamily(*map(np.concatenate, f[:4]), *f[4:], dtype) for f in fams]
         data.append(d)
     return data, dtype, np.concatenate(b) if b else np.zeros(0), rows
-
-
-def _multipliers(rows, y, real):
-    """One Hermitian matrix per equation, ``sum_e y_e E_e`` over its rows."""
-    out, k0 = [], 0
-    for p, i, j, im in rows:
-        v, k0 = y[k0:k0 + len(i)], k0 + len(i)
-        h = 0.5 * v if real else np.where(im, 0.5j * v, 0.5 * v)
-        d, off = i == j, i != j
-        Y = np.zeros((p, p), dtype=h.dtype)
-        Y[i[d], i[d]] = v[d]
-        np.add.at(Y, (i[off], j[off]), h[off])
-        np.add.at(Y, (j[off], i[off]), np.conj(h[off]))
-        out.append(Y)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +765,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
     norm_C = np.sqrt(sum(float(np.linalg.norm(d.C) ** 2) for d in data))
     eta = 1.0 + float(np.abs(b).max(initial=0.0))
 
-    core = _CoreNewton.find(problem, rows, m, dtype)
+    core = _CoreNewton.find(problem, data, rows)
     path = "dense" if core is None else "core"
     X = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
     Z = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
@@ -980,7 +955,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         primal_value=pobj,
         dual_value=dobj,
         primal_blocks=Xb,
-        dual_multipliers=_multipliers(rows, yb, dtype == np.float64),
+        dual_multipliers=[r.matrix(r.norm2 * yb[r.k]) for r in rows],
         dual_slacks=Zb,
         gap=relgap,
         iterations=it,

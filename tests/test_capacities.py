@@ -15,7 +15,7 @@ from nszcap.sdpsolver import (
     Map,
     _map_rows,
     _preprocess,
-    _rows,
+    _Rows,
     solve,
 )
 from nszcap.theoremsuite import (
@@ -134,8 +134,8 @@ def _random_herm(rng, n, real):
 
 def _row_values(M, real):
     """Re/Im of the entries of M that the rows of an equation on Herm(len(M)) read."""
-    i, j, im = _rows(len(M), real)
-    return np.where(im, M[i, j].imag, M[i, j].real)
+    rows = _Rows(len(M), real)
+    return np.where(rows.im, M[rows.i, rows.j].imag, M[rows.i, rows.j].real)
 
 
 class TestCoefficientHelpers:
@@ -150,7 +150,7 @@ class TestCoefficientHelpers:
                                     partial_trace(U, dA, dB, "first")),
                                    (V, Map.partial_trace(dB, dA, first=False), dA,
                                     partial_trace(V, dA, dB, "second"))):
-            _, A = _map_rows(term, *_rows(p, real), real)
+            _, A = _map_rows(term, _Rows(p, real))
             assert_allclose([np.vdot(a, X).real for a in A], _row_values(traced, real),
                             atol=1e-12)
             assert_allclose(term.apply(X, p), traced, atol=1e-12)

@@ -23,46 +23,14 @@ from nszcap.sdpsolver import (
     SolverOptions,
     _CoreNewton,
     _herm,
-    _multipliers,
     _nt_frame,
     _Pivoted,
     _preprocess,
-    _rows,
+    _Rows,
     constraint_residuals,
-    realify,
     solve,
 )
 from nszcap.theoremsuite import RandomChannelSpec, random_cq_graph, random_graph
-
-
-class TestRealify:
-    def test_identity(self):
-        assert_allclose(realify(np.eye(2)), np.eye(4))
-
-    def test_pauli_y_spectrum(self):
-        Y = np.array([[0, -1j], [1j, 0]])
-        R = realify(Y)
-        assert R.shape == (4, 4)
-        assert_allclose(np.linalg.eigvalsh(R), [-1, -1, 1, 1], atol=1e-12)
-
-    def test_preserves_positivity(self):
-        rng = np.random.default_rng(0)
-        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        H = G @ G.conj().T
-        assert np.linalg.eigvalsh(realify(H))[0] >= -1e-12
-
-    def test_trace_and_inner_product_double(self):
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        A = A + A.conj().T
-        B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        B = B + B.conj().T
-        assert np.trace(realify(A)) == pytest.approx(2 * np.trace(A).real)
-        assert np.vdot(realify(A), realify(B)) == pytest.approx(2 * np.vdot(A, B).real)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            realify(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def _pd(rng, n, complex_, eigs):
@@ -141,19 +109,26 @@ def _unit(p, i, j, kind):
     return E
 
 
+def _random_herm(rng, n, real, stack=()):
+    M = rng.standard_normal((*stack, n, n))
+    if not real:
+        M = M + 1j * rng.standard_normal((*stack, n, n))
+    return M + np.swapaxes(M.conj(), -1, -2)
+
+
 class TestEntryHelpers:
     @pytest.mark.parametrize("real", [False, True])
     def test_functionals_read_entries(self, real):
         rng = np.random.default_rng(2)
-        M = rng.standard_normal((3, 3))
-        if not real:
-            M = M + 1j * rng.standard_normal((3, 3))
-        M = M + M.conj().T
-        i, j, im = _rows(3, real)
-        assert list(zip(i, j, np.where(im, "im", "re"))) == _entries(3, real)
-        for a, b, kind in _entries(3, real):
+        M = _random_herm(rng, 3, real)
+        rows = _Rows(3, real)
+        assert list(zip(rows.i, rows.j, np.where(rows.im, "im", "re"))) == _entries(3, real)
+        for (a, b, kind), value in zip(_entries(3, real), rows.read(M)):
             want = M[a, b].imag if kind == "im" else M[a, b].real
             assert np.vdot(_unit(3, a, b, kind), M).real == pytest.approx(want, abs=1e-12)
+            assert value == want
+        assert_allclose(rows.norm2, [np.vdot(_unit(3, *e), _unit(3, *e)).real
+                                     for e in _entries(3, real)])
 
     @pytest.mark.parametrize("real", [False, True])
     def test_assembly_matches_dense_sum(self, real):
@@ -161,8 +136,58 @@ class TestEntryHelpers:
         rng = np.random.default_rng(22)
         vals = rng.standard_normal(len(_entries(3, real)))
         expected = sum(v * _unit(3, *e) for v, e in zip(vals, _entries(3, real)))
-        assert_allclose(_multipliers([(3, *_rows(3, real))], vals, real)[0], expected,
-                        atol=1e-12)
+        rows = _Rows(3, real)
+        assert_allclose(rows.matrix(rows.norm2 * vals), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matrix_inverts_read(self, real):
+        # on a stack: matrix(read(Y)) = Y for Hermitian (real: symmetric) Y, and
+        # read(matrix(v)) = v for any row values v
+        rng = np.random.default_rng(23)
+        Y = _random_herm(rng, 4, real, stack=(2, 3))
+        rows = _Rows(4, real, start=5)
+        assert np.array_equal(rows.matrix(rows.read(Y)), Y)
+        v = rng.standard_normal((3, len(rows)))
+        assert np.array_equal(rows.read(rows.matrix(v)), v)
+        assert np.iscomplexobj(rows.matrix(v)) != real
+        assert list(rows.k) == list(range(5, 5 + len(rows)))
+
+
+def _stack_cases():
+    rng = np.random.default_rng(24)
+    frame = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    diagonal = _random_herm(rng, 3, False, stack=(2,))
+    return {
+        "read": (Read(scale=-2.0), 3, 3),
+        "read framed": (Read(frame, 0.5), 4, 2),
+        "lift at 1": (Lift(2, -1.5, at=1), 4, 4),
+        "map partial trace": (Map.partial_trace(2, 3), 6, 3),
+        "map diagonal": (Map(diagonal), 3, 2),
+    }
+
+
+class TestBatchedTerms:
+    """Every term maps a stack of blocks (..., dim, dim) to the stack of its images."""
+
+    @pytest.mark.parametrize("case", sorted(_stack_cases()))
+    def test_stack_is_stack_of_applies(self, case):
+        term, dim, p = _stack_cases()[case]
+        X = _random_herm(np.random.default_rng(25), dim, False, stack=(2, 3))
+        H = term.apply(X, p)
+        assert H.shape == (2, 3, p, p)
+        for idx in np.ndindex(2, 3):
+            assert_allclose(H[idx], term.apply(X[idx], p), rtol=1e-14, atol=1e-14)
+
+    def test_lift_is_kron(self):
+        X = _random_herm(np.random.default_rng(26), 4, False)
+        want = -1.5 * np.kron(X[1:3, 1:3], np.eye(2))
+        assert np.array_equal(Lift(2, -1.5, at=1).apply(X, 4), want)
+
+    def test_diagonal_map_is_diagonal(self):
+        term, _, p = _stack_cases()["map diagonal"]
+        X = _random_herm(np.random.default_rng(27), 3, False)
+        want = np.diag([np.vdot(T, X) for T in term.T])
+        assert_allclose(term.apply(X, p), want, rtol=1e-14, atol=1e-14)
 
 
 def _lp(c, rows):
@@ -339,6 +364,14 @@ def _bad_program(case):
         rows[1] = Equation({0: Map(np.ones((1, 2, 2, 2)))}, 2 * np.eye(1))
     elif case == "trace of the wrong dimension":
         rows[1] = Equation({0: Map.partial_trace(3, 1)}, 2 * np.eye(1))
+    elif case == "objective larger than the block":
+        objective = [np.eye(3)]
+    elif case == "objective a row":
+        objective = [np.ones((1, 4))]
+    elif case == "non-Hermitian rhs":
+        rows[0] = Equation({0: Read()}, np.array([[1.0, 0.5], [0.0, 1.0]]))
+    elif case == "non-Hermitian objective":
+        objective = [np.array([[1.0, 1.0], [0.0, 1.0]])]
     return SdpProblem([Block(PSD, 2)], objective, rows)
 
 
@@ -349,7 +382,9 @@ class TestMalformedPrograms:
              "nan frame", "frame rows differ from the block", "block index past the end",
              "negative block index",
              "short objective list", "negative entry index", "entry index past the frame",
-             "rhs not square", "map of the wrong shape", "trace of the wrong dimension"]
+             "rhs not square", "map of the wrong shape", "trace of the wrong dimension",
+             "objective larger than the block", "objective a row", "non-Hermitian rhs",
+             "non-Hermitian objective"]
 
     def test_well_formed_program_solves(self):
         sol = solve(_bad_program("none"))
@@ -531,7 +566,7 @@ class TestNewtonOracle:
     @pytest.mark.parametrize("graph", [_k16, _lemma2_graph], ids=["k16", "lemma2"])
     def test_core_matches_dense_at_nt_points(self, monkeypatch, graph):
         prob = cap.build_upsilon_problem(graph(), hat=True)
-        data, dtype, b, rows = _preprocess(prob)
+        data, _, b, rows = _preprocess(prob)
         points = []
         reduce, core_solve = _CoreNewton.reduce, _CoreNewton.solve
 
@@ -550,7 +585,7 @@ class TestNewtonOracle:
         assert sol.optimal and {r["path"] for r in sol.trace} == {"core"}
         assert len(points) == sol.iterations - 1           # endgame included
 
-        core = _CoreNewton.find(prob, rows, len(b), dtype)
+        core = _CoreNewton.find(prob, data, rows)
         for Ws, Gs, rhs in points:
             M = np.zeros((len(b),) * 2)
             for d, W in zip(data, Ws):
@@ -619,9 +654,9 @@ class TestCoreRule:
     ])
     def test_nc_builders(self, monkeypatch, builder, qualifies):
         prob = _NC_BUILDERS[builder](_k16())
-        data, dtype, b, rows = _preprocess(prob)
+        data, _, _, rows = _preprocess(prob)
         _with_path(monkeypatch, "core")
-        assert (_CoreNewton.find(prob, rows, len(b), dtype) is not None) == qualifies
+        assert (_CoreNewton.find(prob, data, rows) is not None) == qualifies
 
     @pytest.mark.parametrize("variant", ["upsilon", "hat", "aram"])
     def test_cq_builders(self, monkeypatch, variant):
@@ -629,8 +664,8 @@ class TestCoreRule:
         # coupling equations, and aram's has no second Read
         _with_path(monkeypatch, "core")
         prob = cap.build_cq_problem(random_cq_graph(1), variant)
-        data, dtype, b, rows = _preprocess(prob)
-        assert _CoreNewton.find(prob, rows, len(b), dtype) is None
+        data, _, _, rows = _preprocess(prob)
+        assert _CoreNewton.find(prob, data, rows) is None
 
 
 class TestTrace:

@@ -27,9 +27,10 @@ path, the border on the core path).  The ladder is:
 ``--compare`` exits 1 unless both records hold the same solves, every value
 agrees to 1e-8 relative, the statuses are equal and the iteration counts
 differ by at most 1.  It also reports how many solves are bit-identical (equal
-digests), the largest relative value deviation, how many solves differ in
-their iteration counts, and the summed seconds of each record per rung (base,
-``--large``, ``--xl``).
+digests), in all and per Newton path (``dense/core`` where the two records
+took different paths), the largest relative value deviation, how many solves
+differ in their iteration counts, and the summed seconds of each record per
+rung (base, ``--large``, ``--xl``).
 """
 
 from __future__ import annotations
@@ -177,14 +178,22 @@ def main(argv=None) -> int:
             print(line)
         iters = [sum(r["iterations"] for r in rec.values()) for rec in (a, b)]
         common = a.keys() & b.keys()
-        same = sum(a[k].get("digest") is not None and a[k].get("digest") == b[k].get("digest")
-                   for k in common)
+
+        def identical(k):
+            return a[k].get("digest") is not None and a[k].get("digest") == b[k].get("digest")
+
+        same = sum(map(identical, common))
         deviation = max((relative_deviation(a[k], b[k]) for k in common), default=0.0)
         moved = sum(a[k]["iterations"] != b[k]["iterations"] for k in common)
         print(f"{len(common)} common solves, {len(problems)} disagreements, "
               f"total iterations {iters[0]} vs {iters[1]}")
         print(f"{same} of {len(common)} solves bit-identical; largest relative value "
               f"deviation {deviation:.2e}; {moved} solves with different iteration counts")
+        paths = {k: "/".join(dict.fromkeys(rec[k].get("path", "?") for rec in (a, b)))
+                 for k in common}
+        for path in sorted(set(paths.values())):
+            keys = [k for k in common if paths[k] == path]
+            print(f"path {path}: {sum(map(identical, keys))} of {len(keys)} solves bit-identical")
         for name in ("base", "large", "xl"):
             keys = [k for k in common if rung(k) == name]
             if keys:
