@@ -36,6 +36,7 @@ from .sdpsolver import (
     SdpSolution,
     SolverFailure,
     SolverOptions,
+    Trace,
     solve,
 )
 
@@ -125,8 +126,8 @@ def build_upsilon_problem(K: NCGraph, hat: bool) -> SdpProblem:
     condition <P, W> = 0 together with W >= 0 forces W onto ker(P), so W is
     an r-dim block on ker(P), read through the frame theta^dag; this keeps the
     program strictly feasible, which the pinned formulation is not.  The
-    equations are ``U + theta W theta^dag - S (x) 1_B = 0`` and
-    ``tr_A U + Y = 1_B`` (without Y for the one-shot program).
+    equations are ``tr_A U + Y = 1_B`` (without Y for the one-shot program)
+    and, last, ``U + theta W theta^dag - S (x) 1_B = 0``.
     """
     n, dA, dB = K.dim, K.d_A, K.d_B
     theta = _support_complement_basis(K.P_AB, _graph_is_real(K.P_AB))
@@ -136,12 +137,12 @@ def build_upsilon_problem(K: NCGraph, hat: bool) -> SdpProblem:
     if r:
         blocks.append(Block(PSD, r))
         coupling[2] = Read(theta.conj().T)
-    marginal = {1: Map.partial_trace(dA, dB)}
+    marginal = {1: Trace(dA)}
     if hat:
         blocks.append(Block(PSD, dB))
         marginal[len(blocks) - 1] = Read()
     objective = [np.eye(dA)] + [None] * (len(blocks) - 1)
-    constraints = [Equation(coupling, np.zeros((n, n))), Equation(marginal, np.eye(dB))]
+    constraints = [Equation(marginal, np.eye(dB)), Equation(coupling, np.zeros((n, n)))]
     return SdpProblem(blocks, objective, constraints, name="upsilon_hat" if hat else "upsilon")
 
 
@@ -150,7 +151,7 @@ def _upsilon_result(K: NCGraph, hat: bool, opts) -> CapacityResult:
     sol = _run(build_upsilon_problem(K, hat), opts, quantity)
     primal = {"S_A": np.asarray(sol.primal_blocks[0]),
               "U_AB": np.asarray(sol.primal_blocks[1])}
-    V, T = sol.dual_multipliers
+    T, V = sol.dual_multipliers
     return CapacityResult(quantity, sol.primal_value, primal, {"T_B": T, "V_AB": -V},
                           sol.gap, sol.status, sol.iterations, sol.trace)
 
@@ -179,8 +180,8 @@ def build_upsilon_hat_dual_problem(K: NCGraph) -> SdpProblem:
     r = theta.shape[1]
     blocks = [Block(PSD, dB), Block(PSD, n), Block(PSD, dA)]
     objective = [-np.eye(dB)] + [None] * (2 + bool(r))
-    trace = Map(np.broadcast_to(-np.eye(dB), (dA, dB, dB)))      # T -> -tr(T) 1_A
-    constraints = [Equation({2: Read(), 1: Map.partial_trace(dB, dA, first=False), 0: trace},
+    trace = Map(-np.eye(dA)[:, :, None, None] * np.eye(dB))      # T -> -tr(T) 1_A
+    constraints = [Equation({2: Read(), 1: Trace(dB, first=False), 0: trace},
                             -np.eye(dA))]                     # blocks T, Y1, y2, Y3 (if r)
     if r:
         blocks.append(Block(PSD, r))

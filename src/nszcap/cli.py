@@ -108,10 +108,10 @@ def _matrix_to_pairs(M) -> list:
 
 
 def _number(value, what: str, integer: bool = False):
-    """A float; with ``integer``, a positive integer (a fraction is an error)."""
+    """A float; with ``integer``, a positive integer (a fraction or a bool is an error)."""
     try:
         x = float(value)
-        if integer and not (x.is_integer() and x >= 1):
+        if isinstance(value, bool) or integer and not (x.is_integer() and x >= 1):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         kind = "a positive integer" if integer else "a number"
@@ -159,8 +159,10 @@ def document_to_channel(doc: dict):
                 raise ValidationError(f"channel document: missing '{field}' field")
         d_in, d_out = (_number(doc[f], f"channel document: '{f}'", True)
                        for f in ("d_in", "d_out"))
-        return gs.KrausChannel(d_in, d_out, _matrices(doc, "kraus"),
-                               relaxed=bool(doc.get("relaxed", False)))
+        relaxed = doc.get("relaxed", False)
+        if not isinstance(relaxed, bool):
+            raise ValidationError(f"channel document: 'relaxed' must be true or false, got {relaxed!r}")
+        return gs.KrausChannel(d_in, d_out, _matrices(doc, "kraus"), relaxed=relaxed)
     if kind == "cq":
         if "outputs" not in doc:
             raise ValidationError("channel document: missing 'outputs' field")

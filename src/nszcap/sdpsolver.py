@@ -18,35 +18,28 @@ frame G, with ``X = G diag(lw) G^dag`` and ``G^dag Z G = diag(lw)``: both
 iterates are the same diagonal matrix in the frame, the NT point is
 ``W = G G^dag``, and step lengths and the corrector work elementwise on lw.
 
-An :class:`Equation` holds on Herm(p); each of its terms maps one block X
-into Herm(p): :class:`Read` ``scale F^dag X F`` (with ``F = theta^dag`` for an
-isometry theta, an r-dim block reads as ``theta X theta^dag``), :class:`Lift`
-a principal block of X times an identity, or :class:`Map` a small dense map,
-such as a partial trace; every term maps a stack (..., dim, dim) to a stack
-(..., p, p).  An equation's rows are the entry functionals ``(i, i, re)`` for
-each i, then ``(i, j, re), (i, j, im)`` for each i < j, without the ``im`` rows
-when all data is real (an exact restriction).  One row codec per equation,
+An :class:`Equation` holds on Herm(p); each of its four kinds of term maps one
+block X into Herm(p), and a stack (..., dim, dim) to a stack (..., p, p):
+:class:`Read` ``scale F^dag X F`` (with ``F = theta^dag`` for an isometry
+theta, an r-dim block reads as ``theta X theta^dag``), :class:`Lift` a principal
+block of X times an identity, :class:`Trace` a partial trace, and :class:`Map`
+a small dense map.  An equation's rows are the entry functionals ``(i, i, re)``
+for each i, then ``(i, j, re), (i, j, im)`` for each i < j, without the ``im``
+rows when all data is real (an exact restriction).  One row codec per equation,
 :class:`_Rows`, maps between Herm(p) and its rows: ``read`` takes a stack of
 Hermitian matrices to their row values and ``matrix`` is its inverse, in the
 manner of SDPT3's svec/smat pair (Toh, Todd & Tutuncu 1999).  The right-hand
 side, the dual multiplier matrices and the core path's coordinates all go
-through it.  A Read or Lift row reads one scaled real or imaginary entry of
-``F^dag X F``; the rows of one (block, frame) pair form an entry family with
-the closed-form Schur block ``M[e, f] = <E_e, Y E_f Y^dag>``,
-``Y = F^dag W F``: row e is ``Y^dag E_e Y``, two outer products of rows of Y,
-read at the entries f.  Map rows are dense matrices and take one dense path.
+through it.  A Read, Lift or Trace row reads a sum of t scaled real or imaginary
+entries of ``F^dag X F`` (t = d for a Trace, 1 otherwise); the rows of one
+(block, frame, t) group form an entry family, whose Schur block comes in closed
+form from t pairs of outer products of rows of ``F^dag W F`` per row.  Map rows
+are dense matrices and take one dense path.
 
-The Newton system takes one of two paths, chosen from the program alone.  The
-dense path assembles M and factors it.  The core path (:class:`_CoreNewton`)
-never forms M: it serves programs with at least ``_CORE_MIN_ROWS`` rows and a
-core equation, one that holds most rows, reads a block u whole and one block w
-through a frame, and shares no other block with the other equations (Upsilon
-and Upsilon-hat, ``U + theta W theta^dag - S (x) 1_B = 0``).  In the frame that
-makes the u and w parts of M diagonal it eliminates the well-conditioned
-coordinates in closed form and factors only the border, the rest of the
-coordinates and the other equations' rows.  On that path ``phase_s["schur"]``
-is the frame and the border, and ``phase_s["factor"]`` the border's pivoted
-Cholesky.
+The Newton system takes one of two paths, chosen from the program alone: the
+dense path assembles M and factors it, and the core path (:class:`_CoreNewton`,
+Upsilon and Upsilon-hat) factors only a border, on which ``phase_s["schur"]`` is
+the frame and the border, and ``phase_s["factor"]`` its pivoted Cholesky.
 """
 from __future__ import annotations
 
@@ -115,25 +108,26 @@ class Lift:
 
 
 @dataclass(frozen=True, eq=False)
+class Trace:
+    """The partial trace of a (d p)-dim block over its d-dim first factor (``tr_A``),
+    or over its second: ``H[x, y] = sum_a X[(a, x), (a, y)]`` or ``X[(x, a), (y, a)]``."""
+
+    d: int
+    first: bool = True
+
+    def apply(self, X, p):
+        Y = X.reshape(X.shape[:-2] + ((self.d, p) * 2 if self.first else (p, self.d) * 2))
+        return np.einsum("...axay->...xy" if self.first else "...xaya->...xy", Y)
+
+
+@dataclass(frozen=True, eq=False)
 class Map:
     """``X -> H``, ``H[x, y] = <T[x, y], X> = tr(T[x, y]^dag X)``, for a tensor T of
-    shape (p, p, dim, dim) with ``T[y, x] = T[x, y]^dag``; or, for T of shape
-    (p, dim, dim), the diagonal ``H[x, x] = <T[x], X>``, T[x] Hermitian."""
+    shape (p, p, dim, dim) with ``T[y, x] = T[x, y]^dag``."""
 
     T: np.ndarray
 
-    @classmethod
-    def partial_trace(cls, d: int, p: int, first: bool = True) -> Map:
-        """The partial trace of a (d p)-dim block over its d-dim first factor
-        (``tr_A``), or its second: ``T[x, y] = 1_d (x) |x><y|`` or ``|x><y| (x) 1_d``."""
-        unit, one = np.eye(p * p).reshape(p, p, p, p), np.eye(d)
-        T = (one[None, None, :, None, :, None] * unit[:, :, None, :, None, :] if first
-             else unit[:, :, :, None, :, None] * one[None, None, None, :, None, :])
-        return cls(T.reshape(p, p, d * p, d * p))
-
     def apply(self, X, p):
-        if np.ndim(self.T) == 3:
-            return np.einsum("xab,...ab->...x", np.conj(self.T), X)[..., None] * np.eye(p)
         return np.einsum("xyab,...ab->...xy", np.conj(self.T), X)
 
 
@@ -308,71 +302,80 @@ def _add(M, rows, cols, B):
 
 
 class _EntryFamily:
-    """The Read and Lift rows of one (block, frame) group.
+    """The Read, Lift and Trace rows of one (block, frame, t) group.
 
     Row ``e`` (constraint ``k[e]``) pairs with a block matrix V as
-    ``Re(c[e] (G V G^dag)[i[e], j[e]])``; ``G = F^dag`` maps block to frame
-    coordinates (None: the identity).  Its matrix is ``G^dag (u E_ij + h.c.) G``,
-    ``u = conj(c) / 2``; ``r`` is the frame's width."""
+    ``Re(c[e] sum_t (G V G^dag)[i[e, t], j[e, t]])``; ``G = F^dag`` maps block to
+    frame coordinates (None: the identity).  Its matrix is ``G^dag A~ G`` for the frame
+    matrix ``A~ = sum_t (u E_it,jt + h.c.)``, ``u = conj(c) / 2``; ``r`` is the frame's width."""
 
     def __init__(self, k, i, j, c, frame, r, dtype):
-        self.k, self.i, self.j, self.r = k, i, j, r
+        self.k, self.i, self.j, self.r, self.t = k, i, j, r, i.shape[1]
         self.ids = _ids(k)
         self.c = c = _cast(c, dtype)
-        self.ij = np.stack([i, j], axis=1)
-        self.u1 = np.stack([0.5 * np.conj(c), np.ones_like(c)], axis=1)[:, :, None]
+        # the rows a_1..a_t, conj(b_t)..conj(b_1) of :meth:`outer`, which pair up reversed
+        self.ij = np.concatenate([i, j[:, ::-1]], axis=1)
+        self.u1 = np.stack([0.5 * np.conj(c), np.ones_like(c)], axis=1).repeat(self.t, 1)[:, :, None]
         self.G = None if frame is None else _cast(np.conj(np.asarray(frame)).T, dtype)
-        # as columns, the family reads scale * Re/Im of entry (i, j) of a frame
+        # as columns, the family reads scale * Re/Im of entries (i, j) of a frame
         # matrix: the offsets into its float view, and the scales
         flat = self.i * r + self.j
-        self.flat = flat if np.isrealobj(c) else 2 * flat + (c.imag != 0)
+        self.flat = flat if np.isrealobj(c) else 2 * flat + (c.imag != 0)[:, None]
         scale = c.real - c.imag
         self.s = None if np.all(scale == 1.0) else scale
 
-    def frame(self, V):
-        """Map block matrices (..., dim, dim) to frame coordinates."""
-        return V if self.G is None else self.G @ V @ np.conj(self.G).T
+    def _sum(self, V):
+        """Each row's value from its t entries, the last axis of V."""
+        return V[..., 0] if self.t == 1 else V.sum(axis=-1)
 
-    def read(self, Y):
-        """The family's values at frame matrices Y (..., r, r)."""
-        return (self.c * Y[..., self.i, self.j]).real
+    def read(self, V):
+        """The family's values at block matrices V (..., dim, dim)."""
+        Y = V if self.G is None else self.G @ V @ np.conj(self.G).T
+        return (self.c * self._sum(Y[..., self.i, self.j])).real
 
     def scatter(self, y, out):
         """Add to ``out`` a matrix whose Hermitian part is ``sum_e y[k_e] A_e``."""
         acc = out if self.G is None else np.zeros((self.r, self.r), dtype=out.dtype)
-        np.add.at(acc, (self.i, self.j), np.conj(self.c) * y[self.k])
+        np.add.at(acc, (self.i, self.j), (np.conj(self.c) * y[self.k])[:, None])
         if self.G is not None:
             out += np.conj(self.G).T @ acc @ self.G
 
-    def schur(self, other, W, M):
-        """M += ``<A_e, W A_f W>`` for rows e of this family and f of ``other``.
+    def outer(self, X):
+        """Yield (rows e, ``X^dag A~_e X``) for X (r x r2), A~_e row e's frame matrix, in groups
+        of ``_SCHUR_BUDGET`` entries: ``sum_t a_t b_t^T + h.c.`` for ``a_t = u conj(X[i_t])``,
+        ``b_t = X[j_t]``, one (r2 x 2t) @ (2t x r2) product per row."""
+        step = max(1, _SCHUR_BUDGET // X.shape[1] ** 2)
+        for e0 in range(0, len(self.k), step):
+            e = slice(e0, e0 + step)
+            L = np.conj(X[self.ij[e]]) * self.u1[e]
+            yield e, np.matmul(L.transpose(0, 2, 1), np.conj(L[:, ::-1]))
 
-        With ``X = G_1 W G_2^dag``, ``X^dag (u E_ij + conj(u) E_ji) X`` is
-        ``a b^T + conj(b) a^dag`` for ``a = u conj(X[i])``, ``b = X[j]``, one
-        (r x 2) @ (2 x r) product; the other family reads it at its entries.
-        Rows go in groups whose matrices hold at most ``_SCHUR_BUDGET`` entries.
-        """
+    def schur(self, other, W, M):
+        """M += ``<A_e, W A_f W>`` for rows e of this family and f of ``other``: the
+        other family reads :meth:`outer` at ``X = G_1 W G_2^dag`` at its entries."""
         X = W if self.G is None else self.G @ W
         if other.G is not None:
             X = X @ np.conj(other.G).T
-        r2 = X.shape[1]
-        step = max(1, _SCHUR_BUDGET // (r2 * r2))
-        for e0 in range(0, len(self.k), step):
-            e = slice(e0, e0 + step)
-            L = np.conj(X[self.ij[e]]) * self.u1[e]              # rows (a, conj(b))
-            R = np.matmul(L.transpose(0, 2, 1), np.conj(L[:, ::-1]))
-            B = R.reshape(len(L), -1).view(np.float64).take(other.flat, axis=1)
+        for e, R in self.outer(X):
+            B = other._sum(R.reshape(len(R), -1).view(np.float64).take(other.flat, axis=1))
             if other.s is not None:
                 B *= other.s
-            rows = self.ids if step >= len(self.k) else _ids(self.k[e])
+            rows = self.ids if e.start == 0 and e.stop >= len(self.k) else _ids(self.k[e])
             _add(M, rows, other.ids, B)
             if other is not self:
                 _add(M, other.ids, rows, B.T)
 
 
+def _family_schur(families, W, M):
+    """M += the Schur blocks ``<A_e, W A_f W>`` between the rows of a block's families."""
+    for a, f in enumerate(families):
+        for g in families[a:]:
+            f.schur(g, W, M)
+
+
 class _BlockData:
-    """Constraint data for one block: one :class:`_EntryFamily` per frame, and
-    the other coefficients dense."""
+    """Constraint data for one block: one :class:`_EntryFamily` per frame (and per
+    t for the frameless rows), and the Map coefficients dense."""
 
     def __init__(self, n, dtype):
         self.C = np.zeros((n, n), dtype=dtype)
@@ -383,7 +386,7 @@ class _BlockData:
     def pair_all(self, V, out):
         """out[k] += <A_k, V> for all constraints touching this block."""
         for f in self.families:
-            out[f.k] += f.read(f.frame(V))
+            out[f.k] += f.read(V)
         if self.dk.size:
             out[self.dk] += _flat(self.dA) @ _flat(V)
 
@@ -402,12 +405,10 @@ class _BlockData:
             ids = _ids(self.dk)
             _add(M, ids, ids, _flat(self.dA) @ _flat(D).T)
             for f in self.families:
-                cross = f.read(f.frame(D))                # (md, len(f.k))
+                cross = f.read(D)                         # (md, len(f.k))
                 _add(M, ids, f.ids, cross)
                 _add(M, f.ids, ids, cross.T)
-        for a, f in enumerate(self.families):
-            for g in self.families[a:]:
-                f.schur(g, W, M)
+        _family_schur(self.families, W, M)
 
 
 class _Pivoted:
@@ -453,10 +454,10 @@ _CORE_TAU = 1e-1
 class _CoreNewton:
     """The Newton solve of a program with a core equation, without the m x m M.
 
-    The core equation, on Herm(p), holds more than half of the m rows.  Its terms
-    are a frameless Read of a block u, one other Read (of a block w, frame F_w)
-    and any other terms T_l, and none of its blocks but u appears in another
-    equation.  On its multiplier matrix Y, M then acts as
+    The core equation, the last one, on Herm(p), holds more than half of the m
+    rows.  Its terms are a frameless Read of a block u, one other Read (of a
+    block w, frame F_w) and any other terms T_l; none of its blocks but u appears
+    in another equation, and those hold no Map.  On its multiplier Y, M acts as
     ``A Y A + B Y B + sum_l T_l(W_l T_l^dag(Y) W_l)`` with ``A = |s_u| W_u`` and
     ``B = |s_w| F_w^dag W_w F_w``, and the other equations' rows couple to it
     only through u, as ``s_u W_u A_f W_u`` for their coefficients A_f on u.
@@ -469,7 +470,8 @@ class _CoreNewton:
     ``T_l(G_l Z G_l^dag)`` (Z an orthonormal basis, ``W_l = G_l G_l^dag``),
     whose capacitance matrix ``1 + V^T D^-1 V`` is SPD and >= 1.  The other
     coordinates and the other equations' rows form the border, which is
-    Jacobi-scaled and factored by :class:`_Pivoted`.
+    Jacobi-scaled and factored by :class:`_Pivoted`; its other rows come from
+    their entry families, at ``X = W_u F`` for the cross columns.
 
     The second Read is required: A + B stays well conditioned (U and the slack
     W live on complementary subspaces), so F does.  Without it den is 1
@@ -480,26 +482,25 @@ class _CoreNewton:
     @classmethod
     def find(cls, problem, data, rows):
         """The program's core path, or None: it has fewer than ``_CORE_MIN_ROWS``
-        rows or no equation has the structure above."""
+        rows or its last equation is not a core equation as above."""
         m = sum(map(len, rows))
-        if m < _CORE_MIN_ROWS:
+        if m < _CORE_MIN_ROWS or 2 * len(rows[-1]) <= m:
             return None
-        eqs = problem.constraints
-        for c, (terms, _) in enumerate(eqs):
-            if 2 * len(rows[c]) <= m:
-                continue
-            reads = [bi for bi, t in terms.items() if isinstance(t, Read)]
-            u = next((bi for bi in reads if terms[bi].frame is None), None)
-            reads = [bi for bi in reads if bi != u]
-            elsewhere = {bi for k, (ts, _) in enumerate(eqs) if k != c for bi in ts}
-            if u is None or len(reads) != 1 or (terms.keys() - {u}) & elsewhere:
-                return None
-            return cls(problem, data, rows, c, u, reads[0], elsewhere)
-        return None
+        *others, (terms, _) = problem.constraints
+        reads = [bi for bi, t in terms.items() if isinstance(t, Read)]
+        u = next((bi for bi in reads if terms[bi].frame is None), None)
+        reads = [bi for bi in reads if bi != u]
+        elsewhere = {bi for ts, _ in others for bi in ts}
+        if u is None or len(reads) != 1 or (terms.keys() - {u}) & elsewhere \
+                or any(data[bi].dk.size for bi in elsewhere) \
+                or any(f.k[0] < rows[-1].k[0] <= f.k[-1] for f in data[u].families):
+            return None
+        return cls(problem, data, rows, u, reads[0], elsewhere)
 
-    def __init__(self, problem, data, rows, c, u, w, elsewhere):
-        terms = problem.constraints[c].terms
-        self.rows = rows[c]
+    def __init__(self, problem, data, rows, u, w, elsewhere):
+        terms = problem.constraints[-1].terms
+        self.rows = rows[-1]
+        self.m1, self.m = self.rows.k[0], self.rows.k[-1] + 1   # the other rows: ids 0..m1-1
         self.wt = np.sqrt(1.0 / self.rows.norm2)      # wt_e E_e is an orthonormal basis
         self.u, self.su = u, terms[u].scale
         self.w, self.read_w = w, Read(terms[w].frame, abs(terms[w].scale))
@@ -508,19 +509,9 @@ class _CoreNewton:
             if bi not in (u, w):
                 basis = _Rows(problem.blocks[bi].dim, self.rows.real)
                 self.low.append((bi, t, basis.matrix(np.diag(np.sqrt(basis.norm2)))))
-        self.other = np.concatenate([r.k for k, r in enumerate(rows) if k != c]
-                                    + [np.zeros(0, dtype=np.intp)])
-        self.m = len(self.rows) + len(self.other)
-        # the other rows' coefficient stack A_b on each block b they touch (and on
-        # u, where it may be zero), read once from the program's data by scattering
-        # unit vectors
-        self.A = {}
-        for bi in sorted(elsewhere | {u}):
-            self.A[bi] = A = np.zeros((len(self.other),) + data[bi].C.shape, data[bi].C.dtype)
-            for f, k in enumerate(self.other):
-                acc = np.zeros_like(A[f])
-                data[bi].scatter(np.eye(1, self.m, k)[0], acc)
-                A[f] = _herm(acc)
+        # the other rows' entry families on each block they touch
+        self.fams = {bi: [f for f in data[bi].families if f.k[0] < self.m1]
+                     for bi in sorted(elsewhere)}
 
     def reduce(self, Ws, Gs):
         """Frame and closed-form elimination at the NT points ``W_b = G_b G_b^dag``;
@@ -537,13 +528,16 @@ class _CoreNewton:
         cols = np.concatenate([np.zeros((0, p, p))] + [
             t.apply(Gs[bi] @ Z @ np.conj(Gs[bi]).T, p) for bi, t, Z in self.low])
         V = (wt * rows.read(Fh @ cols @ F)).T                              # (N, k)
-        # D_b = W_b A_b W_b: the cross columns <E_e, s_u W_u A_f W_u>, and M11, the
-        # other rows' block of M, sum_b <A_b,f, D_b,g>
-        D = {bi: Ws[bi] @ Ab @ Ws[bi] for bi, Ab in self.A.items()}
-        C = (wt * (self.su * rows.read(Fh @ D[self.u] @ F))).T             # (N, m1)
-        M11 = np.zeros((len(self.other),) * 2)
-        for bi, Ab in self.A.items():
-            M11 += _flat(Ab) @ _flat(D[bi]).T
+        # the cross columns <E_e, s_u W_u A_f W_u>: F^dag W_u A_f W_u F is the other
+        # rows' outer product at X = W_u F; and M11, the other rows' block of M
+        C = np.zeros((len(rows), self.m1), order="F")                      # (N, m1)
+        for f in self.fams.get(self.u, ()):
+            X = (Ws[self.u] if f.G is None else f.G @ Ws[self.u]) @ F
+            for e, R in f.outer(X):
+                C[:, f.k[e]] = (wt * (self.su * rows.read(R))).T
+        M11 = np.zeros((self.m1, self.m1))
+        for bi, fams in self.fams.items():
+            _family_schur(fams, Ws[bi], M11)
         # eliminate E: with V~ = D_E^-1/2 V_E, C- = D_E^-1/2 C_E and the capacitance
         # 1 + V~^T V~ = L L^T, the border is [[D_K + P P^T, C_K - P Q], [., M11 - C-^T C- + Q^T Q]]
         # for P = V_K L^-T and Q = L^-1 V~^T C-
@@ -576,7 +570,7 @@ class _CoreNewton:
         g = rho[self.E] / self.sD
         v = sla.solve_triangular(self.L, self.Vt.T @ g, lower=True, check_finite=False)
         rb = np.concatenate([rho[~self.E] - self.P @ v,
-                             r[self.other] - self.Cb.T @ g + self.Q.T @ v])
+                             r[:self.m1] - self.Cb.T @ g + self.Q.T @ v])
         return g, self.jac * rb
 
     def solve(self, r):
@@ -592,7 +586,7 @@ class _CoreNewton:
         Y = self.F @ self.rows.matrix(x / self.wt) @ np.conj(self.F).T
         dy = np.zeros(self.m)
         dy[self.rows.k] = self.rows.read(Y) / self.rows.norm2        # Y = sum_e dy_e E_e
-        dy[self.other] = y1
+        dy[:self.m1] = y1
         return dy
 
     def residue(self, r):
@@ -601,16 +595,14 @@ class _CoreNewton:
 
 
 def _map_rows(t, rows):
-    """The rows that a Map term touches, and their dense coefficients."""
+    """A Map term's dense coefficient on each of the equation's rows."""
     i, j, im = rows.i, rows.j, rows.im
-    if t.T.ndim == 3:
-        return i == j, t.T[i[i == j]]
     # u T[i, j] + conj(u) T[j, i] for u = conj(weight) / 2: a float on the re rows
     A = 0.5 * t.T[i, j] + 0.5 * t.T[j, i]
     if not rows.real:
         A = A.astype(complex)
         A[im] = 0.5j * t.T[i[im], j[im]] + np.conj(0.5j) * t.T[j[im], i[im]]
-    return slice(None), A
+    return A
 
 
 def _check_term(k, t, dim, p):
@@ -619,8 +611,10 @@ def _check_term(k, t, dim, p):
         ok = np.shape(t.frame) == (dim, p) if t.frame is not None else dim == p
     elif isinstance(t, Lift):
         ok = t.d >= 1 and p % t.d == 0 and 0 <= t.at <= dim - p // t.d
+    elif isinstance(t, Trace):
+        ok = isinstance(t.d, (int, np.integer)) and t.d >= 1 and dim == t.d * p
     elif isinstance(t, Map):
-        ok = np.shape(t.T) in ((p, dim, dim), (p, p, dim, dim))
+        ok = np.shape(t.T) == (p, p, dim, dim)
     else:
         raise ValidationError(f"equation {k}: unknown term {t!r}")
     if not ok:
@@ -661,7 +655,7 @@ def _preprocess(problem: SdpProblem):
     real = not any(map(_has_imag, arrays))
     dtype = np.float64 if real else np.complex128
 
-    families = [[] for _ in blocks]     # per block: [k, i, j, c, frame, width] lists
+    families = [{} for _ in blocks]     # per block and key: [k, i, j, c, frame, width] lists
     dense = [[] for _ in blocks]        # per block: (k, coefficients) arrays
     rows, b, k0 = [], [], 0
     for terms, rhs in problem.constraints:
@@ -669,24 +663,26 @@ def _preprocess(problem: SdpProblem):
         rows.append(r)
         k0 += len(r)
         b.append(r.read(np.asarray(rhs)) + 0.0)     # + 0.0: no negative zeros
-        i, j, k = r.i, r.j, r.k
+        i, j, k = r.i[:, None], r.j[:, None], r.k
         for bi, t in terms.items():
             if isinstance(t, Map):
-                touched, A = _map_rows(t, r)
-                dense[bi].append((k[touched], A))
+                dense[bi].append((k, _map_rows(t, r)))
                 continue
-            c = np.where(r.im, -1j * t.scale, t.scale)
+            scale = getattr(t, "scale", 1.0)
+            c = np.where(r.im, -1j * scale, scale)
             if isinstance(t, Lift):
-                sel = i % t.d == j % t.d
+                sel = r.i % t.d == r.j % t.d
                 entries = [k[sel], t.at + i[sel] // t.d, t.at + j[sel] // t.d, c[sel]]
+            elif isinstance(t, Trace):          # entry (a, x) at a p + x, or (x, a) at x d + a
+                a, (si, sa) = np.arange(t.d), (1, r.p) if t.first else (t.d, 1)
+                entries = [k, si * i + sa * a, si * j + sa * a, c]
             else:
                 entries = [k, i, j, c]
-            # the frame-less rows of a block form one family, each framed term another
+            # one family per frameless t on a block, and one per framed term
             frame = t.frame if isinstance(t, Read) else None
-            fam = next((f for f in families[bi] if frame is None and f[4] is None), None)
-            if fam is None:
-                fam = [[], [], [], [], frame, blocks[bi].dim if frame is None else len(rhs)]
-                families[bi].append(fam)
+            key = entries[1].shape[1] if frame is None else ("framed", len(families[bi]))
+            fam = families[bi].setdefault(
+                key, [[], [], [], [], frame, blocks[bi].dim if frame is None else r.p])
             for acc, new in zip(fam, entries):
                 acc.append(new)
     data = []
@@ -699,7 +695,8 @@ def _preprocess(problem: SdpProblem):
             d.dA = _cast(np.concatenate([A for _, A in ds]), dtype)
             if np.abs(d.dA - np.conj(d.dA).transpose(0, 2, 1)).max(initial=0) > HERM_TOL:
                 raise ValidationError("a dense coefficient is not Hermitian")
-        d.families = [_EntryFamily(*map(np.concatenate, f[:4]), *f[4:], dtype) for f in fams]
+        d.families = [_EntryFamily(*map(np.concatenate, f[:4]), *f[4:], dtype)
+                      for f in fams.values()]
         data.append(d)
     return data, dtype, np.concatenate(b) if b else np.zeros(0), rows
 

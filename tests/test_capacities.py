@@ -12,8 +12,7 @@ from nszcap.sdpsolver import (
     Equation,
     Read,
     SdpProblem,
-    Map,
-    _map_rows,
+    Trace,
     _preprocess,
     _Rows,
     solve,
@@ -141,18 +140,20 @@ def _row_values(M, real):
 class TestCoefficientHelpers:
     @pytest.mark.parametrize("real", [False, True])
     def test_lifted_functional_reads_partial_traces(self, real):
-        # the dense rows of tr_A and tr_B terms read the partial traces' entries
+        # the entry-family rows of tr_A and tr_B terms read the partial traces' entries
         rng = np.random.default_rng(41)
         dA, dB = 2, 3
         U = _random_herm(rng, dA * dB, real)
         V = _random_herm(rng, dA * dB, real)
-        for X, term, p, traced in ((U, Map.partial_trace(dA, dB), dB,
-                                    partial_trace(U, dA, dB, "first")),
-                                   (V, Map.partial_trace(dB, dA, first=False), dA,
+        for X, term, p, traced in ((U, Trace(dA), dB, partial_trace(U, dA, dB, "first")),
+                                   (V, Trace(dB, first=False), dA,
                                     partial_trace(V, dA, dB, "second"))):
-            _, A = _map_rows(term, _Rows(p, real))
-            assert_allclose([np.vdot(a, X).real for a in A], _row_values(traced, real),
-                            atol=1e-12)
+            problem = SdpProblem([Block(PSD, dA * dB)], [X],
+                                 [Equation({0: term}, np.zeros((p, p)))])
+            data, _, b, _ = _preprocess(problem)
+            values = np.zeros(len(b))
+            data[0].pair_all(X, values)
+            assert_allclose(values, _row_values(traced, real), atol=1e-12)
             assert_allclose(term.apply(X, p), traced, atol=1e-12)
 
     @pytest.mark.parametrize("frame", ["theta", "theta_dag"])

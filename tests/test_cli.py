@@ -149,6 +149,11 @@ class TestCompute:
         ({"type": "kraus", "d_in": 2, "d_out": 2, "kraus": 5}, "'kraus'"),
         ({"type": "cq", "outputs": 5}, "'outputs'"),
         ({"type": "builtin", "name": "delta", "params": [2]}, "'params'"),
+        # JSON booleans are not numbers, and 'relaxed' is a boolean, not a string
+        ({"type": "builtin", "name": "delta", "params": {"l": True}}, "'l'"),
+        ({"type": "kraus", "d_in": True, "d_out": 2, "kraus": [[[[1, 0]], [[0, 0]]]]}, "'d_in'"),
+        ({"type": "kraus", "d_in": 2, "d_out": 2, "relaxed": "false",
+          "kraus": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}, "'relaxed'"),
     ])
     def test_malformed_input_names_the_field(self, capsys, tmp_path, source, field):
         if isinstance(source, dict):
@@ -158,6 +163,7 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", *source, "--quantity", "upsilon")
         assert code == EXIT_INPUT
         assert err.startswith("error:") and field in err
+        assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err and out == ""
 
     def test_linalg_error_is_solver_failure(self, capsys, monkeypatch):

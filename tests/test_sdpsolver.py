@@ -10,7 +10,7 @@ from nszcap import graphspace as gs
 from nszcap import sdpsolver
 from nszcap.capacities import build_upsilon_problem
 from nszcap.graphspace import delta, example4_channel, ncgraph_from_channel
-from nszcap.matrixcore import ValidationError
+from nszcap.matrixcore import ValidationError, partial_trace
 from nszcap.sdpsolver import (
     PSD,
     Block,
@@ -21,6 +21,7 @@ from nszcap.sdpsolver import (
     SdpProblem,
     SolverFailure,
     SolverOptions,
+    Trace,
     _CoreNewton,
     _herm,
     _nt_frame,
@@ -139,6 +140,29 @@ class TestEntryHelpers:
         rows = _Rows(3, real)
         assert_allclose(rows.matrix(rows.norm2 * vals), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_trace_family_reads_and_scatters(self, real, first):
+        # a Trace term's rows form one family of t = d entries each: it reads the
+        # partial trace, and its scatter is the adjoint, 1_A (x) Y or Y (x) 1_B
+        dA, dB = 2, 3
+        d, p = (dA, dB) if first else (dB, dA)
+        rng = np.random.default_rng(28)
+        X = _random_herm(rng, dA * dB, real)
+        prob = SdpProblem([Block(PSD, dA * dB)], [X], [Equation({0: Trace(d, first)}, np.eye(p))])
+        data, _, _, (rows,) = _preprocess(prob)
+        (f,) = data[0].families
+        assert f.t == d and f.i.shape == f.j.shape == (len(rows), d)
+        traced = partial_trace(X, dA, dB, "first" if first else "second")
+        assert_allclose(f.read(X), rows.read(traced), atol=1e-12)
+        y = rng.standard_normal(len(rows))
+        acc = np.zeros_like(data[0].C)
+        f.scatter(y, acc)
+        Y = rows.matrix(rows.norm2 * y)
+        want = np.kron(np.eye(dA), Y) if first else np.kron(Y, np.eye(dB))
+        assert np.iscomplexobj(acc) != real
+        assert_allclose(_herm(acc), want, atol=1e-12)
+
     @pytest.mark.parametrize("real", [False, True])
     def test_matrix_inverts_read(self, real):
         # on a stack: matrix(read(Y)) = Y for Hermitian (real: symmetric) Y, and
@@ -153,16 +177,23 @@ class TestEntryHelpers:
         assert list(rows.k) == list(range(5, 5 + len(rows)))
 
 
+def _trace_tensor(d, p):
+    """tr_A of a (d p)-dim block as a dense Map tensor: ``T[x, y] = 1_d (x) |x><y|``."""
+    unit = np.eye(p * p).reshape(p, p, p, p)
+    T = np.eye(d)[None, None, :, None, :, None] * unit[:, :, None, :, None, :]
+    return T.reshape(p, p, d * p, d * p)
+
+
 def _stack_cases():
     rng = np.random.default_rng(24)
     frame = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    diagonal = _random_herm(rng, 3, False, stack=(2,))
     return {
         "read": (Read(scale=-2.0), 3, 3),
         "read framed": (Read(frame, 0.5), 4, 2),
         "lift at 1": (Lift(2, -1.5, at=1), 4, 4),
-        "map partial trace": (Map.partial_trace(2, 3), 6, 3),
-        "map diagonal": (Map(diagonal), 3, 2),
+        "map partial trace": (Map(_trace_tensor(2, 3)), 6, 3),
+        "trace first": (Trace(2), 6, 3),
+        "trace second": (Trace(3, first=False), 6, 2),
     }
 
 
@@ -183,11 +214,17 @@ class TestBatchedTerms:
         want = -1.5 * np.kron(X[1:3, 1:3], np.eye(2))
         assert np.array_equal(Lift(2, -1.5, at=1).apply(X, 4), want)
 
-    def test_diagonal_map_is_diagonal(self):
-        term, _, p = _stack_cases()["map diagonal"]
-        X = _random_herm(np.random.default_rng(27), 3, False)
-        want = np.diag([np.vdot(T, X) for T in term.T])
-        assert_allclose(term.apply(X, p), want, rtol=1e-14, atol=1e-14)
+    @pytest.mark.parametrize("case", ["trace first", "trace second"])
+    def test_trace_is_partial_trace(self, case):
+        # on each matrix of a stack (2 x 3 factors), and as the dense Map tensor does
+        term, dim, p = _stack_cases()[case]
+        X = _random_herm(np.random.default_rng(27), dim, False, stack=(2, 3))
+        H = term.apply(X, p)
+        for idx in np.ndindex(2, 3):
+            want = partial_trace(X[idx], 2, 3, "first" if term.first else "second")
+            assert_allclose(H[idx], want, rtol=1e-14, atol=1e-14)
+        if term.first:
+            assert_allclose(H, Map(_trace_tensor(2, 3)).apply(X, p), rtol=1e-14, atol=1e-14)
 
 
 def _lp(c, rows):
@@ -212,7 +249,7 @@ class TestSolveBasics:
 
     def test_largest_eigenvalue_complex(self):
         Y = np.array([[0, -1j], [1j, 0]])
-        p = SdpProblem([Block(PSD, 2)], [Y], [Equation({0: Map.partial_trace(2, 1)}, np.eye(1))])
+        p = SdpProblem([Block(PSD, 2)], [Y], [Equation({0: Trace(2)}, np.eye(1))])
         sol = solve(p)
         assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
 
@@ -322,6 +359,13 @@ class TestValidation:
             prob = build_upsilon_problem(K, hat=hat)
             prob.validate()
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_rejects_trace_of_wrong_dimension(self, first):
+        # a 5-dim block is not (d p)-dim for d = p = 2
+        p = SdpProblem([Block(PSD, 5)], [np.eye(5)], [Equation({0: Trace(2, first)}, np.eye(2))])
+        with pytest.raises(ValidationError):
+            p.validate()
+
     def test_rejects_frame_of_wrong_shape(self):
         p = SdpProblem([Block(PSD, 2)], [np.eye(2)],
                        [Equation({0: Read(np.ones((3, 2)))}, np.eye(2))])
@@ -334,7 +378,7 @@ def _bad_program(case):
     broken as ``case`` names."""
     nan = float("nan")
     frame = np.eye(2)[:, :1]
-    rows = [Equation({0: Read(frame)}, np.eye(1)), Equation({0: Map.partial_trace(2, 1)}, 2 * np.eye(1))]
+    rows = [Equation({0: Read(frame)}, np.eye(1)), Equation({0: Trace(2)}, 2 * np.eye(1))]
     objective = [np.eye(2)]
     if case == "nan rhs":
         rows[1] = Equation(rows[1].terms, np.array([[nan]]))
@@ -349,9 +393,9 @@ def _bad_program(case):
     elif case == "frame rows differ from the block":
         rows[0] = Equation({0: Read(np.ones((3, 1)))}, np.eye(1))
     elif case == "block index past the end":
-        rows[1] = Equation({1: Map.partial_trace(2, 1)}, 2 * np.eye(1))
+        rows[1] = Equation({1: Trace(2)}, 2 * np.eye(1))
     elif case == "negative block index":
-        rows[1] = Equation({-1: Map.partial_trace(2, 1)}, 2 * np.eye(1))
+        rows[1] = Equation({-1: Trace(2)}, 2 * np.eye(1))
     elif case == "short objective list":
         objective = []
     elif case == "negative entry index":
@@ -363,7 +407,9 @@ def _bad_program(case):
     elif case == "map of the wrong shape":
         rows[1] = Equation({0: Map(np.ones((1, 2, 2, 2)))}, 2 * np.eye(1))
     elif case == "trace of the wrong dimension":
-        rows[1] = Equation({0: Map.partial_trace(3, 1)}, 2 * np.eye(1))
+        rows[1] = Equation({0: Trace(3)}, 2 * np.eye(1))
+    elif case == "trace of a non-integer factor":
+        rows[1] = Equation({0: Trace(2.0)}, 2 * np.eye(1))
     elif case == "objective larger than the block":
         objective = [np.eye(3)]
     elif case == "objective a row":
@@ -383,6 +429,7 @@ class TestMalformedPrograms:
              "negative block index",
              "short objective list", "negative entry index", "entry index past the frame",
              "rhs not square", "map of the wrong shape", "trace of the wrong dimension",
+             "trace of a non-integer factor",
              "objective larger than the block", "objective a row", "non-Hermitian rhs",
              "non-Hermitian objective"]
 
@@ -522,6 +569,18 @@ class TestSchurOracle:
         problem = cap.build_cq_problem(_CQ_GRAPHS[graph](), variant)
         self._compare(problem, seed=8)
 
+    @pytest.mark.parametrize("real", [False, True])
+    def test_families_of_one_two_and_three_entries(self, real):
+        # one 6-dim block read whole (t = 1), and through tr_A (t = 2) and tr_B (t = 3)
+        C = _random_herm(np.random.default_rng(29), 6, real)
+        problem = SdpProblem([Block(PSD, 6)], [C], [
+            Equation({0: Read()}, np.eye(6)), Equation({0: Trace(2)}, np.eye(3)),
+            Equation({0: Trace(3, first=False)}, np.eye(2))])
+        data, dtype, _, _ = _preprocess(problem)
+        assert sorted(f.t for f in data[0].families) == [1, 2, 3]
+        assert (dtype == np.float64) == real
+        self._compare(problem, seed=9)
+
     def test_two_frames_on_one_block(self):
         # a rank-deficient output puts unframed coupling rows and
         # theta^dag-framed marginal rows on the same kernel block
@@ -542,8 +601,8 @@ def _duplicated_marginal(K, rhs2):
     """The Upsilon-hat program with its output-marginal equation stated twice, the
     second time with right-hand side ``rhs2``: dependent rows outside the core."""
     prob = cap.build_upsilon_problem(K, hat=True)
-    coupling, marginal = prob.constraints
-    prob.constraints = [coupling, marginal, Equation(marginal.terms, rhs2)]
+    marginal, coupling = prob.constraints
+    prob.constraints = [marginal, Equation(marginal.terms, rhs2), coupling]
     return prob
 
 
@@ -664,6 +723,29 @@ class TestCoreRule:
         # coupling equations, and aram's has no second Read
         _with_path(monkeypatch, "core")
         prob = cap.build_cq_problem(random_cq_graph(1), variant)
+        data, _, _, rows = _preprocess(prob)
+        assert _CoreNewton.find(prob, data, rows) is None
+
+
+    def test_marginal_read_through_a_map_takes_the_dense_path(self):
+        # the same Upsilon-hat program with tr_A U stated as a dense Map: the core
+        # path reads the other rows from entry families only
+        K = _k16()
+        prob = cap.build_upsilon_problem(K, hat=True)
+        marginal, coupling = prob.constraints
+        terms = {**marginal.terms, 1: Map(_trace_tensor(K.d_A, K.d_B))}
+        mapped = SdpProblem(prob.blocks, prob.objective, [Equation(terms, marginal.rhs), coupling])
+        for problem, qualifies in ((prob, True), (mapped, False)):
+            data, _, _, rows = _preprocess(problem)
+            assert (_CoreNewton.find(problem, data, rows) is not None) == qualifies
+        sol, want = solve(mapped), solve(prob)
+        assert {r["path"] for r in sol.trace} == {"dense"}
+        assert sol.optimal and sol.primal_value == pytest.approx(want.primal_value, rel=1e-8)
+
+    def test_core_equation_last(self):
+        # the other rows are ids 0..m1-1 only when the core equation comes last
+        prob = cap.build_upsilon_problem(_k16(), hat=True)
+        prob.constraints = prob.constraints[::-1]
         data, _, _, rows = _preprocess(prob)
         assert _CoreNewton.find(prob, data, rows) is None
 

@@ -22,15 +22,16 @@ path, the border on the core path).  The ladder is:
   ``product_channel(1, 0..1)``;
 - with ``--xl``, ``upsilon``, ``upsilon_hat`` and ``upsilon_hat_dual`` on K (x) K
   at Choi dimension 81, K the random channel ``RandomChannelSpec(3, 3, 2, 7)``
-  (about 150 s and 1.1 GB; ``upsilon_hat_dual`` ends ``numerical-failure``).
+  (with ``--large``, about 115 s and 0.95 GB on a 2-core VM with one BLAS thread,
+  106 s of it the ``upsilon_hat_dual`` solve, which ends ``numerical-failure``).
 
 ``--compare`` exits 1 unless both records hold the same solves, every value
 agrees to 1e-8 relative, the statuses are equal and the iteration counts
 differ by at most 1.  It also reports how many solves are bit-identical (equal
-digests), in all and per Newton path (``dense/core`` where the two records
-took different paths), the largest relative value deviation, how many solves
-differ in their iteration counts, and the summed seconds of each record per
-rung (base, ``--large``, ``--xl``).
+digests), in all, per Newton path (``dense/core`` where the two records took
+different paths) and per quantity, the largest relative value deviation, how
+many solves differ in their iteration counts, and the summed seconds of each
+record per rung (base, ``--large``, ``--xl``).
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def main(argv=None) -> int:
     parser.add_argument("--large", action="store_true",
                         help="also solve the n = 36 product instances (about a minute)")
     parser.add_argument("--xl", action="store_true",
-                        help="also solve the n = 81 instance (about 150 s and 1.1 GB)")
+                        help="also solve the n = 81 instance (about 110 s and 1 GB)")
     args = parser.parse_args(argv)
 
     if args.compare:
@@ -194,6 +195,9 @@ def main(argv=None) -> int:
         for path in sorted(set(paths.values())):
             keys = [k for k in common if paths[k] == path]
             print(f"path {path}: {sum(map(identical, keys))} of {len(keys)} solves bit-identical")
+        for q in sorted({k.rsplit("/", 1)[1] for k in common}):
+            keys = [k for k in common if k.rsplit("/", 1)[1] == q]
+            print(f"quantity {q}: {sum(map(identical, keys))} of {len(keys)} solves bit-identical")
         for name in ("base", "large", "xl"):
             keys = [k for k in common if rung(k) == name]
             if keys:
