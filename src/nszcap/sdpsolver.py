@@ -37,9 +37,10 @@ form from t pairs of outer products of rows of ``F^dag W F`` per row.  Map rows
 are dense matrices and take one dense path.
 
 The Newton system takes one of two paths, chosen from the program alone: the
-dense path assembles M and factors it, and the core path (:class:`_CoreNewton`,
-Upsilon and Upsilon-hat) factors only a border, on which ``phase_s["schur"]`` is
-the frame and the border, and ``phase_s["factor"]`` its pivoted Cholesky.
+dense path assembles M and factors it, and the core path (:class:`_CoreNewton`:
+Upsilon, Upsilon-hat and the Upsilon-hat dual) factors only a border, on which
+``phase_s["schur"]`` is the frame and the border, and ``phase_s["factor"]`` its
+pivoted Cholesky.
 """
 from __future__ import annotations
 
@@ -128,7 +129,9 @@ class Map:
     T: np.ndarray
 
     def apply(self, X, p):
-        return np.einsum("xyab,...ab->...xy", np.conj(self.T), X)
+        lead, dim2 = X.shape[:-2], X.shape[-1] ** 2
+        H = X.reshape(lead + (dim2,)) @ np.conj(self.T).reshape(p * p, dim2).T
+        return H.reshape(lead + (p, p))
 
 
 class Equation(NamedTuple):
@@ -455,12 +458,14 @@ class _CoreNewton:
     """The Newton solve of a program with a core equation, without the m x m M.
 
     The core equation, the last one, on Herm(p), holds more than half of the m
-    rows.  Its terms are a frameless Read of a block u, one other Read (of a
-    block w, frame F_w) and any other terms T_l; none of its blocks but u appears
-    in another equation, and those hold no Map.  On its multiplier Y, M acts as
+    rows and has right-hand side 0.  Its terms are a frameless Read of a block u,
+    one other Read (of a block w, frame F_w) and any other terms T_l.  Any of its
+    blocks may sit in the other equations too, as long as no entry family holds
+    rows of both, and the other rows' families sit only on blocks that it reads
+    by a Read.  On its multiplier Y, M acts as
     ``A Y A + B Y B + sum_l T_l(W_l T_l^dag(Y) W_l)`` with ``A = |s_u| W_u`` and
-    ``B = |s_w| F_w^dag W_w F_w``, and the other equations' rows couple to it
-    only through u, as ``s_u W_u A_f W_u`` for their coefficients A_f on u.
+    ``B = |s_w| F_w^dag W_w F_w``; another row f, with coefficient A_f^b on block
+    b, couples to it as ``sum_b t_b(W_b A_f^b W_b)`` over the core terms t_b.
 
     Each iteration takes F from ``eigh(B, A + B)`` and the diagonals
     a = diag(F^dag A F), b = diag(F^dag B F).  In orthonormal coordinates x of
@@ -468,13 +473,19 @@ class _CoreNewton:
     ``den_ij = a_i a_j + b_i b_j``.  Coordinates with den >= _CORE_TAU max(den)
     are eliminated in closed form, the T_l part by Woodbury over the columns
     ``T_l(G_l Z G_l^dag)`` (Z an orthonormal basis, ``W_l = G_l G_l^dag``),
-    whose capacitance matrix ``1 + V^T D^-1 V`` is SPD and >= 1.  The other
-    coordinates and the other equations' rows form the border, which is
-    Jacobi-scaled and factored by :class:`_Pivoted`; its other rows come from
-    their entry families, at ``X = W_u F`` for the cross columns.
+    whose capacitance matrix ``1 + V~^T V~``, ``V~ = D^-1/2 V``, is SPD and >= 1.
+    The other coordinates and the other equations' rows form the border, which
+    is Jacobi-scaled and factored by :class:`_Pivoted`; its other rows' corner
+    comes from their own entry families and Map rows.
 
-    The second Read is required: A + B stays well conditioned (U and the slack
-    W live on complementary subspaces), so F does.  Without it den is 1
+    What the path needs is small scaled Woodbury columns V~, not a well
+    conditioned A + B.  On n = 36 Upsilon-hat, cond(A + B) stays below 5 and
+    V~ below 2.1; on the n = 36 hat-dual, cond(A + B) reaches 3e8 while V~
+    stays below 1, and both solve as on the dense path.  A core equation with a
+    nonzero right-hand side loses this: the cq "hat" marginal (rhs 1_B, one
+    kernel), admitted and forced onto this path, reached cond(A + B) 1e8-5e11
+    and V~ 2e8-9e10, and all of the first 12 of random_cq_graph(0..39) ended
+    numerical-failure.  The second Read is required too: without it den is 1
     everywhere and the spread of W_u moves into the Woodbury columns; aram's
     program, forced onto this path, loses its primal residual (4e-2 after 7
     iterations on delta(2))."""
@@ -486,14 +497,16 @@ class _CoreNewton:
         m = sum(map(len, rows))
         if m < _CORE_MIN_ROWS or 2 * len(rows[-1]) <= m:
             return None
-        *others, (terms, _) = problem.constraints
+        *others, (terms, rhs) = problem.constraints
+        m1 = rows[-1].k[0]
         reads = [bi for bi, t in terms.items() if isinstance(t, Read)]
         u = next((bi for bi in reads if terms[bi].frame is None), None)
         reads = [bi for bi in reads if bi != u]
         elsewhere = {bi for ts, _ in others for bi in ts}
-        if u is None or len(reads) != 1 or (terms.keys() - {u}) & elsewhere \
-                or any(data[bi].dk.size for bi in elsewhere) \
-                or any(f.k[0] < rows[-1].k[0] <= f.k[-1] for f in data[u].families):
+        if u is None or len(reads) != 1 or np.any(rhs) \
+                or any(f.k[0] < m1 <= f.k[-1] for bi in terms for f in data[bi].families) \
+                or any(f.k[0] < m1 for bi in terms.keys() & elsewhere
+                       if not isinstance(terms[bi], Read) for f in data[bi].families):
             return None
         return cls(problem, data, rows, u, reads[0], elsewhere)
 
@@ -509,9 +522,15 @@ class _CoreNewton:
             if bi not in (u, w):
                 basis = _Rows(problem.blocks[bi].dim, self.rows.real)
                 self.low.append((bi, t, basis.matrix(np.diag(np.sqrt(basis.norm2)))))
-        # the other rows' entry families on each block they touch
-        self.fams = {bi: [f for f in data[bi].families if f.k[0] < self.m1]
-                     for bi in sorted(elsewhere)}
+        # on each block the other rows touch: their entry families and Map rows, and
+        # the core equation's term there (None: the core equation does not read it)
+        self.others = []
+        for bi in sorted(elsewhere):
+            d = data[bi]
+            own, keep = _BlockData(len(d.C), d.C.dtype), d.dk < self.m1
+            own.families = [f for f in d.families if f.k[0] < self.m1]
+            own.dk, own.dA = d.dk[keep], d.dA[keep]
+            self.others.append((bi, own, terms.get(bi)))
 
     def reduce(self, Ws, Gs):
         """Frame and closed-form elimination at the NT points ``W_b = G_b G_b^dag``;
@@ -528,16 +547,23 @@ class _CoreNewton:
         cols = np.concatenate([np.zeros((0, p, p))] + [
             t.apply(Gs[bi] @ Z @ np.conj(Gs[bi]).T, p) for bi, t, Z in self.low])
         V = (wt * rows.read(Fh @ cols @ F)).T                              # (N, k)
-        # the cross columns <E_e, s_u W_u A_f W_u>: F^dag W_u A_f W_u F is the other
-        # rows' outer product at X = W_u F; and M11, the other rows' block of M
+        # M11, the other rows' block of M, and their cross columns
+        # <E_e, sum_b t_b(W_b A_f W_b)> over the core terms t_b: for a Read t_b (frame
+        # Theta, scale s), F^dag t_b(W_b A_f W_b) F is s times a family's outer product
+        # at X = G_f W_b Theta F; Map rows take t_b of the stack W_b A_f W_b
         C = np.zeros((len(rows), self.m1), order="F")                      # (N, m1)
-        for f in self.fams.get(self.u, ()):
-            X = (Ws[self.u] if f.G is None else f.G @ Ws[self.u]) @ F
-            for e, R in f.outer(X):
-                C[:, f.k[e]] = (wt * (self.su * rows.read(R))).T
         M11 = np.zeros((self.m1, self.m1))
-        for bi, fams in self.fams.items():
-            _family_schur(fams, Ws[bi], M11)
+        for bi, own, t in self.others:
+            W = Ws[bi]
+            own.schur(W, M11)
+            if t is None:
+                continue
+            for f in own.families:                                         # t is a Read
+                X = W if f.G is None else f.G @ W
+                for e, R in f.outer((X if t.frame is None else X @ t.frame) @ F):
+                    C[:, f.k[e]] += (wt * (t.scale * rows.read(R))).T
+            if own.dk.size:
+                C[:, own.dk] += (wt * rows.read(Fh @ t.apply(W @ own.dA @ W, p) @ F)).T
         # eliminate E: with V~ = D_E^-1/2 V_E, C- = D_E^-1/2 C_E and the capacitance
         # 1 + V~^T V~ = L L^T, the border is [[D_K + P P^T, C_K - P Q], [., M11 - C-^T C- + Q^T Q]]
         # for P = V_K L^-T and Q = L^-1 V~^T C-
@@ -610,7 +636,8 @@ def _check_term(k, t, dim, p):
     if isinstance(t, Read):
         ok = np.shape(t.frame) == (dim, p) if t.frame is not None else dim == p
     elif isinstance(t, Lift):
-        ok = t.d >= 1 and p % t.d == 0 and 0 <= t.at <= dim - p // t.d
+        ok = all(isinstance(v, (int, np.integer)) for v in (t.d, t.at)) \
+            and t.d >= 1 and p % t.d == 0 and 0 <= t.at <= dim - p // t.d
     elif isinstance(t, Trace):
         ok = isinstance(t.d, (int, np.integer)) and t.d >= 1 and dim == t.d * p
     elif isinstance(t, Map):
@@ -863,22 +890,22 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
                 G, lw = _nt_frame(x, z)
                 Ws.append(_herm(G @ np.conj(G).T))
                 frames.append((G, lw))
+
+            # the Schur complement M, or the core path's border, and its pivoted Cholesky
+            lap("scaling")
+            if core is None:
+                M = np.zeros((m, m))
+                for d, W in zip(data, Ws):
+                    d.schur(W, M)
+                M = 0.5 * (M + M.T)
+            else:
+                M = core.reduce(Ws, [G for G, _ in frames])
+            lap("schur")
+            fac = _Pivoted(M) if core is None else core.factor(M)
+            lap("factor")
         except np.linalg.LinAlgError:
             status = _STATUS_NUMFAIL
             break
-
-        # the Schur complement M, or the core path's border, and its pivoted Cholesky
-        lap("scaling")
-        if core is None:
-            M = np.zeros((m, m))
-            for d, W in zip(data, Ws):
-                d.schur(W, M)
-            M = 0.5 * (M + M.T)
-        else:
-            M = core.reduce(Ws, [G for G, _ in frames])
-        lap("schur")
-        fac = _Pivoted(M) if core is None else core.factor(M)
-        lap("factor")
         record.update(size=fac.size, rank=fac.rank)
         if it == 1 and fac.rank < fac.size:
             # here W = I and M = A A^T: the dropped rows are K^T times the kept

@@ -214,6 +214,16 @@ class TestBatchedTerms:
         want = -1.5 * np.kron(X[1:3, 1:3], np.eye(2))
         assert np.array_equal(Lift(2, -1.5, at=1).apply(X, 4), want)
 
+    def test_map_is_its_definition(self):
+        # H[x, y] = tr(T[x, y]^dag X), for a complex tensor on a complex stack
+        rng = np.random.default_rng(28)
+        T = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
+        T = T + np.conj(T).transpose(1, 0, 3, 2)          # T[y, x] = T[x, y]^dag
+        X = _random_herm(rng, 3, False, stack=(4,))
+        H = Map(T).apply(X, 2)
+        for s, x, y in np.ndindex(4, 2, 2):
+            assert_allclose(H[s, x, y], np.trace(np.conj(T[x, y]).T @ X[s]), rtol=1e-13)
+
     @pytest.mark.parametrize("case", ["trace first", "trace second"])
     def test_trace_is_partial_trace(self, case):
         # on each matrix of a stack (2 x 3 factors), and as the dense Map tensor does
@@ -410,6 +420,10 @@ def _bad_program(case):
         rows[1] = Equation({0: Trace(3)}, 2 * np.eye(1))
     elif case == "trace of a non-integer factor":
         rows[1] = Equation({0: Trace(2.0)}, 2 * np.eye(1))
+    elif case == "lift of a non-integer factor":
+        rows[0] = Equation({0: Lift(2.0)}, np.eye(2))
+    elif case == "lift at a non-integer index":
+        rows[0] = Equation({0: Lift(2, at=0.5)}, np.eye(2))
     elif case == "objective larger than the block":
         objective = [np.eye(3)]
     elif case == "objective a row":
@@ -429,7 +443,8 @@ class TestMalformedPrograms:
              "negative block index",
              "short objective list", "negative entry index", "entry index past the frame",
              "rhs not square", "map of the wrong shape", "trace of the wrong dimension",
-             "trace of a non-integer factor",
+             "trace of a non-integer factor", "lift of a non-integer factor",
+             "lift at a non-integer index",
              "objective larger than the block", "objective a row", "non-Hermitian rhs",
              "non-Hermitian objective"]
 
@@ -443,7 +458,8 @@ class TestMalformedPrograms:
             solve(_bad_program(case))
 
     @pytest.mark.parametrize("case", ["negative entry index", "entry index past the frame",
-                                      "negative block index"])
+                                      "negative block index", "lift of a non-integer factor",
+                                      "lift at a non-integer index"])
     def test_validate_rejects(self, case):
         with pytest.raises(ValidationError):
             _bad_program(case).validate()
@@ -617,14 +633,27 @@ def _lemma2_graph():
     return gs.tensor_graph(delta(2), delta(3))
 
 
+def _map_marginal(K):
+    """The Upsilon-hat program with tr_A U stated as a dense Map instead of a Trace."""
+    prob = cap.build_upsilon_problem(K, hat=True)
+    marginal, coupling = prob.constraints
+    terms = {**marginal.terms, 1: Map(_trace_tensor(K.d_A, K.d_B))}
+    return SdpProblem(prob.blocks, prob.objective, [Equation(terms, marginal.rhs), coupling])
+
+
 class TestNewtonOracle:
     """The core path solves the Newton system M dy = r that the dense path
     factors: at the NT points of a real solve, its relative residual in M is
     within 100 times the dense path's, plus 1e-12."""
 
-    @pytest.mark.parametrize("graph", [_k16, _lemma2_graph], ids=["k16", "lemma2"])
-    def test_core_matches_dense_at_nt_points(self, monkeypatch, graph):
-        prob = cap.build_upsilon_problem(graph(), hat=True)
+    @pytest.mark.parametrize("program", [
+        lambda: cap.build_upsilon_problem(_k16(), hat=True),
+        lambda: cap.build_upsilon_problem(_lemma2_graph(), hat=True),
+        lambda: cap.build_upsilon_hat_dual_problem(_lemma2_graph()),     # m = 486
+        lambda: _map_marginal(_k16()),
+    ], ids=["k16", "lemma2", "lemma2 dual", "map marginal"])
+    def test_core_matches_dense_at_nt_points(self, monkeypatch, program):
+        prob = program()
         data, _, b, rows = _preprocess(prob)
         points = []
         reduce, core_solve = _CoreNewton.reduce, _CoreNewton.solve
@@ -672,6 +701,23 @@ class TestNewtonOracle:
         if status == "optimal":
             assert sols["core"].primal_value == pytest.approx(sols["dense"].primal_value, rel=1e-8)
 
+    def test_linalg_error_ends_the_solve(self, monkeypatch):
+        # a failed factorisation inside the core path ends the solve with a typed
+        # status, the best iterate and the trace, not a traceback
+        reduce, calls = _CoreNewton.reduce, []
+
+        def failing_reduce(self, Ws, Gs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("not positive definite")
+            return reduce(self, Ws, Gs)
+
+        monkeypatch.setattr(_CoreNewton, "reduce", failing_reduce)
+        sol = solve(cap.build_upsilon_problem(_k16(), hat=True))
+        assert sol.status == "numerical-failure" and sol.iterations == 3
+        assert len(sol.trace) == 3 and {r["path"] for r in sol.trace} == {"core"}
+        assert sol.trace[-1]["size"] is None and np.isfinite(sol.primal_value)
+
     def test_lemma2_instance_agrees(self, monkeypatch):
         # the one solve of `nszcap verify` that takes the core path at the default
         # crossover; forced onto the dense path, it reaches the same solution
@@ -708,8 +754,8 @@ class TestCoreRule:
 
     @pytest.mark.parametrize("builder,qualifies", [
         ("upsilon", True), ("upsilon_hat", True),
-        ("upsilon_hat_dual", False),      # Y1 also sits in the input-marginal equation
-        ("aram", False),                  # no second Read: nothing bounds A + B
+        ("upsilon_hat_dual", True),       # Y1 and T also sit in the input-marginal equation
+        ("aram", False),                  # no second Read: den is 1 everywhere
     ])
     def test_nc_builders(self, monkeypatch, builder, qualifies):
         prob = _NC_BUILDERS[builder](_k16())
@@ -719,28 +765,36 @@ class TestCoreRule:
 
     @pytest.mark.parametrize("variant", ["upsilon", "hat", "aram"])
     def test_cq_builders(self, monkeypatch, variant):
-        # the marginal equation holds most rows, but its block S also sits in the
-        # coupling equations, and aram's has no second Read
+        # the marginal equation holds most rows, but its right-hand side is 1_B, not 0
         _with_path(monkeypatch, "core")
         prob = cap.build_cq_problem(random_cq_graph(1), variant)
         data, _, _, rows = _preprocess(prob)
         assert _CoreNewton.find(prob, data, rows) is None
 
 
-    def test_marginal_read_through_a_map_takes_the_dense_path(self):
-        # the same Upsilon-hat program with tr_A U stated as a dense Map: the core
-        # path reads the other rows from entry families only
-        K = _k16()
-        prob = cap.build_upsilon_problem(K, hat=True)
+    def test_nonzero_core_rhs_takes_the_dense_path(self):
+        # the same Upsilon-hat program with a nonzero coupling rhs
+        prob = cap.build_upsilon_problem(_k16(), hat=True)
+        data, _, _, rows = _preprocess(prob)
+        assert _CoreNewton.find(prob, data, rows) is not None
         marginal, coupling = prob.constraints
-        terms = {**marginal.terms, 1: Map(_trace_tensor(K.d_A, K.d_B))}
-        mapped = SdpProblem(prob.blocks, prob.objective, [Equation(terms, marginal.rhs), coupling])
-        for problem, qualifies in ((prob, True), (mapped, False)):
+        n = len(coupling.rhs)
+        prob.constraints = [marginal, Equation(coupling.terms, np.eye(n) / n)]
+        data, _, _, rows = _preprocess(prob)
+        assert _CoreNewton.find(prob, data, rows) is None
+
+    def test_marginal_read_through_a_map_takes_the_core_path(self):
+        # the same Upsilon-hat program with tr_A U stated as a dense Map: the core
+        # path reads the other rows' Map rows on u as well as their entry families
+        K = _k16()
+        prob, mapped = cap.build_upsilon_problem(K, hat=True), _map_marginal(K)
+        for problem in (prob, mapped):
             data, _, _, rows = _preprocess(problem)
-            assert (_CoreNewton.find(problem, data, rows) is not None) == qualifies
+            assert _CoreNewton.find(problem, data, rows) is not None
         sol, want = solve(mapped), solve(prob)
-        assert {r["path"] for r in sol.trace} == {"dense"}
+        assert {r["path"] for r in sol.trace} == {"core"}
         assert sol.optimal and sol.primal_value == pytest.approx(want.primal_value, rel=1e-8)
+        assert sol.iterations == want.iterations
 
     def test_core_equation_last(self):
         # the other rows are ids 0..m1-1 only when the core equation comes last
@@ -756,8 +810,10 @@ class TestTrace:
         ("upsilon_hat n = 16", lambda: cap.build_upsilon_problem(_k16(), hat=True), "core"),
         ("upsilon n = 16, m = 272", lambda: cap.build_upsilon_problem(
             random_graph(RandomChannelSpec(4, 4, 2, 7)), hat=False), "dense"),
-        # Y1 also sits in the input-marginal equation
+        # m = 200, below the crossover _CORE_MIN_ROWS = 300
         ("upsilon_hat_dual n = 16", lambda: cap.build_upsilon_hat_dual_problem(_k16()), "dense"),
+        ("upsilon_hat_dual lemma 2", lambda: cap.build_upsilon_hat_dual_problem(_lemma2_graph()),
+         "core"),
         ("aram n = 16", lambda: cap.build_aram_problem(_k16()), "dense"),
         ("cq", lambda: cap.build_cq_problem(random_cq_graph(1), "hat"), "dense"),
     ])

@@ -22,8 +22,8 @@ path, the border on the core path).  The ladder is:
   ``product_channel(1, 0..1)``;
 - with ``--xl``, ``upsilon``, ``upsilon_hat`` and ``upsilon_hat_dual`` on K (x) K
   at Choi dimension 81, K the random channel ``RandomChannelSpec(3, 3, 2, 7)``
-  (with ``--large``, about 115 s and 0.95 GB on a 2-core VM with one BLAS thread,
-  106 s of it the ``upsilon_hat_dual`` solve, which ends ``numerical-failure``).
+  (with ``--large``, about 11 s and 140 MB on a 2-core VM with one BLAS thread;
+  each of the three n = 81 solves takes 1.3-1.8 s and ends ``optimal``).
 
 ``--compare`` exits 1 unless both records hold the same solves, every value
 agrees to 1e-8 relative, the statuses are equal and the iteration counts
