@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphspace import CqGraph, NCGraph, tensor_power
+from .graphspace import CqGraph, NCGraph, ncgraph_from_cq, tensor_power
 from .matrixcore import ValidationError, op_norm, partial_trace, tensor
 from .sdpsolver import (
-    PSD,
     Block,
     Equation,
     Lift,
@@ -132,14 +131,14 @@ def build_upsilon_problem(K: NCGraph, hat: bool) -> SdpProblem:
     n, dA, dB = K.dim, K.d_A, K.d_B
     theta = _support_complement_basis(K.P_AB, _graph_is_real(K.P_AB))
     r = theta.shape[1]
-    blocks = [Block(PSD, dA), Block(PSD, n)]
+    blocks = [Block(dA), Block(n)]
     coupling = {1: Read(), 0: Lift(dB, -1.0)}       # blocks S, U, W (if r), Y (if hat)
     if r:
-        blocks.append(Block(PSD, r))
+        blocks.append(Block(r))
         coupling[2] = Read(theta.conj().T)
     marginal = {1: Trace(dA)}
     if hat:
-        blocks.append(Block(PSD, dB))
+        blocks.append(Block(dB))
         marginal[len(blocks) - 1] = Read()
     objective = [np.eye(dA)] + [None] * (len(blocks) - 1)
     constraints = [Equation(marginal, np.eye(dB)), Equation(coupling, np.zeros((n, n)))]
@@ -178,13 +177,13 @@ def build_upsilon_hat_dual_problem(K: NCGraph) -> SdpProblem:
     n, dA, dB = K.dim, K.d_A, K.d_B
     theta = _support_complement_basis(K.P_AB, _graph_is_real(K.P_AB))
     r = theta.shape[1]
-    blocks = [Block(PSD, dB), Block(PSD, n), Block(PSD, dA)]
+    blocks = [Block(dB), Block(n), Block(dA)]
     objective = [-np.eye(dB)] + [None] * (2 + bool(r))
     trace = Map(-np.eye(dA)[:, :, None, None] * np.eye(dB))      # T -> -tr(T) 1_A
     constraints = [Equation({2: Read(), 1: Trace(dB, first=False), 0: trace},
                             -np.eye(dA))]                     # blocks T, Y1, y2, Y3 (if r)
     if r:
-        blocks.append(Block(PSD, r))
+        blocks.append(Block(r))
         trA = np.einsum("abi,acj->ijbc", theta.reshape(dA, dB, r),  # tr_A(theta_i theta_j^dag)
                         theta.conj().reshape(dA, dB, r))
         constraints.append(Equation({3: Read(), 1: Read(theta, -1.0), 0: Map(trA)},
@@ -209,7 +208,7 @@ def build_aram_problem(K: NCGraph) -> SdpProblem:
     dA, dB = K.d_A, K.d_B
     P4 = _real_view(K.P_AB, _graph_is_real(K.P_AB)).reshape(dA, dB, dA, dB)
     packing = Map(P4.transpose(3, 1, 0, 2))      # T[x, y][a, c] = P[(a, y), (c, x)]
-    return SdpProblem([Block(PSD, dA), Block(PSD, dB)], [np.eye(dA), None],
+    return SdpProblem([Block(dA), Block(dB)], [np.eye(dA), None],
                       [Equation({0: packing, 1: Read()}, np.eye(dB))], name="aram")
 
 
@@ -236,15 +235,15 @@ def _cq_kernels(C: CqGraph) -> dict:
     return {i: theta for i, theta in thetas.items() if theta.shape[1]}
 
 
-def build_cq_problem(C: CqGraph, variant: str) -> SdpProblem:
-    """cq programs: ``upsilon`` (equality), ``hat`` (inequality), ``aram``.
+def build_cq_problem(C: CqGraph, hat: bool) -> SdpProblem:
+    """Transcribe the cq one-shot (or, with ``hat``, activated) capacity program.
 
     The slack pair R_i, G_i with R_i + G_i = s_i (1 - P_i) lives on
     ker(P_i), so both are r_i-dim blocks there; in those coordinates the
     coupling is simply R_i + G_i = s_i * identity, and the marginal
     ``sum_i s_i P_i + sum_i theta_i R_i theta_i^dag + Y = 1_B`` reads R_i
     through the frame theta_i^dag.  The blocks are S, then R_i and G_i for
-    each input i with a kernel, then Y (``hat`` and ``aram``).
+    each input i with a kernel, then Y (with ``hat``).
 
     The vector s is the diagonal of one N x N block S: the objective is
     ``tr S`` and every coefficient on S is diagonal, so only diag(S) enters
@@ -257,49 +256,53 @@ def build_cq_problem(C: CqGraph, variant: str) -> SdpProblem:
     P = np.stack([_real_view(P, real) for P in C.projections])
     weights = np.zeros((dB, dB, N, N), dtype=P.dtype)
     weights[:, :, np.arange(N), np.arange(N)] = P.transpose(2, 1, 0)   # T[x, y] = diag_i P_i[y, x]
-    blocks = [Block(PSD, N)]
+    blocks = [Block(N)]
     constraints = []
     marginal = {0: Map(weights)}
-    for i, theta in (_cq_kernels(C) if variant != "aram" else {}).items():
+    for i, theta in _cq_kernels(C).items():
         r = theta.shape[1]
-        blocks += [Block(PSD, r), Block(PSD, r)]
+        blocks += [Block(r), Block(r)]
         constraints.append(Equation({len(blocks) - 2: Read(), len(blocks) - 1: Read(),
                                      0: Lift(r, -1.0, at=i)}, np.zeros((r, r))))
         marginal[len(blocks) - 2] = Read(theta.conj().T)
-    if variant != "upsilon":
-        blocks.append(Block(PSD, dB))
+    if hat:
+        blocks.append(Block(dB))
         marginal[len(blocks) - 1] = Read()
     constraints.append(Equation(marginal, np.eye(dB)))
     objective = [np.eye(N)] + [None] * (len(blocks) - 1)
-    return SdpProblem(blocks, objective, constraints, name=f"cq_{variant}")
+    return SdpProblem(blocks, objective, constraints, name="cq_hat" if hat else "cq_upsilon")
 
 
-def _cq_result(quantity: str, C: CqGraph, variant: str, opts) -> CapacityResult:
-    sol = _run(build_cq_problem(C, variant), opts, quantity)
-    primal = {"s": np.diag(sol.primal_blocks[0]).real.copy()}
-    if variant in ("upsilon", "hat"):
-        thetas = _cq_kernels(C)
-        R = iter(sol.primal_blocks[1::2])       # R_i, in input order
-        primal["R"] = [thetas[i] @ next(R) @ np.conj(thetas[i]).T
-                       if i in thetas else np.zeros((C.d_B, C.d_B))
-                       for i in range(C.num_inputs)]
+def _cq_result(C: CqGraph, hat: bool, opts) -> CapacityResult:
+    quantity = "upsilon_hat_cq" if hat else "upsilon_cq"
+    sol = _run(build_cq_problem(C, hat), opts, quantity)
+    thetas = _cq_kernels(C)
+    R = iter(sol.primal_blocks[1::2])       # R_i, in input order
+    primal = {"s": np.diag(sol.primal_blocks[0]).real.copy(),
+              "R": [thetas[i] @ next(R) @ np.conj(thetas[i]).T
+                    if i in thetas else np.zeros((C.d_B, C.d_B))
+                    for i in range(C.num_inputs)]}
     return CapacityResult(quantity, sol.primal_value, primal, {}, sol.gap,
                           sol.status, sol.iterations, sol.trace)
 
 
 def upsilon_cq(C: CqGraph, opts: SolverOptions | None = None) -> CapacityResult:
     """One-shot capacity of a classical-quantum graph."""
-    return _cq_result("upsilon_cq", C, "upsilon", opts)
+    return _cq_result(C, False, opts)
 
 
 def upsilon_hat_cq(C: CqGraph, opts: SolverOptions | None = None) -> CapacityResult:
     """Activated one-shot capacity of a classical-quantum graph."""
-    return _cq_result("upsilon_hat_cq", C, "hat", opts)
+    return _cq_result(C, True, opts)
 
 
 def aram_cq(C: CqGraph, opts: SolverOptions | None = None) -> CapacityResult:
-    """Packing number of a classical-quantum graph."""
-    return _cq_result("aram_cq", C, "aram", opts)
+    """Packing number of a classical-quantum graph: the packing program of its
+    embedded graph ``sum_i |i><i| (x) P_i``, whose S_A has the diagonal s."""
+    sol = _run(build_aram_problem(ncgraph_from_cq(C)), opts, "aram_cq")
+    return CapacityResult("aram_cq", sol.primal_value,
+                          {"s": np.diag(sol.primal_blocks[0]).real.copy()}, {}, sol.gap,
+                          sol.status, sol.iterations, sol.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +327,13 @@ class Thm9Report:
         return all(vals) or not any(vals)
 
 
-class CriteriaInconsistency(RuntimeError):
-    """The four positivity criteria disagreed beyond tolerance."""
-
-
 def thm9_criteria(K: NCGraph, strict_tol: float = STRICT_TOL,
                   opts: SolverOptions | None = None, value=None) -> Thm9Report:
     """Evaluate the four equivalent positivity criteria with declared tolerances.
 
     Strict operator inequalities are decided with margin ``strict_tol``; the
-    criteria are provably equivalent, so a disagreement with decisive margins
-    signals solver trouble and raises :class:`CriteriaInconsistency`.
+    criteria are provably equivalent, so a report whose criteria disagree
+    (:meth:`Thm9Report.all_agree` is False) signals solver trouble.
     ``value(name, K)`` supplies the capacities ``"aram"`` and ``"upsilon_hat"``
     (e.g. ``CapacityCache.value``); by default they are solved here.
     """
@@ -346,7 +345,7 @@ def thm9_criteria(K: NCGraph, strict_tol: float = STRICT_TOL,
     trq_margin = float(np.linalg.eigvalsh(0.5 * (trq + trq.conj().T))[0])
     aram_margin = value("aram", K) - 1.0
     uhat_margin = value("upsilon_hat", K) - 1.0
-    report = Thm9Report(
+    return Thm9Report(
         aram_gt_1=aram_margin > strict_tol,
         pb_strict=pb_margin > strict_tol,
         trq_posdef=trq_margin > strict_tol,
@@ -354,11 +353,6 @@ def thm9_criteria(K: NCGraph, strict_tol: float = STRICT_TOL,
         margins={"aram": aram_margin, "pb": pb_margin,
                  "trq": trq_margin, "uhat": uhat_margin},
     )
-    if not report.all_agree():
-        decisive = min(abs(v) for v in report.margins.values())
-        if decisive > 10 * strict_tol:
-            raise CriteriaInconsistency(f"criteria disagree with margins {report.margins}")
-    return report
 
 
 def is_activatable(K: NCGraph, eps: float = 1e-6,

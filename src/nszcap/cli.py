@@ -241,28 +241,23 @@ def cmd_compute(args) -> int:
     kind, fn = QUANTITIES[args.quantity]
     channel = _load_channel(args)
     opts = SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
+    # the size guard reads the Choi dimension off the channel, before any graph is built
+    cq = isinstance(channel, gs.CqGraph)
+    cap.require_choi_dim(channel.num_inputs * channel.d_B if cq else channel.d_in * channel.d_out)
 
-    if isinstance(channel, gs.CqGraph):
-        cqg = channel
-        K = gs.ncgraph_from_cq(cqg)
-    else:
-        cqg = None
-        K = gs.ncgraph_from_channel(channel)
-    cap.require_choi_dim(K.dim)
-
-    if kind == "bound":
-        value = cap.superdense_bound(K)
-        out = {"quantity": args.quantity, "value": value,
-               "log2_value": float(np.log2(value)), "gap": 0.0,
-               "status": "exact"}
-        print(json.dumps(out))
-        return EXIT_OK
     if kind == "cq":
-        if cqg is None:
+        if not cq:
             raise ValidationError(
                 f"{args.quantity} needs a cq channel document (type 'cq')")
-        result = fn(cqg, opts)
+        result = fn(channel, opts)
     else:
+        K = gs.ncgraph_from_cq(channel) if cq else gs.ncgraph_from_channel(channel)
+        if kind == "bound":
+            value = cap.superdense_bound(K)
+            print(json.dumps({"quantity": args.quantity, "value": value,
+                              "log2_value": float(np.log2(value)), "gap": 0.0,
+                              "status": "exact"}))
+            return EXIT_OK
         result = fn(K, opts)
 
     out = {"quantity": args.quantity, "value": result.value,

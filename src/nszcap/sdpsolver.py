@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -65,14 +66,12 @@ _STATUS_INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """Cone block of dimension ``dim``: a Hermitian PSD matrix (``kind`` is :data:`PSD`)."""
+    """Cone block of dimension ``dim``: a Hermitian PSD matrix (its ``kind`` is :data:`PSD`)."""
 
-    kind: str
+    kind: ClassVar[str] = PSD
     dim: int
 
     def __post_init__(self):
-        if self.kind != PSD:
-            raise ValidationError(f"unknown block kind {self.kind!r}")
         if self.dim < 1:
             raise ValidationError("block dimension must be positive")
 
@@ -128,9 +127,15 @@ class Map:
 
     T: np.ndarray
 
+    @cached_property
+    def _adjoint(self):
+        """``conj(T)`` as a (dim^2, p^2) matrix, formed on the first :meth:`apply`."""
+        p, dim = self.T.shape[0], self.T.shape[-1]
+        return np.conj(self.T).reshape(p * p, dim * dim).T
+
     def apply(self, X, p):
-        lead, dim2 = X.shape[:-2], X.shape[-1] ** 2
-        H = X.reshape(lead + (dim2,)) @ np.conj(self.T).reshape(p * p, dim2).T
+        lead = X.shape[:-2]
+        H = X.reshape(lead + (-1,)) @ self._adjoint
         return H.reshape(lead + (p, p))
 
 

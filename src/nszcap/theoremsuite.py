@@ -134,15 +134,6 @@ class CapacityCache:
     def value(self, fn: str, K) -> float:
         return self.result(fn, K).value
 
-    def upsilon(self, K):
-        return self.value("upsilon", K)
-
-    def upsilon_hat(self, K):
-        return self.value("upsilon_hat", K)
-
-    def aram(self, K):
-        return self.value("aram", K)
-
 
 # ---------------------------------------------------------------------------
 # Witness constructions used in the proofs (and verified by the checks)
@@ -193,8 +184,8 @@ def check_lemma2(K: gs.NCGraph, ell: int, label: str = "",
     """Tensoring with a noiseless ell-channel multiplies the activated capacity."""
     cache = cache or CapacityCache()
     require_choi_dim(K.dim * ell * ell, dim_limit)
-    uh = cache.upsilon_hat(K)
-    lhs = cache.upsilon_hat(gs.tensor_graph(K, gs.delta(ell)))
+    uh = cache.value("upsilon_hat", K)
+    lhs = cache.value("upsilon_hat", gs.tensor_graph(K, gs.delta(ell)))
     rhs = ell * uh
     abs_tol = tol * ell * (1.0 + uh)
     return TheoremCheck("lemma2", f"{label or 'K'} x delta({ell})", lhs, rhs, "eq",
@@ -214,8 +205,8 @@ def check_main_theorem(K: gs.NCGraph, label: str = "",
     cache = cache or CapacityCache()
     require_choi_dim(K.dim * 4, dim_limit)
     KD = gs.tensor_graph(K, gs.delta(2))
-    lhs = cache.upsilon(KD) / 2.0
-    rhs = cache.upsilon_hat(K)
+    lhs = cache.value("upsilon", KD) / 2.0
+    rhs = cache.value("upsilon_hat", K)
     res = cache.result("upsilon_hat", K)
     S2, U2 = activation_witness(K, res.primal_witness["S_A"], res.primal_witness["U_AB"])
     viol = max(cap.check_upsilon_witness(KD, S2, U2, hat=False).values())
@@ -236,13 +227,13 @@ def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
     """
     cache = cache or CapacityCache()
     require_choi_dim(K1.dim * K2.dim, dim_limit)
-    u2 = cache.upsilon(K2)
-    uh1 = cache.upsilon_hat(K1)
+    u2 = cache.value("upsilon", K2)
+    uh1 = cache.value("upsilon_hat", K1)
     if u2 - 1.0 < 1.0 / uh1 - 1e-9:
         return TheoremCheck("theorem5", label, u2 - 1.0, 1.0 / uh1, "ge", 0.0,
                             True, vacuous=True, note="hypothesis not met")
     K12 = gs.tensor_graph(K1, K2)
-    lhs = cache.upsilon(K12)
+    lhs = cache.value("upsilon", K12)
     rhs = uh1 * u2
     r1 = cache.result("upsilon_hat", K1)
     r2 = cache.result("upsilon", K2)
@@ -261,13 +252,13 @@ def check_corollary6(K: gs.NCGraph, label: str = "",
                      tol: float = EQ_TOL) -> TheoremCheck:
     """Golden-ratio self-activation."""
     cache = cache or CapacityCache()
-    u = cache.upsilon(K)
+    u = cache.value("upsilon", K)
     if u < GOLDEN_RATIO - 1e-9:
         return TheoremCheck("corollary6", label, u, GOLDEN_RATIO, "ge", 0.0,
                             True, vacuous=True, note="one-shot value below golden ratio")
     require_choi_dim(K.dim ** 2, dim_limit)
-    lhs = cache.upsilon(gs.tensor_graph(K, K))
-    rhs = cache.upsilon_hat(K) * u
+    lhs = cache.value("upsilon", gs.tensor_graph(K, K))
+    rhs = cache.value("upsilon_hat", K) * u
     return TheoremCheck("corollary6", label, lhs, rhs, "ge",
                         tol, _compare(lhs, rhs, "ge", tol))
 
@@ -280,8 +271,8 @@ def check_theorem7(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
     cache = cache or CapacityCache()
     D = gs.direct_sum(K1, K2)
     require_choi_dim(D.dim, dim_limit)
-    lhs = cache.upsilon(D)
-    rhs = cache.upsilon_hat(K1) + cache.upsilon_hat(K2)
+    lhs = cache.value("upsilon", D)
+    rhs = cache.value("upsilon_hat", K1) + cache.value("upsilon_hat", K2)
     return TheoremCheck("theorem7", label, lhs, rhs, "eq",
                         tol, _compare(lhs, rhs, "eq", tol))
 
@@ -292,8 +283,8 @@ def check_theorem9(K: gs.NCGraph, label: str = "",
     """Positivity criteria agree; dense-coding bound holds and is attained as
     the packing number of the dense-coding cq graph."""
     cache = cache or CapacityCache()
-    report = cap.thm9_criteria(K, opts=cache.opts, value=cache.value)
-    uh = cache.upsilon_hat(K)
+    report = cap.thm9_criteria(K, value=cache.value)
+    uh = cache.value("upsilon_hat", K)
     sdb = cap.superdense_bound(K)
     acq = cache.value("aram_cq", gs.superdense_cq(K))
     agree = report.all_agree()
@@ -305,13 +296,12 @@ def check_theorem9(K: gs.NCGraph, label: str = "",
     return TheoremCheck("theorem9", label, uh, sdb, "ge", 1e-6, passed, note=note)
 
 
-def check_prop11(opts: SolverOptions | None = None,
-                 cache: CapacityCache | None = None) -> TheoremCheck:
+def check_prop11(cache: CapacityCache | None = None) -> TheoremCheck:
     """The activated capacity can exceed the packing number (built-in witness)."""
-    cache = cache or CapacityCache(opts)
+    cache = cache or CapacityCache()
     K = gs.ncgraph_from_channel(gs.prop11_channel())
-    uh = cache.upsilon_hat(K)
-    a = cache.aram(K)
+    uh = cache.value("upsilon_hat", K)
+    a = cache.value("aram", K)
     T = gs.prop11_packing_dual_witness()
     feas = cap.check_aram_dual_witness(K, T)
     tr_ok = abs(np.trace(T).real - 1.1751) <= 1e-6
@@ -329,6 +319,7 @@ def check_sandwich(K: gs.NCGraph, n: int, label: str = "",
     """Finite tensor-power sandwich around the activated capacity."""
     cache = cache or CapacityCache()
     try:
+        require_choi_dim(K.dim ** n, dim_limit)
         n0 = cap.find_n0(K, n, cache.opts, dim_limit, cache.value)
     except DimensionLimitError as exc:
         return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
@@ -336,10 +327,9 @@ def check_sandwich(K: gs.NCGraph, n: int, label: str = "",
     if n0 is None:
         return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
                             vacuous=True, note=f"n0 not found up to {n}")
-    require_choi_dim(K.dim ** n, dim_limit)
-    mid = cache.upsilon(gs.tensor_power(K, n))
-    lo = 2.0 * cache.upsilon_hat(gs.tensor_power(K, n - n0))
-    hi = cache.upsilon_hat(gs.tensor_power(K, n))
+    mid = cache.value("upsilon", gs.tensor_power(K, n))
+    lo = 2.0 * cache.value("upsilon_hat", gs.tensor_power(K, n - n0))
+    hi = cache.value("upsilon_hat", gs.tensor_power(K, n))
     lower_ok = _compare(lo, mid, "le", tol)
     upper_ok = _compare(mid, hi, "le", tol)
     return TheoremCheck("sandwich", f"{label} n={n} n0={n0}", lo, hi, "le",
@@ -467,7 +457,7 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
         for label, K in builtins + [("depolarizing(2)", depol)] + rand:
             emit(check_theorem9(K, label, cache, tol))
     if want("prop11"):
-        emit(check_prop11(opts, cache))
+        emit(check_prop11(cache))
     if want("sandwich"):
         emit(check_sandwich(gs.delta(2), 2, "delta(2)", cache, dim_limit, tol))
         # isometry channels have one-shot capacity >= 2, so n0 = 1

@@ -7,7 +7,6 @@ from nszcap import graphspace as gs
 from nszcap.capacities import DimensionLimitError
 from nszcap.matrixcore import ValidationError, partial_trace
 from nszcap.sdpsolver import (
-    PSD,
     Block,
     Equation,
     Read,
@@ -148,7 +147,7 @@ class TestCoefficientHelpers:
         for X, term, p, traced in ((U, Trace(dA), dB, partial_trace(U, dA, dB, "first")),
                                    (V, Trace(dB, first=False), dA,
                                     partial_trace(V, dA, dB, "second"))):
-            problem = SdpProblem([Block(PSD, dA * dB)], [X],
+            problem = SdpProblem([Block(dA * dB)], [X],
                                  [Equation({0: term}, np.zeros((p, p)))])
             data, _, b, _ = _preprocess(problem)
             values = np.zeros(len(b))
@@ -171,7 +170,7 @@ class TestCoefficientHelpers:
         X = _random_herm(rng, frame.shape[0], real)
         Xf = frame.conj().T @ X @ frame
         p = frame.shape[1]
-        problem = SdpProblem([Block(PSD, frame.shape[0])], [None],
+        problem = SdpProblem([Block(frame.shape[0])], [None],
                              [Equation({0: Read(frame)}, np.zeros((p, p)))])
         data, _, b, _ = _preprocess(problem)
         values = np.zeros(len(b))
@@ -216,7 +215,8 @@ class TestCqDiagonalBlock:
     @pytest.mark.parametrize("variant", ["upsilon", "hat", "aram"])
     def test_s_block_stays_diagonal(self, variant, seed):
         C = random_cq_graph(seed)
-        problem = cap.build_cq_problem(C, variant)
+        problem = (cap.build_aram_problem(gs.ncgraph_from_cq(C)) if variant == "aram"
+                   else cap.build_cq_problem(C, hat=variant == "hat"))
         sol = solve(problem)
         assert sol.optimal
         for S in (sol.primal_blocks[0], sol.dual_slacks[0]):

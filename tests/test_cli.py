@@ -212,6 +212,33 @@ class TestCompute:
         assert out == "" and len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and "exceeds the limit 8" in err
 
+    @pytest.mark.parametrize("quantity", ["upsilon", "aram", "superdense-bound",
+                                          "upsilon-cq", "upsilon-hat-cq", "aram-cq"])
+    @pytest.mark.parametrize("kind", ["kraus", "cq"])
+    def test_document_size_guard_before_graph(self, capsys, monkeypatch, tmp_path,
+                                              kind, quantity):
+        # Choi dimension 5 * 5 = 25 for the Kraus document and 9 * 2 = 18 for the
+        # cq document: both past the limit, so no graph may be built
+        if kind == "kraus":
+            channel = gs.identity_channel(5)
+        else:
+            channel = gs.cq_from_states([np.outer(v, v) for v in
+                                         (np.array([np.cos(t), np.sin(t)])
+                                          for t in np.linspace(0, 3, 9))])
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(channel_to_document(channel)))
+
+        def unbuildable(*args):
+            raise AssertionError("embedded graph built past the size guard")
+        for constructor in ("ncgraph_from_channel", "ncgraph_from_cq"):
+            monkeypatch.setattr(gs, constructor, unbuildable)
+        monkeypatch.setenv("NSZCAP_MAX_DIM", "16")
+        code, out, err = run_cli(capsys, "compute", "--channel", str(path),
+                                 "--quantity", quantity)
+        assert code == EXIT_INPUT
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "exceeds the limit 16" in err
+
     def test_witness_emission(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--builtin",
                                "example4:alpha_sq=0.75",
@@ -245,6 +272,17 @@ class TestVerify:
         assert all(c["elapsed_s"] > 0.0 for c in checks)
         assert sum(c["solves"] for c in checks) == len(solves) > 0
         assert "elapsed_s" not in err
+
+    def test_criteria_disagreement_is_a_failed_check(self, capsys):
+        # at these tolerances the four theorem 9 criteria disagree on seed 2
+        code, out, err = run_cli(capsys, "verify", "--only", "theorem9",
+                                 "--gap-tol", "0.5", "--feas-tol", "0.5",
+                                 "--seed", "1", "--seed", "2")
+        assert code == EXIT_VERIFY
+        checks = {c["instance"]: c for c in json.loads(out)["checks"]}
+        assert not checks["random(2->2,k=3,seed=2)"]["passed"]
+        assert "agree=False" in checks["random(2->2,k=3,seed=2)"]["note"]
+        assert "Traceback" not in err
 
     def test_unreasonable_tolerance_exits_3(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "theorem7",

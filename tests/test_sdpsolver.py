@@ -12,7 +12,6 @@ from nszcap.capacities import build_upsilon_problem
 from nszcap.graphspace import delta, example4_channel, ncgraph_from_channel
 from nszcap.matrixcore import ValidationError, partial_trace
 from nszcap.sdpsolver import (
-    PSD,
     Block,
     Equation,
     Lift,
@@ -24,6 +23,7 @@ from nszcap.sdpsolver import (
     Trace,
     _CoreNewton,
     _herm,
+    _max_step_scaled,
     _nt_frame,
     _Pivoted,
     _preprocess,
@@ -149,7 +149,7 @@ class TestEntryHelpers:
         d, p = (dA, dB) if first else (dB, dA)
         rng = np.random.default_rng(28)
         X = _random_herm(rng, dA * dB, real)
-        prob = SdpProblem([Block(PSD, dA * dB)], [X], [Equation({0: Trace(d, first)}, np.eye(p))])
+        prob = SdpProblem([Block(dA * dB)], [X], [Equation({0: Trace(d, first)}, np.eye(p))])
         data, _, _, (rows,) = _preprocess(prob)
         (f,) = data[0].families
         assert f.t == d and f.i.shape == f.j.shape == (len(rows), d)
@@ -241,7 +241,7 @@ def _lp(c, rows):
     """The linear program max c.x s.t. a.x = rhs, x >= 0 over (a, rhs) rows, as
     one PSD block whose objective and coefficients are diagonal: only the
     diagonal x of the block enters, and x >= 0 is exactly its PSD-ness."""
-    return SdpProblem([Block(PSD, len(c))], [np.diag(np.asarray(c, dtype=float))],
+    return SdpProblem([Block(len(c))], [np.diag(np.asarray(c, dtype=float))],
                       [Equation({0: Map(np.diag(np.asarray(a, dtype=float))[None, None])},
                                 np.array([[rhs]])) for a, rhs in rows])
 
@@ -249,7 +249,7 @@ def _lp(c, rows):
 class TestSolveBasics:
     def test_bounded_scalar(self):
         p = SdpProblem(
-            blocks=[Block(PSD, 1), Block(PSD, 1)],
+            blocks=[Block(1), Block(1)],
             objective=[np.array([[1.0]]), None],
             constraints=[Equation({0: Read(), 1: Read()}, np.eye(1))],
         )
@@ -259,7 +259,7 @@ class TestSolveBasics:
 
     def test_largest_eigenvalue_complex(self):
         Y = np.array([[0, -1j], [1j, 0]])
-        p = SdpProblem([Block(PSD, 2)], [Y], [Equation({0: Trace(2)}, np.eye(1))])
+        p = SdpProblem([Block(2)], [Y], [Equation({0: Trace(2)}, np.eye(1))])
         sol = solve(p)
         assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
 
@@ -352,12 +352,55 @@ class TestStatuses:
 
     def test_needs_constraints(self):
         with pytest.raises(ValidationError):
-            solve(SdpProblem([Block(PSD, 2)], [np.eye(2)], []))
+            solve(SdpProblem([Block(2)], [np.eye(2)], []))
+
+
+class TestNumericalFailureExits:
+    """Each exit of the iteration that ends ``numerical-failure`` returns the best
+    iterate it saw, with one trace record per iteration."""
+
+    PROBLEM = build_upsilon_problem(ncgraph_from_channel(example4_channel(0.75)), hat=True)
+
+    def _solve(self, monkeypatch, step, frame=_nt_frame):
+        monkeypatch.setattr(sdpsolver, "_max_step_scaled", step)
+        monkeypatch.setattr(sdpsolver, "_nt_frame", frame)
+        sol = solve(self.PROBLEM)
+        assert sol.status == "numerical-failure"
+        assert len(sol.trace) == sol.iterations
+        scored = [r for r in sol.trace if r["gap"] is not None]
+        best = min(scored, key=lambda r: max(r["gap"], r["pinf"], r["dinf"]))
+        assert (sol.primal_value, sol.gap) == (best["pobj"], best["gap"])
+        assert all(np.all(np.isfinite(X)) for X in sol.primal_blocks)
+        return sol
+
+    def test_non_finite_iterate(self, monkeypatch):
+        # a NaN frame at iteration 3 whose direction the step rule lets through
+        calls = []
+
+        def nan_frame(X, Z):
+            calls.append(1)
+            G, lw = _nt_frame(X, Z)
+            return (G * np.nan if len(calls) > 2 * len(self.PROBLEM.blocks) else G), lw
+
+        def step(lw, D):
+            return _max_step_scaled(lw, D) if np.all(np.isfinite(D)) else 1.0
+
+        sol = self._solve(monkeypatch, step, nan_frame)
+        assert sol.iterations == 4 and sol.trace[-1]["gap"] is None
+
+    def test_stall(self, monkeypatch):
+        # steps of 1e-6 leave the residuals in place: 15 iterations without progress
+        sol = self._solve(monkeypatch, lambda lw, D: 1e-6)
+        assert sol.iterations == 16 and sol.trace[-1]["alpha_p"] is None
+
+    def test_zero_step(self, monkeypatch):
+        sol = self._solve(monkeypatch, lambda lw, D: 0.0)
+        assert sol.iterations == 1 and sol.trace[0]["alpha_p"] == 0.0
 
 
 class TestValidation:
     def test_rejects_non_hermitian_coefficient(self):
-        p = SdpProblem([Block(PSD, 2)], [np.eye(2)],
+        p = SdpProblem([Block(2)], [np.eye(2)],
                        [Equation({0: Map(np.array([[0.0, 1.0], [0.0, 0.0]])[None, None])},
                                  np.zeros((1, 1)))])
         with pytest.raises(ValidationError):
@@ -372,12 +415,12 @@ class TestValidation:
     @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
     def test_rejects_trace_of_wrong_dimension(self, first):
         # a 5-dim block is not (d p)-dim for d = p = 2
-        p = SdpProblem([Block(PSD, 5)], [np.eye(5)], [Equation({0: Trace(2, first)}, np.eye(2))])
+        p = SdpProblem([Block(5)], [np.eye(5)], [Equation({0: Trace(2, first)}, np.eye(2))])
         with pytest.raises(ValidationError):
             p.validate()
 
     def test_rejects_frame_of_wrong_shape(self):
-        p = SdpProblem([Block(PSD, 2)], [np.eye(2)],
+        p = SdpProblem([Block(2)], [np.eye(2)],
                        [Equation({0: Read(np.ones((3, 2)))}, np.eye(2))])
         with pytest.raises(ValidationError):
             p.validate()
@@ -432,7 +475,7 @@ def _bad_program(case):
         rows[0] = Equation({0: Read()}, np.array([[1.0, 0.5], [0.0, 1.0]]))
     elif case == "non-Hermitian objective":
         objective = [np.array([[1.0, 1.0], [0.0, 1.0]])]
-    return SdpProblem([Block(PSD, 2)], objective, rows)
+    return SdpProblem([Block(2)], objective, rows)
 
 
 class TestMalformedPrograms:
@@ -481,7 +524,7 @@ class TestFramedBlocks:
             for i in range(3):
                 row = Map(np.outer(theta[i], theta[i])[None, None]) if dense else Read(frame[:, [i]])
                 cons.append(Equation({0: row, 1: Lift(1, at=i)}, np.array([[c[i]]])))
-            return SdpProblem([Block(PSD, 2), Block(PSD, 3)], [np.eye(2), None], cons)
+            return SdpProblem([Block(2), Block(3)], [np.eye(2), None], cons)
 
         framed, dense = solve(program(False)), solve(program(True))
         assert framed.optimal and dense.optimal
@@ -547,6 +590,11 @@ _NC_BUILDERS = {
     "upsilon_hat_dual": cap.build_upsilon_hat_dual_problem,
     "aram": cap.build_aram_problem,
 }
+_CQ_BUILDERS = {
+    "upsilon": lambda C: cap.build_cq_problem(C, hat=False),
+    "hat": lambda C: cap.build_cq_problem(C, hat=True),
+    "aram": lambda C: cap.build_aram_problem(gs.ncgraph_from_cq(C)),    # as aram_cq solves it
+}
 _CQ_GRAPHS = {
     "real, rank-one outputs": lambda: gs.cq_from_states(gs.example4_states(0.75)),
     "complex, one rank-deficient output": lambda: random_cq_graph(1),
@@ -582,14 +630,14 @@ class TestSchurOracle:
     @pytest.mark.parametrize("graph", sorted(_CQ_GRAPHS))
     @pytest.mark.parametrize("variant", ["upsilon", "hat", "aram"])
     def test_cq_builders(self, variant, graph):
-        problem = cap.build_cq_problem(_CQ_GRAPHS[graph](), variant)
+        problem = _CQ_BUILDERS[variant](_CQ_GRAPHS[graph]())
         self._compare(problem, seed=8)
 
     @pytest.mark.parametrize("real", [False, True])
     def test_families_of_one_two_and_three_entries(self, real):
         # one 6-dim block read whole (t = 1), and through tr_A (t = 2) and tr_B (t = 3)
         C = _random_herm(np.random.default_rng(29), 6, real)
-        problem = SdpProblem([Block(PSD, 6)], [C], [
+        problem = SdpProblem([Block(6)], [C], [
             Equation({0: Read()}, np.eye(6)), Equation({0: Trace(2)}, np.eye(3)),
             Equation({0: Trace(3, first=False)}, np.eye(2))])
         data, dtype, _, _ = _preprocess(problem)
@@ -600,7 +648,7 @@ class TestSchurOracle:
     def test_two_frames_on_one_block(self):
         # a rank-deficient output puts unframed coupling rows and
         # theta^dag-framed marginal rows on the same kernel block
-        problem = cap.build_cq_problem(random_cq_graph(1), "hat")
+        problem = cap.build_cq_problem(random_cq_graph(1), hat=True)
         data, _, _, _ = _preprocess(problem)
         kernels = [b for b, t in problem.constraints[-1].terms.items()
                    if isinstance(t, Read) and t.frame is not None]
@@ -767,7 +815,7 @@ class TestCoreRule:
     def test_cq_builders(self, monkeypatch, variant):
         # the marginal equation holds most rows, but its right-hand side is 1_B, not 0
         _with_path(monkeypatch, "core")
-        prob = cap.build_cq_problem(random_cq_graph(1), variant)
+        prob = _CQ_BUILDERS[variant](random_cq_graph(1))
         data, _, _, rows = _preprocess(prob)
         assert _CoreNewton.find(prob, data, rows) is None
 
@@ -815,7 +863,7 @@ class TestTrace:
         ("upsilon_hat_dual lemma 2", lambda: cap.build_upsilon_hat_dual_problem(_lemma2_graph()),
          "core"),
         ("aram n = 16", lambda: cap.build_aram_problem(_k16()), "dense"),
-        ("cq", lambda: cap.build_cq_problem(random_cq_graph(1), "hat"), "dense"),
+        ("cq", lambda: cap.build_cq_problem(random_cq_graph(1), hat=True), "dense"),
     ])
     def test_one_record_per_iteration(self, name, problem, path):
         sol = solve(problem())

@@ -214,8 +214,13 @@ class TestSandwich:
         assert c.passed and c.vacuous
         assert "n0 not found" in c.note
 
-    def test_skip_on_dimension_guard(self, cache):
-        K = gs.ncgraph_from_channel(gs.amplitude_damping_channel(0.75))
+    # K.dim ** n = 16 is past the limit: delta(2) would find n0 = 1 within it,
+    # amplitude damping none
+    @pytest.mark.parametrize("graph", ["amplitude-damping", "delta(2)"])
+    def test_skip_on_dimension_guard(self, cache, graph):
+        K = {"amplitude-damping": lambda: gs.ncgraph_from_channel(
+                 gs.amplitude_damping_channel(0.75)),
+             "delta(2)": lambda: gs.delta(2)}[graph]()
         c = check_sandwich(K, 2, "guarded", cache, dim_limit=10)
         assert c.passed and c.vacuous
         assert "size guard" in c.note
@@ -254,6 +259,12 @@ class TestRunSuite:
 
         run_suite(seeds=(), only="prop11", tolerance=1e-13, progress=progress)
         assert seen == [1e-5]
+
+    @pytest.mark.parametrize("only", ["theorem5", "corollary6", "sandwich"])
+    def test_seeded_instances(self, only):
+        report = run_suite(seeds=(2, 3), only=only)
+        assert not report.failures
+        assert any("seed=3" in c.instance for c in report.checks)
 
     def test_report_serializes(self):
         report = run_suite(seeds=(), only="prop11")

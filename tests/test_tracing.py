@@ -21,9 +21,9 @@ _PROGRAMS = {
     "upsilon_hat": lambda K, C: cap.build_upsilon_problem(K, hat=True),
     "upsilon_hat_dual": lambda K, C: cap.build_upsilon_hat_dual_problem(K),
     "aram": lambda K, C: cap.build_aram_problem(K),
-    "cq_upsilon": lambda K, C: cap.build_cq_problem(C, "upsilon"),
-    "cq_hat": lambda K, C: cap.build_cq_problem(C, "hat"),
-    "cq_aram": lambda K, C: cap.build_cq_problem(C, "aram"),
+    "cq_upsilon": lambda K, C: cap.build_cq_problem(C, hat=False),
+    "cq_hat": lambda K, C: cap.build_cq_problem(C, hat=True),
+    "cq_aram": lambda K, C: cap.build_aram_problem(gs.ncgraph_from_cq(C)),
 }
 
 
