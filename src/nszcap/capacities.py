@@ -29,7 +29,6 @@ from .sdpsolver import (
     Block,
     Equation,
     Lift,
-    Map,
     Read,
     SdpProblem,
     SdpSolution,
@@ -110,11 +109,11 @@ def _run(problem: SdpProblem, opts: SolverOptions | None, quantity: str) -> SdpS
 # Program builders
 # ---------------------------------------------------------------------------
 
-def _support_complement_basis(P, real: bool):
-    """Orthonormal basis of ker(P) for a projection P (columns)."""
+def _projection_basis(P, real: bool, kernel: bool = True):
+    """Orthonormal basis (columns) of ker(P) for a projection P, or of its range."""
     A = _real_view(P, real)
     w, V = np.linalg.eigh(A)
-    return np.ascontiguousarray(V[:, w < 0.5])
+    return np.ascontiguousarray(V[:, (w < 0.5) == kernel])
 
 
 def build_upsilon_problem(K: NCGraph, hat: bool) -> SdpProblem:
@@ -129,7 +128,7 @@ def build_upsilon_problem(K: NCGraph, hat: bool) -> SdpProblem:
     and, last, ``U + theta W theta^dag - S (x) 1_B = 0``.
     """
     n, dA, dB = K.dim, K.d_A, K.d_B
-    theta = _support_complement_basis(K.P_AB, _graph_is_real(K.P_AB))
+    theta = _projection_basis(K.P_AB, _graph_is_real(K.P_AB))
     r = theta.shape[1]
     blocks = [Block(dA), Block(n)]
     coupling = {1: Read(), 0: Lift(dB, -1.0)}       # blocks S, U, W (if r), Y (if hat)
@@ -172,21 +171,22 @@ def build_upsilon_hat_dual_problem(K: NCGraph) -> SdpProblem:
     y2 = tr_B V - 1_A, Y3 = -(1-P) V (1-P); V itself is eliminated through
     Y1.  Y3 is an r-dim block on ker(P), which keeps the program strictly
     feasible.  The equations are ``y2 + tr_B Y1 - tr(T) 1_A = -1_A`` and
-    ``Y3 - theta^dag Y1 theta + theta^dag (1 (x) T) theta = 0``.
+    ``Y3 - theta^dag Y1 theta + theta^dag (1 (x) T) theta = 0``.  Both maps of T
+    are Kraus sums: ``tr(T) 1_A`` lifts the d_B diagonal entries of T, and
+    ``theta^dag (1 (x) T) theta = sum_a kappa_a^dag T kappa_a`` for the d_A
+    operators ``kappa_a = (<a| (x) 1) theta``.
     """
     n, dA, dB = K.dim, K.d_A, K.d_B
-    theta = _support_complement_basis(K.P_AB, _graph_is_real(K.P_AB))
+    theta = _projection_basis(K.P_AB, _graph_is_real(K.P_AB))
     r = theta.shape[1]
     blocks = [Block(dB), Block(n), Block(dA)]
     objective = [-np.eye(dB)] + [None] * (2 + bool(r))
-    trace = Map(-np.eye(dA)[:, :, None, None] * np.eye(dB))      # T -> -tr(T) 1_A
-    constraints = [Equation({2: Read(), 1: Trace(dB, first=False), 0: trace},
+    constraints = [Equation({2: Read(), 1: Trace(dB, first=False), 0: Lift(dA, -1.0, t=dB)},
                             -np.eye(dA))]                     # blocks T, Y1, y2, Y3 (if r)
     if r:
         blocks.append(Block(r))
-        trA = np.einsum("abi,acj->ijbc", theta.reshape(dA, dB, r),  # tr_A(theta_i theta_j^dag)
-                        theta.conj().reshape(dA, dB, r))
-        constraints.append(Equation({3: Read(), 1: Read(theta, -1.0), 0: Map(trA)},
+        kappa = theta.reshape(dA, dB, r).transpose(1, 0, 2).reshape(dB, dA * r)
+        constraints.append(Equation({3: Read(), 1: Read(theta, -1.0), 0: Read(kappa, t=dA)},
                                     np.zeros((r, r))))
     return SdpProblem(blocks, objective, constraints, name="upsilon_hat_dual")
 
@@ -204,18 +204,23 @@ def upsilon_hat_dual(K: NCGraph, opts: SolverOptions | None = None) -> CapacityR
 
 def build_aram_problem(K: NCGraph) -> SdpProblem:
     """Transcribe the semidefinite packing number program: maximize tr S over
-    S >= 0 with ``tr_A(P_AB (S^T (x) 1_B)) + Y = 1_B``, Y >= 0."""
+    S >= 0 with ``tr_A(P_AB (S^T (x) 1_B)) + Y = 1_B``, Y >= 0.
+
+    The packing map is completely positive on ``S' = S^T``: with
+    ``P_AB = sum_k psi_k psi_k^dag`` and Psi_k the d_A x d_B reshape of psi_k, it is
+    ``sum_k Psi_k^T S' conj(Psi_k)``.  The program's block is S'."""
     dA, dB = K.d_A, K.d_B
-    P4 = _real_view(K.P_AB, _graph_is_real(K.P_AB)).reshape(dA, dB, dA, dB)
-    packing = Map(P4.transpose(3, 1, 0, 2))      # T[x, y][a, c] = P[(a, y), (c, x)]
+    psi = _projection_basis(K.P_AB, _graph_is_real(K.P_AB), kernel=False)
+    kraus = np.conj(psi.reshape(dA, dB, -1).transpose(0, 2, 1)).reshape(dA, -1)
     return SdpProblem([Block(dA), Block(dB)], [np.eye(dA), None],
-                      [Equation({0: packing, 1: Read()}, np.eye(dB))], name="aram")
+                      [Equation({0: Read(kraus, t=psi.shape[1]), 1: Read()}, np.eye(dB))],
+                      name="aram")
 
 
 def aram(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
     """Semidefinite (fractional) packing number."""
     sol = _run(build_aram_problem(K), opts, "aram")
-    primal = {"S_A": np.asarray(sol.primal_blocks[0])}
+    primal = {"S_A": np.asarray(sol.primal_blocks[0]).T.copy()}
     return CapacityResult("aram", sol.primal_value, primal, {"T_B": sol.dual_multipliers[0]},
                           sol.gap, sol.status, sol.iterations, sol.trace)
 
@@ -231,7 +236,7 @@ def _cq_is_real(C: CqGraph) -> bool:
 def _cq_kernels(C: CqGraph) -> dict:
     """Orthonormal bases theta_i of ker(P_i), for each input i whose output is not full rank."""
     real = _cq_is_real(C)
-    thetas = {i: _support_complement_basis(P, real) for i, P in enumerate(C.projections)}
+    thetas = {i: _projection_basis(P, real) for i, P in enumerate(C.projections)}
     return {i: theta for i, theta in thetas.items() if theta.shape[1]}
 
 
@@ -253,12 +258,15 @@ def build_cq_problem(C: CqGraph, hat: bool) -> SdpProblem:
     point and Newton directions of a diagonal pair are diagonal.
     """
     N, dB, real = C.num_inputs, C.d_B, _cq_is_real(C)
-    P = np.stack([_real_view(P, real) for P in C.projections])
-    weights = np.zeros((dB, dB, N, N), dtype=P.dtype)
-    weights[:, :, np.arange(N), np.arange(N)] = P.transpose(2, 1, 0)   # T[x, y] = diag_i P_i[y, x]
+    # sum_i s_i P_i is the Kraus sum of the operators e_i psi^dag over the unit
+    # vectors psi of a basis of the range of each P_i
+    psi = [_projection_basis(P, real, kernel=False) for P in C.projections]
+    inputs = np.repeat(np.arange(N), [v.shape[1] for v in psi])
+    kraus = np.zeros((N, len(inputs), dB), dtype=psi[0].dtype)
+    kraus[inputs, np.arange(len(inputs))] = np.conj(np.concatenate(psi, axis=1)).T
     blocks = [Block(N)]
     constraints = []
-    marginal = {0: Map(weights)}
+    marginal = {0: Read(kraus.reshape(N, -1), t=len(inputs))}
     for i, theta in _cq_kernels(C).items():
         r = theta.shape[1]
         blocks += [Block(r), Block(r)]

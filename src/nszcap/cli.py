@@ -22,6 +22,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -333,8 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parsing leaves the parser unchanged, so one instance serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValidationError, cap.DimensionLimitError) as exc:

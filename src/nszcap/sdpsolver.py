@@ -18,23 +18,25 @@ frame G, with ``X = G diag(lw) G^dag`` and ``G^dag Z G = diag(lw)``: both
 iterates are the same diagonal matrix in the frame, the NT point is
 ``W = G G^dag``, and step lengths and the corrector work elementwise on lw.
 
-An :class:`Equation` holds on Herm(p); each of its four kinds of term maps one
+An :class:`Equation` holds on Herm(p); each of its three kinds of term maps one
 block X into Herm(p), and a stack (..., dim, dim) to a stack (..., p, p):
-:class:`Read` ``scale F^dag X F`` (with ``F = theta^dag`` for an isometry
-theta, an r-dim block reads as ``theta X theta^dag``), :class:`Lift` a principal
-block of X times an identity, :class:`Trace` a partial trace, and :class:`Map`
-a small dense map.  An equation's rows are the entry functionals ``(i, i, re)``
+:class:`Read` ``scale sum_a F_a^dag X F_a`` for t Kraus operators F_a (with
+``F = theta^dag`` for an isometry theta, an r-dim block reads as
+``theta X theta^dag``), :class:`Lift` a sum of t principal blocks of X times an
+identity, and :class:`Trace` a partial trace.  Every map the capacity programs
+apply to a block is one of these, up to a sign or a transpose of the block (Choi
+1975; Kraus 1983).  An equation's rows are the entry functionals ``(i, i, re)``
 for each i, then ``(i, j, re), (i, j, im)`` for each i < j, without the ``im``
 rows when all data is real (an exact restriction).  One row codec per equation,
 :class:`_Rows`, maps between Herm(p) and its rows: ``read`` takes a stack of
 Hermitian matrices to their row values and ``matrix`` is its inverse, in the
 manner of SDPT3's svec/smat pair (Toh, Todd & Tutuncu 1999).  The right-hand
 side, the dual multiplier matrices and the core path's coordinates all go
-through it.  A Read, Lift or Trace row reads a sum of t scaled real or imaginary
-entries of ``F^dag X F`` (t = d for a Trace, 1 otherwise); the rows of one
-(block, frame, t) group form an entry family, whose Schur block comes in closed
-form from t pairs of outer products of rows of ``F^dag W F`` per row.  Map rows
-are dense matrices and take one dense path.
+through it.  Every row reads a sum of t scaled real or imaginary entries of
+``F^dag X F``, F the frame of all t Kraus operators side by side (t = d for a
+Trace); the rows of one (block, frame, t) group form an entry family, whose
+Schur block comes in closed form from t pairs of outer products of rows of
+``F^dag W F`` per row.
 
 The Newton system takes one of two paths, chosen from the program alone: the
 dense path assembles M and factors it, and the core path (:class:`_CoreNewton`:
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from time import perf_counter
 from typing import ClassVar, NamedTuple
 
@@ -80,29 +81,46 @@ class Block:
 # Equation terms: linear maps from one block into Herm(p)
 # ---------------------------------------------------------------------------
 
+def _side(A, t):
+    """``[A_0 | ... | A_t-1]`` (..., p, t n) for t blocks stacked as rows ``A`` (..., t p, n)."""
+    if t == 1:
+        return A
+    *lead, tp, n = A.shape
+    return A.reshape(*lead, t, tp // t, n).swapaxes(-3, -2).reshape(*lead, tp // t, t * n)
+
+
 @dataclass(frozen=True, eq=False)
 class Read:
-    """``scale F^dag X F`` for a frame F of shape (dim, p); None reads X itself."""
+    """``scale sum_a F_a^dag X F_a`` for the t Kraus operators F_a (dim x p) of a
+    frame ``F = [F_0 | ... | F_t-1]`` of shape (dim, t p); None reads X itself."""
 
     frame: np.ndarray | None = None
     scale: float = 1.0
+    t: int = 1
 
     def apply(self, X, p):
         F = self.frame
-        return self.scale * (X if F is None else np.conj(F).T @ X @ F)
+        if F is None:
+            return self.scale * X
+        # sum_a (F_a^dag X) F_a, one product on each side
+        return self.scale * (_side(np.conj(F).T @ X, self.t) @ _side(F.T, self.t).T)
 
 
 @dataclass(frozen=True, eq=False)
 class Lift:
-    """``scale X[at:at+q, at:at+q] (x) 1_d``, q = p / d: a principal block of X times 1_d."""
+    """``scale sum_s X[a_s:a_s+q, a_s:a_s+q] (x) 1_d``, q = p / d, a_s = at + s q: the
+    sum of t consecutive principal q-blocks of X, times 1_d."""
 
     d: int
     scale: float = 1.0
     at: int = 0
+    t: int = 1
 
     def apply(self, X, p):
-        s = slice(self.at, self.at + p // self.d)
-        S = X[..., s, s]
+        q = p // self.d
+        S = X[..., self.at:self.at + q, self.at:self.at + q]
+        for a in range(self.at + q, self.at + self.t * q, q):
+            S = S + X[..., a:a + q, a:a + q]
         lifted = S[..., :, None, :, None] * np.eye(self.d)[:, None, :]   # [a, x, b, y]
         return self.scale * lifted.reshape(S.shape[:-2] + (p, p))
 
@@ -120,25 +138,6 @@ class Trace:
         return np.einsum("...axay->...xy" if self.first else "...xaya->...xy", Y)
 
 
-@dataclass(frozen=True, eq=False)
-class Map:
-    """``X -> H``, ``H[x, y] = <T[x, y], X> = tr(T[x, y]^dag X)``, for a tensor T of
-    shape (p, p, dim, dim) with ``T[y, x] = T[x, y]^dag``."""
-
-    T: np.ndarray
-
-    @cached_property
-    def _adjoint(self):
-        """``conj(T)`` as a (dim^2, p^2) matrix, formed on the first :meth:`apply`."""
-        p, dim = self.T.shape[0], self.T.shape[-1]
-        return np.conj(self.T).reshape(p * p, dim * dim).T
-
-    def apply(self, X, p):
-        lead = X.shape[:-2]
-        H = X.reshape(lead + (-1,)) @ self._adjoint
-        return H.reshape(lead + (p, p))
-
-
 class Equation(NamedTuple):
     """``sum_b terms[b](X_b) = rhs`` on Herm(p): ``terms`` maps block indices to
     terms, and ``rhs`` is a Hermitian p x p matrix."""
@@ -152,10 +151,10 @@ def _has_imag(A) -> bool:
 
 
 def _data(problem):
-    """The program's data arrays: objective blocks, right-hand sides, frames and map tensors."""
+    """The program's data arrays: objective blocks, right-hand sides and frames."""
     terms = [t for ts, _ in problem.constraints for t in ts.values()]
     return [A for A in (*problem.objective, *(rhs for _, rhs in problem.constraints),
-                        *(getattr(t, "frame", getattr(t, "T", None)) for t in terms))
+                        *(getattr(t, "frame", None) for t in terms))
             if A is not None]
 
 
@@ -284,11 +283,6 @@ def _cast(arr, dtype):
     return arr.astype(dtype, copy=False)
 
 
-def _flat(A):
-    """Real view of matrices (..., n, n) as rows: ``_flat(A) @ _flat(B).T = Re <A, B>``."""
-    return A.reshape(A.shape[:-2] + (-1,)).view(np.float64)
-
-
 def _ids(k):
     """Increasing constraint ids ``k`` with their runs of consecutive ids, as
     (M slice, position slice) pairs; None for the runs when there are over four."""
@@ -315,7 +309,9 @@ class _EntryFamily:
     Row ``e`` (constraint ``k[e]``) pairs with a block matrix V as
     ``Re(c[e] sum_t (G V G^dag)[i[e, t], j[e, t]])``; ``G = F^dag`` maps block to
     frame coordinates (None: the identity).  Its matrix is ``G^dag A~ G`` for the frame
-    matrix ``A~ = sum_t (u E_it,jt + h.c.)``, ``u = conj(c) / 2``; ``r`` is the frame's width."""
+    matrix ``A~ = sum_t (u E_it,jt + h.c.)``, ``u = conj(c) / 2``; ``r`` is the frame's width.
+    A framed family of t Kraus operators has entries ``a p + (i, j)`` in the (t p)-wide
+    frame, and reads and scatters on Herm(p) through ``sum_a G_a V G_a^dag``."""
 
     def __init__(self, k, i, j, c, frame, r, dtype):
         self.k, self.i, self.j, self.r, self.t = k, i, j, r, i.shape[1]
@@ -325,6 +321,9 @@ class _EntryFamily:
         self.ij = np.concatenate([i, j[:, ::-1]], axis=1)
         self.u1 = np.stack([0.5 * np.conj(c), np.ones_like(c)], axis=1).repeat(self.t, 1)[:, :, None]
         self.G = None if frame is None else _cast(np.conj(np.asarray(frame)).T, dtype)
+        if frame is not None:           # [G_0^dag; ...; G_t-1^dag], and the entries on Herm(p)
+            self.Gs = np.conj(_side(self.G, self.t)).T
+            self.pij = i[:, 0], j[:, 0]
         # as columns, the family reads scale * Re/Im of entries (i, j) of a frame
         # matrix: the offsets into its float view, and the scales
         flat = self.i * r + self.j
@@ -338,15 +337,19 @@ class _EntryFamily:
 
     def read(self, V):
         """The family's values at block matrices V (..., dim, dim)."""
-        Y = V if self.G is None else self.G @ V @ np.conj(self.G).T
-        return (self.c * self._sum(Y[..., self.i, self.j])).real
+        if self.G is None:
+            return (self.c * self._sum(V[..., self.i, self.j])).real
+        Y = _side(self.G @ V, self.t) @ self.Gs
+        return (self.c * Y[(...,) + self.pij]).real
 
     def scatter(self, y, out):
         """Add to ``out`` a matrix whose Hermitian part is ``sum_e y[k_e] A_e``."""
-        acc = out if self.G is None else np.zeros((self.r, self.r), dtype=out.dtype)
-        np.add.at(acc, (self.i, self.j), (np.conj(self.c) * y[self.k])[:, None])
-        if self.G is not None:
-            out += np.conj(self.G).T @ acc @ self.G
+        if self.G is None:
+            np.add.at(out, (self.i, self.j), (np.conj(self.c) * y[self.k])[:, None])
+            return
+        acc = np.zeros((self.r // self.t,) * 2, dtype=out.dtype)
+        np.add.at(acc, self.pij, np.conj(self.c) * y[self.k])
+        out += _side(self.Gs @ acc, self.t) @ self.G
 
     def outer(self, X):
         """Yield (rows e, ``X^dag A~_e X``) for X (r x r2), A~_e row e's frame matrix, in groups
@@ -374,49 +377,29 @@ class _EntryFamily:
                 _add(M, other.ids, rows, B.T)
 
 
-def _family_schur(families, W, M):
-    """M += the Schur blocks ``<A_e, W A_f W>`` between the rows of a block's families."""
-    for a, f in enumerate(families):
-        for g in families[a:]:
-            f.schur(g, W, M)
-
-
 class _BlockData:
-    """Constraint data for one block: one :class:`_EntryFamily` per frame (and per
-    t for the frameless rows), and the Map coefficients dense."""
+    """Constraint data for one block: its objective C, and one :class:`_EntryFamily`
+    per frame (and per t for the frameless rows)."""
 
-    def __init__(self, n, dtype):
-        self.C = np.zeros((n, n), dtype=dtype)
-        self.families = []
-        self.dk = np.zeros(0, dtype=np.intp)
-        self.dA = np.zeros((0, n, n), dtype=dtype)
+    def __init__(self, C, families):
+        self.C, self.families = C, families
 
     def pair_all(self, V, out):
         """out[k] += <A_k, V> for all constraints touching this block."""
         for f in self.families:
             out[f.k] += f.read(V)
-        if self.dk.size:
-            out[self.dk] += _flat(self.dA) @ _flat(V)
 
     def scatter(self, y, out):
         """out += sum_k y[k] A_k over this block's constraints, up to
         an anti-Hermitian part: the caller keeps the Hermitian part."""
         for f in self.families:
             f.scatter(y, out)
-        if self.dk.size:
-            out += np.tensordot(y[self.dk], self.dA, axes=1)
 
     def schur(self, W, M):
         """M += the block's contribution <A_k, W A_l W>."""
-        if self.dk.size:
-            D = np.matmul(W, np.matmul(self.dA, W))      # (md, n, n), D_l = W A_l W
-            ids = _ids(self.dk)
-            _add(M, ids, ids, _flat(self.dA) @ _flat(D).T)
-            for f in self.families:
-                cross = f.read(D)                         # (md, len(f.k))
-                _add(M, ids, f.ids, cross)
-                _add(M, f.ids, ids, cross.T)
-        _family_schur(self.families, W, M)
+        for a, f in enumerate(self.families):
+            for g in self.families[a:]:
+                f.schur(g, W, M)
 
 
 class _Pivoted:
@@ -464,10 +447,10 @@ class _CoreNewton:
 
     The core equation, the last one, on Herm(p), holds more than half of the m
     rows and has right-hand side 0.  Its terms are a frameless Read of a block u,
-    one other Read (of a block w, frame F_w) and any other terms T_l.  Any of its
-    blocks may sit in the other equations too, as long as no entry family holds
-    rows of both, and the other rows' families sit only on blocks that it reads
-    by a Read.  On its multiplier Y, M acts as
+    one other Read of one Kraus operator (of a block w, frame F_w) and any other
+    terms T_l.  Any of its blocks may sit in the other equations too, as long as
+    no entry family holds rows of both, and the other rows' families sit only on
+    blocks that it reads by a Read.  On its multiplier Y, M acts as
     ``A Y A + B Y B + sum_l T_l(W_l T_l^dag(Y) W_l)`` with ``A = |s_u| W_u`` and
     ``B = |s_w| F_w^dag W_w F_w``; another row f, with coefficient A_f^b on block
     b, couples to it as ``sum_b t_b(W_b A_f^b W_b)`` over the core terms t_b.
@@ -481,7 +464,7 @@ class _CoreNewton:
     whose capacitance matrix ``1 + V~^T V~``, ``V~ = D^-1/2 V``, is SPD and >= 1.
     The other coordinates and the other equations' rows form the border, which
     is Jacobi-scaled and factored by :class:`_Pivoted`; its other rows' corner
-    comes from their own entry families and Map rows.
+    comes from their own entry families.
 
     What the path needs is small scaled Woodbury columns V~, not a well
     conditioned A + B.  On n = 36 Upsilon-hat, cond(A + B) stays below 5 and
@@ -504,7 +487,7 @@ class _CoreNewton:
             return None
         *others, (terms, rhs) = problem.constraints
         m1 = rows[-1].k[0]
-        reads = [bi for bi, t in terms.items() if isinstance(t, Read)]
+        reads = [bi for bi, t in terms.items() if isinstance(t, Read) and t.t == 1]
         u = next((bi for bi in reads if terms[bi].frame is None), None)
         reads = [bi for bi in reads if bi != u]
         elsewhere = {bi for ts, _ in others for bi in ts}
@@ -527,20 +510,19 @@ class _CoreNewton:
             if bi not in (u, w):
                 basis = _Rows(problem.blocks[bi].dim, self.rows.real)
                 self.low.append((bi, t, basis.matrix(np.diag(np.sqrt(basis.norm2)))))
-        # on each block the other rows touch: their entry families and Map rows, and
-        # the core equation's term there (None: the core equation does not read it)
-        self.others = []
-        for bi in sorted(elsewhere):
-            d = data[bi]
-            own, keep = _BlockData(len(d.C), d.C.dtype), d.dk < self.m1
-            own.families = [f for f in d.families if f.k[0] < self.m1]
-            own.dk, own.dA = d.dk[keep], d.dA[keep]
-            self.others.append((bi, own, terms.get(bi)))
+        # on each block the other rows touch: their entry families, and the core
+        # equation's term there (None: the core equation does not read it)
+        self.others = [(bi, _BlockData(data[bi].C, [f for f in data[bi].families
+                                                    if f.k[0] < self.m1]), terms.get(bi))
+                       for bi in sorted(elsewhere)]
 
     def reduce(self, Ws, Gs):
         """Frame and closed-form elimination at the NT points ``W_b = G_b G_b^dag``;
         returns the Jacobi-scaled border matrix."""
         p, rows, wt = self.rows.p, self.rows, self.wt
+        # free the last iteration's arrays before building this one's: n = 216 peaks at
+        # 0.8 GB instead of 1.4 GB
+        self.Cb = self.Vt = self.Q = self.P = self.VK = None
         A = abs(self.su) * Ws[self.u]
         B = self.read_w.apply(Ws[self.w], p)
         _, F = sla.eigh(B, A + B)
@@ -553,9 +535,9 @@ class _CoreNewton:
             t.apply(Gs[bi] @ Z @ np.conj(Gs[bi]).T, p) for bi, t, Z in self.low])
         V = (wt * rows.read(Fh @ cols @ F)).T                              # (N, k)
         # M11, the other rows' block of M, and their cross columns
-        # <E_e, sum_b t_b(W_b A_f W_b)> over the core terms t_b: for a Read t_b (frame
-        # Theta, scale s), F^dag t_b(W_b A_f W_b) F is s times a family's outer product
-        # at X = G_f W_b Theta F; Map rows take t_b of the stack W_b A_f W_b
+        # <E_e, sum_b t_b(W_b A_f W_b)> over the core terms t_b: for a Read t_b (Kraus
+        # operators Theta_a, scale s), F^dag t_b(W_b A_f W_b) F is s times the sum over a
+        # of a family's outer products at X_a = G_f W_b Theta_a F
         C = np.zeros((len(rows), self.m1), order="F")                      # (N, m1)
         M11 = np.zeros((self.m1, self.m1))
         for bi, own, t in self.others:
@@ -563,17 +545,21 @@ class _CoreNewton:
             own.schur(W, M11)
             if t is None:
                 continue
-            for f in own.families:                                         # t is a Read
+            kraus = [None] if t.frame is None else [
+                t.frame[:, a * p:(a + 1) * p] for a in range(t.t)]        # t is a Read
+            for f in own.families:
                 X = W if f.G is None else f.G @ W
-                for e, R in f.outer((X if t.frame is None else X @ t.frame) @ F):
+                for (e, R), *more in zip(*(f.outer((X if Th is None else X @ Th) @ F)
+                                           for Th in kraus)):
+                    for _, Ra in more:
+                        R += Ra
                     C[:, f.k[e]] += (wt * (t.scale * rows.read(R))).T
-            if own.dk.size:
-                C[:, own.dk] += (wt * rows.read(Fh @ t.apply(W @ own.dA @ W, p) @ F)).T
         # eliminate E: with V~ = D_E^-1/2 V_E, C- = D_E^-1/2 C_E and the capacitance
         # 1 + V~^T V~ = L L^T, the border is [[D_K + P P^T, C_K - P Q], [., M11 - C-^T C- + Q^T Q]]
         # for P = V_K L^-T and Q = L^-1 V~^T C-
         self.sD = np.sqrt(den[self.E])
-        self.Vt, self.Cb = V[self.E] / self.sD[:, None], C[self.E] / self.sD[:, None]
+        self.Vt, self.Cb = V[self.E] / self.sD[:, None], C[self.E]
+        self.Cb /= self.sD[:, None]
         self.L = np.linalg.cholesky(np.eye(V.shape[1]) + self.Vt.T @ self.Vt)
         self.VK = V[K]
         self.P = sla.solve_triangular(self.L, self.VK.T, lower=True, check_finite=False).T
@@ -625,28 +611,19 @@ class _CoreNewton:
         return self.chol.residue(self._border_rhs(r)[1]) / self.jac[self.chol.dropped]
 
 
-def _map_rows(t, rows):
-    """A Map term's dense coefficient on each of the equation's rows."""
-    i, j, im = rows.i, rows.j, rows.im
-    # u T[i, j] + conj(u) T[j, i] for u = conj(weight) / 2: a float on the re rows
-    A = 0.5 * t.T[i, j] + 0.5 * t.T[j, i]
-    if not rows.real:
-        A = A.astype(complex)
-        A[im] = 0.5j * t.T[i[im], j[im]] + np.conj(0.5j) * t.T[j[im], i[im]]
-    return A
-
-
 def _check_term(k, t, dim, p):
     """Reject a term that does not map a block of dimension ``dim`` into Herm(p)."""
+    def integer(v, least=1):
+        return isinstance(v, (int, np.integer)) and v >= least
+
     if isinstance(t, Read):
-        ok = np.shape(t.frame) == (dim, p) if t.frame is not None else dim == p
+        ok = integer(t.t) and (np.shape(t.frame) == (dim, t.t * p) if t.frame is not None
+                               else dim == p and t.t == 1)
     elif isinstance(t, Lift):
-        ok = all(isinstance(v, (int, np.integer)) for v in (t.d, t.at)) \
-            and t.d >= 1 and p % t.d == 0 and 0 <= t.at <= dim - p // t.d
+        ok = integer(t.d) and integer(t.t) and integer(t.at, 0) and p % t.d == 0 \
+            and t.at + t.t * (p // t.d) <= dim
     elif isinstance(t, Trace):
-        ok = isinstance(t.d, (int, np.integer)) and t.d >= 1 and dim == t.d * p
-    elif isinstance(t, Map):
-        ok = np.shape(t.T) == (p, p, dim, dim)
+        ok = integer(t.d) and dim == t.d * p
     else:
         raise ValidationError(f"equation {k}: unknown term {t!r}")
     if not ok:
@@ -659,9 +636,9 @@ def _check_term(k, t, dim, p):
 def _preprocess(problem: SdpProblem):
     """Check the program's data, in time linear in it: shapes, finiteness, and
     Hermiticity to ``HERM_TOL``.  Enumerate each equation's rows and sort them
-    into per-block entry families and dense data, in real arithmetic when all data
-    is real.  Returns the block data, the working dtype, the rows' right-hand side
-    b, and each equation's :class:`_Rows`."""
+    into per-block entry families, in real arithmetic when all data is real.
+    Returns the block data, the working dtype, the rows' right-hand side b, and
+    each equation's :class:`_Rows`."""
     blocks = problem.blocks
     if len(problem.objective) != len(blocks):
         raise ValidationError(f"{len(problem.objective)} objectives for {len(blocks)} blocks")
@@ -678,7 +655,7 @@ def _preprocess(problem: SdpProblem):
             _check_term(k, t, blocks[bi].dim, len(rhs))
     arrays = _data(problem)
     if not all(np.all(np.isfinite(A)) for A in arrays):
-        raise ValidationError("non-finite objective, rhs, frame or map tensor")
+        raise ValidationError("non-finite objective, rhs or frame")
     if any(herm_deviation(C) > HERM_TOL for C in problem.objective if C is not None):
         raise ValidationError("objective block is not Hermitian")
     for k, (_, rhs) in enumerate(problem.constraints):
@@ -688,7 +665,6 @@ def _preprocess(problem: SdpProblem):
     dtype = np.float64 if real else np.complex128
 
     families = [{} for _ in blocks]     # per block and key: [k, i, j, c, frame, width] lists
-    dense = [[] for _ in blocks]        # per block: (k, coefficients) arrays
     rows, b, k0 = [], [], 0
     for terms, rhs in problem.constraints:
         r = _Rows(len(rhs), real, k0)
@@ -697,39 +673,29 @@ def _preprocess(problem: SdpProblem):
         b.append(r.read(np.asarray(rhs)) + 0.0)     # + 0.0: no negative zeros
         i, j, k = r.i[:, None], r.j[:, None], r.k
         for bi, t in terms.items():
-            if isinstance(t, Map):
-                dense[bi].append((k, _map_rows(t, r)))
-                continue
             scale = getattr(t, "scale", 1.0)
             c = np.where(r.im, -1j * scale, scale)
-            if isinstance(t, Lift):
-                sel = r.i % t.d == r.j % t.d
-                entries = [k[sel], t.at + i[sel] // t.d, t.at + j[sel] // t.d, c[sel]]
+            if isinstance(t, Lift):             # block s at a_s = at + s q
+                sel, a = r.i % t.d == r.j % t.d, t.at + r.p // t.d * np.arange(t.t)
+                entries = [k[sel], a + i[sel] // t.d, a + j[sel] // t.d, c[sel]]
             elif isinstance(t, Trace):          # entry (a, x) at a p + x, or (x, a) at x d + a
                 a, (si, sa) = np.arange(t.d), (1, r.p) if t.first else (t.d, 1)
                 entries = [k, si * i + sa * a, si * j + sa * a, c]
-            else:
-                entries = [k, i, j, c]
+            else:                               # Kraus operator a at a p + (i, j)
+                a = r.p * np.arange(t.t)
+                entries = [k, a + i, a + j, c]
             # one family per frameless t on a block, and one per framed term
             frame = t.frame if isinstance(t, Read) else None
             key = entries[1].shape[1] if frame is None else ("framed", len(families[bi]))
             fam = families[bi].setdefault(
-                key, [[], [], [], [], frame, blocks[bi].dim if frame is None else r.p])
+                key, [[], [], [], [], frame, blocks[bi].dim if frame is None else t.t * r.p])
             for acc, new in zip(fam, entries):
                 acc.append(new)
-    data = []
-    for blk, C, fams, ds in zip(blocks, problem.objective, families, dense):
-        d = _BlockData(blk.dim, dtype)
-        if C is not None:
-            d.C = _cast(np.asarray(C), dtype)
-        if ds:
-            d.dk = np.concatenate([k for k, _ in ds])
-            d.dA = _cast(np.concatenate([A for _, A in ds]), dtype)
-            if np.abs(d.dA - np.conj(d.dA).transpose(0, 2, 1)).max(initial=0) > HERM_TOL:
-                raise ValidationError("a dense coefficient is not Hermitian")
-        d.families = [_EntryFamily(*map(np.concatenate, f[:4]), *f[4:], dtype)
-                      for f in fams.values()]
-        data.append(d)
+    data = [_BlockData(np.zeros((blk.dim, blk.dim), dtype) if C is None
+                       else _cast(np.asarray(C), dtype),
+                       [_EntryFamily(*map(np.concatenate, f[:4]), *f[4:], dtype)
+                        for f in fams.values()])
+            for blk, C, fams in zip(blocks, problem.objective, families)]
     return data, dtype, np.concatenate(b) if b else np.zeros(0), rows
 
 

@@ -15,7 +15,6 @@ from nszcap.sdpsolver import (
     Block,
     Equation,
     Lift,
-    Map,
     Read,
     SdpProblem,
     SolverFailure,
@@ -164,6 +163,26 @@ class TestEntryHelpers:
         assert_allclose(_herm(acc), want, atol=1e-12)
 
     @pytest.mark.parametrize("real", [False, True])
+    def test_kraus_family_reads_and_scatters(self, real):
+        # a Read of t = 3 Kraus operators is one framed family: it reads
+        # scale sum_a F_a^dag X F_a, and its scatter is the adjoint scale sum_a F_a Y F_a^dag
+        rng = np.random.default_rng(30)
+        F = rng.standard_normal((5, 6)) + (0 if real else 1j * rng.standard_normal((5, 6)))
+        term = Read(F, 0.7, t=3)
+        X = _random_herm(rng, 5, real)
+        prob = SdpProblem([Block(5)], [X], [Equation({0: term}, np.eye(2))])
+        data, _, _, (rows,) = _preprocess(prob)
+        (f,) = data[0].families
+        assert f.t == 3 and f.r == 6
+        assert_allclose(f.read(X), rows.read(term.apply(X, 2)), atol=1e-12)
+        y = rng.standard_normal(len(rows))
+        acc = np.zeros_like(data[0].C)
+        f.scatter(y, acc)
+        Y = rows.matrix(rows.norm2 * y)
+        want = 0.7 * sum(F[:, a:a + 2] @ Y @ np.conj(F[:, a:a + 2]).T for a in (0, 2, 4))
+        assert_allclose(_herm(acc), want, atol=1e-12)
+
+    @pytest.mark.parametrize("real", [False, True])
     def test_matrix_inverts_read(self, real):
         # on a stack: matrix(read(Y)) = Y for Hermitian (real: symmetric) Y, and
         # read(matrix(v)) = v for any row values v
@@ -177,21 +196,17 @@ class TestEntryHelpers:
         assert list(rows.k) == list(range(5, 5 + len(rows)))
 
 
-def _trace_tensor(d, p):
-    """tr_A of a (d p)-dim block as a dense Map tensor: ``T[x, y] = 1_d (x) |x><y|``."""
-    unit = np.eye(p * p).reshape(p, p, p, p)
-    T = np.eye(d)[None, None, :, None, :, None] * unit[:, :, None, :, None, :]
-    return T.reshape(p, p, d * p, d * p)
-
-
 def _stack_cases():
     rng = np.random.default_rng(24)
     frame = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    kraus = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     return {
         "read": (Read(scale=-2.0), 3, 3),
         "read framed": (Read(frame, 0.5), 4, 2),
+        "read kraus": (Read(kraus, 0.5, t=3), 4, 2),
         "lift at 1": (Lift(2, -1.5, at=1), 4, 4),
-        "map partial trace": (Map(_trace_tensor(2, 3)), 6, 3),
+        "lift of three blocks": (Lift(2, -1.5, at=1, t=3), 7, 4),
+        "map partial trace": (Read(np.eye(6), t=2), 6, 3),     # tr_A: Kraus operators <a| (x) 1
         "trace first": (Trace(2), 6, 3),
         "trace second": (Trace(3, first=False), 6, 2),
     }
@@ -214,19 +229,25 @@ class TestBatchedTerms:
         want = -1.5 * np.kron(X[1:3, 1:3], np.eye(2))
         assert np.array_equal(Lift(2, -1.5, at=1).apply(X, 4), want)
 
+    def test_lift_of_three_blocks_is_their_sum(self):
+        X = _random_herm(np.random.default_rng(31), 7, False)
+        want = -1.5 * np.kron(X[1:3, 1:3] + X[3:5, 3:5] + X[5:7, 5:7], np.eye(2))
+        assert_allclose(Lift(2, -1.5, at=1, t=3).apply(X, 4), want, rtol=1e-14, atol=1e-14)
+
     def test_map_is_its_definition(self):
-        # H[x, y] = tr(T[x, y]^dag X), for a complex tensor on a complex stack
+        # a Read of t Kraus operators is scale sum_a F_a^dag X F_a, for a complex
+        # frame on a complex stack
         rng = np.random.default_rng(28)
-        T = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
-        T = T + np.conj(T).transpose(1, 0, 3, 2)          # T[y, x] = T[x, y]^dag
+        F = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
         X = _random_herm(rng, 3, False, stack=(4,))
-        H = Map(T).apply(X, 2)
-        for s, x, y in np.ndindex(4, 2, 2):
-            assert_allclose(H[s, x, y], np.trace(np.conj(T[x, y]).T @ X[s]), rtol=1e-13)
+        H = Read(F, -0.5, t=4).apply(X, 2)
+        for s in range(4):
+            want = sum(np.conj(F[:, a:a + 2]).T @ X[s] @ F[:, a:a + 2] for a in range(0, 8, 2))
+            assert_allclose(H[s], -0.5 * want, rtol=1e-13)
 
     @pytest.mark.parametrize("case", ["trace first", "trace second"])
     def test_trace_is_partial_trace(self, case):
-        # on each matrix of a stack (2 x 3 factors), and as the dense Map tensor does
+        # on each matrix of a stack (2 x 3 factors), and as its Kraus operators do
         term, dim, p = _stack_cases()[case]
         X = _random_herm(np.random.default_rng(27), dim, False, stack=(2, 3))
         H = term.apply(X, p)
@@ -234,15 +255,15 @@ class TestBatchedTerms:
             want = partial_trace(X[idx], 2, 3, "first" if term.first else "second")
             assert_allclose(H[idx], want, rtol=1e-14, atol=1e-14)
         if term.first:
-            assert_allclose(H, Map(_trace_tensor(2, 3)).apply(X, p), rtol=1e-14, atol=1e-14)
+            assert_allclose(H, Read(np.eye(6), t=2).apply(X, p), rtol=1e-14, atol=1e-14)
 
 
 def _lp(c, rows):
     """The linear program max c.x s.t. a.x = rhs, x >= 0 over (a, rhs) rows, as
-    one PSD block whose objective and coefficients are diagonal: only the
-    diagonal x of the block enters, and x >= 0 is exactly its PSD-ness."""
-    return SdpProblem([Block(len(c))], [np.diag(np.asarray(c, dtype=float))],
-                      [Equation({0: Map(np.diag(np.asarray(a, dtype=float))[None, None])},
+    one 1-dim block per variable, each read with scale a_i: x >= 0 is exactly
+    the blocks' PSD-ness."""
+    return SdpProblem([Block(1) for _ in c], [np.array([[float(ci)]]) for ci in c],
+                      [Equation({i: Read(scale=float(ai)) for i, ai in enumerate(a)},
                                 np.array([[rhs]])) for a, rhs in rows])
 
 
@@ -399,13 +420,6 @@ class TestNumericalFailureExits:
 
 
 class TestValidation:
-    def test_rejects_non_hermitian_coefficient(self):
-        p = SdpProblem([Block(2)], [np.eye(2)],
-                       [Equation({0: Map(np.array([[0.0, 1.0], [0.0, 0.0]])[None, None])},
-                                 np.zeros((1, 1)))])
-        with pytest.raises(ValidationError):
-            p.validate()
-
     def test_accepts_canonical_problem(self):
         K = ncgraph_from_channel(example4_channel(0.75))
         for hat in (False, True):
@@ -437,8 +451,8 @@ def _bad_program(case):
         rows[1] = Equation(rows[1].terms, np.array([[nan]]))
     elif case == "inf objective":
         objective = [np.diag([1.0, np.inf])]
-    elif case == "nan dense coefficient":
-        rows[1] = Equation({0: Map(np.diag([1.0, nan])[None, None])}, 2 * np.eye(1))
+    elif case == "nan kraus frame":
+        rows[1] = Equation({0: Read(np.array([[1.0, 0.0], [0.0, nan]]), t=2)}, 2 * np.eye(1))
     elif case == "nan entry weight":
         rows[0] = Equation({0: Read(frame, scale=nan)}, np.eye(1))
     elif case == "nan frame":
@@ -457,8 +471,16 @@ def _bad_program(case):
         rows[0] = Equation({0: Lift(1, at=2)}, np.eye(1))
     elif case == "rhs not square":
         rows[1] = Equation(rows[1].terms, np.eye(1, 2))
-    elif case == "map of the wrong shape":
-        rows[1] = Equation({0: Map(np.ones((1, 2, 2, 2)))}, 2 * np.eye(1))
+    elif case == "map of the wrong shape":         # a frame whose width is not t p
+        rows[1] = Equation({0: Read(np.eye(2), t=3)}, 2 * np.eye(1))
+    elif case == "kraus count not an integer":
+        rows[1] = Equation({0: Read(np.eye(2), t=2.0)}, 2 * np.eye(1))
+    elif case == "kraus count below one":
+        rows[1] = Equation({0: Read(np.eye(2)[:, :0], t=0)}, 2 * np.eye(1))
+    elif case == "frameless kraus count above one":
+        rows[0] = Equation({0: Read(t=2)}, np.eye(2))
+    elif case == "lift blocks past the block":
+        rows[1] = Equation({0: Lift(1, at=1, t=2)}, 2 * np.eye(1))
     elif case == "trace of the wrong dimension":
         rows[1] = Equation({0: Trace(3)}, 2 * np.eye(1))
     elif case == "trace of a non-integer factor":
@@ -481,11 +503,13 @@ def _bad_program(case):
 class TestMalformedPrograms:
     """solve rejects malformed data before iterating, with a ValidationError."""
 
-    CASES = ["nan rhs", "inf objective", "nan dense coefficient", "nan entry weight",
+    CASES = ["nan rhs", "inf objective", "nan kraus frame", "nan entry weight",
              "nan frame", "frame rows differ from the block", "block index past the end",
              "negative block index",
              "short objective list", "negative entry index", "entry index past the frame",
-             "rhs not square", "map of the wrong shape", "trace of the wrong dimension",
+             "rhs not square", "map of the wrong shape", "kraus count not an integer",
+             "kraus count below one", "frameless kraus count above one",
+             "lift blocks past the block", "trace of the wrong dimension",
              "trace of a non-integer factor", "lift of a non-integer factor",
              "lift at a non-integer index",
              "objective larger than the block", "objective a row", "non-Hermitian rhs",
@@ -513,16 +537,21 @@ class TestFramedBlocks:
         # a 2x2 block X on a plane theta in R^3 and a nonnegative slack s, the
         # diagonal of a 3x3 block, with (theta X theta^T)[i, i] + s_i = c_i,
         # maximizing tr X; once through Reads framed by columns of theta^T,
-        # once through their dense matrices
+        # once through their dense matrices theta_i theta_i^T, read as the Kraus
+        # operators sqrt(w) v of their eigendecompositions (t = 2)
         rng = np.random.default_rng(3)
         theta, _ = np.linalg.qr(rng.standard_normal((3, 2)))
         frame = theta.T
         c = np.array([1.0, 2.0, 3.0])
 
+        def kraus(A):
+            w, V = np.linalg.eigh(A)
+            return Read(V * np.sqrt(np.maximum(w, 0.0)), t=2)
+
         def program(dense):
             cons = []
             for i in range(3):
-                row = Map(np.outer(theta[i], theta[i])[None, None]) if dense else Read(frame[:, [i]])
+                row = kraus(np.outer(theta[i], theta[i])) if dense else Read(frame[:, [i]])
                 cons.append(Equation({0: row, 1: Lift(1, at=i)}, np.array([[c[i]]])))
             return SdpProblem([Block(2), Block(3)], [np.eye(2), None], cons)
 
@@ -634,6 +663,23 @@ class TestSchurOracle:
         self._compare(problem, seed=8)
 
     @pytest.mark.parametrize("real", [False, True])
+    def test_kraus_families(self, real):
+        # one 7-dim block read through 2 and 3 Kraus operators, and lifted from the
+        # sum of 3 principal blocks, in equations that also lift and read a 2-dim block
+        rng = np.random.default_rng(32)
+        F2, F3 = (rng.standard_normal((7, 6)) + (0 if real else 1j * rng.standard_normal((7, 6)))
+                  for _ in range(2))
+        problem = SdpProblem([Block(7), Block(2)], [_random_herm(rng, 7, real), None], [
+            Equation({0: Read(F2, 0.5, t=2), 1: Lift(3, at=0)}, np.eye(3)),
+            Equation({0: Read(F3, -1.0, t=3)}, np.eye(2)),
+            Equation({0: Lift(2, -1.0, at=1, t=3), 1: Read()}, np.eye(2))])
+        data, dtype, _, _ = _preprocess(problem)
+        assert sorted((f.t, f.G is None) for f in data[0].families) == [
+            (2, False), (3, False), (3, True)]
+        assert (dtype == np.float64) == real
+        self._compare(problem, seed=10)
+
+    @pytest.mark.parametrize("real", [False, True])
     def test_families_of_one_two_and_three_entries(self, real):
         # one 6-dim block read whole (t = 1), and through tr_A (t = 2) and tr_B (t = 3)
         C = _random_herm(np.random.default_rng(29), 6, real)
@@ -681,11 +727,12 @@ def _lemma2_graph():
     return gs.tensor_graph(delta(2), delta(3))
 
 
-def _map_marginal(K):
-    """The Upsilon-hat program with tr_A U stated as a dense Map instead of a Trace."""
+def _kraus_marginal(K):
+    """The Upsilon-hat program with tr_A U stated as a Read of its d_A Kraus
+    operators ``<a| (x) 1_B`` instead of a Trace."""
     prob = cap.build_upsilon_problem(K, hat=True)
     marginal, coupling = prob.constraints
-    terms = {**marginal.terms, 1: Map(_trace_tensor(K.d_A, K.d_B))}
+    terms = {**marginal.terms, 1: Read(np.eye(K.dim), t=K.d_A)}
     return SdpProblem(prob.blocks, prob.objective, [Equation(terms, marginal.rhs), coupling])
 
 
@@ -698,7 +745,7 @@ class TestNewtonOracle:
         lambda: cap.build_upsilon_problem(_k16(), hat=True),
         lambda: cap.build_upsilon_problem(_lemma2_graph(), hat=True),
         lambda: cap.build_upsilon_hat_dual_problem(_lemma2_graph()),     # m = 486
-        lambda: _map_marginal(_k16()),
+        lambda: _kraus_marginal(_k16()),
     ], ids=["k16", "lemma2", "lemma2 dual", "map marginal"])
     def test_core_matches_dense_at_nt_points(self, monkeypatch, program):
         prob = program()
@@ -832,10 +879,10 @@ class TestCoreRule:
         assert _CoreNewton.find(prob, data, rows) is None
 
     def test_marginal_read_through_a_map_takes_the_core_path(self):
-        # the same Upsilon-hat program with tr_A U stated as a dense Map: the core
-        # path reads the other rows' Map rows on u as well as their entry families
+        # the same Upsilon-hat program with tr_A U stated as a Read of d_A Kraus
+        # operators: the core path reads the other rows' framed family on u
         K = _k16()
-        prob, mapped = cap.build_upsilon_problem(K, hat=True), _map_marginal(K)
+        prob, mapped = cap.build_upsilon_problem(K, hat=True), _kraus_marginal(K)
         for problem in (prob, mapped):
             data, _, _, rows = _preprocess(problem)
             assert _CoreNewton.find(problem, data, rows) is not None

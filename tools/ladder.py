@@ -1,6 +1,6 @@
 """Equivalence ladder: record capacity solves on fixed instances, or compare two records.
 
-    python3 tools/ladder.py --out FILE [--large] [--xl]
+    python3 tools/ladder.py --out FILE [--large] [--xl] [--xxl] [--boundary]
     python3 tools/ladder.py --compare A B
 
 Run it from the root of a checkout; it imports ``nszcap`` from that
@@ -23,7 +23,13 @@ path, the border on the core path).  The ladder is:
 - with ``--xl``, ``upsilon``, ``upsilon_hat`` and ``upsilon_hat_dual`` on K (x) K
   at Choi dimension 81, K the random channel ``RandomChannelSpec(3, 3, 2, 7)``
   (with ``--large``, about 11 s and 140 MB on a 2-core VM with one BLAS thread;
-  each of the three n = 81 solves takes 1.3-1.8 s and ends ``optimal``).
+  each of the three n = 81 solves takes 1.3-1.8 s and ends ``optimal``);
+- with ``--xxl``, ``upsilon`` on K^(x)3 at Choi dimension 216 (m = 47 385), K
+  the random channel ``RandomChannelSpec(2, 3, 1, 5)``, whose value is 64 in
+  closed form (about 26 s and 0.8 GB peak RSS);
+- with ``--boundary``, ``upsilon`` of amplitude damping at 401 log-spaced r in
+  [1e-6, 1e-2], where the true value is 1 and the dual witness grows like 1/r
+  (about 20 s; many of these solves end ``numerical-failure``).
 
 ``--compare`` exits 1 unless both records hold the same solves, every value
 agrees to 1e-8 relative, the statuses are equal and the iteration counts
@@ -31,7 +37,9 @@ differ by at most 1.  It also reports how many solves are bit-identical (equal
 digests), in all, per Newton path (``dense/core`` where the two records took
 different paths) and per quantity, the largest relative value deviation, how
 many solves differ in their iteration counts, and the summed seconds of each
-record per rung (base, ``--large``, ``--xl``).
+record per rung (base, ``--large``, ``--xl``, ``--xxl``, ``--boundary``).  For the
+boundary rung it reports, per record, the failed solves and the ``optimal``
+values farther than ``GAP_TOL (1 + v)`` from the true value 1.
 """
 
 from __future__ import annotations
@@ -46,14 +54,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VALUE_RTOL = 1e-8
 ITER_SLACK = 1
+GAP_TOL = 1e-8           # the solver's default gap_tol
+BOUNDARY_R = 401         # log-spaced amplitude-damping parameters in [1e-6, 1e-2]
 
 NC = ("upsilon", "upsilon_hat", "upsilon_hat_dual", "aram")
 CQ = ("upsilon_cq", "upsilon_hat_cq", "aram_cq")
 LARGE = ("upsilon", "upsilon_hat", "upsilon_hat_dual")
 
 
-def ladder(large: bool, xl: bool):
+def ladder(large: bool, xl: bool, xxl: bool, boundary: bool):
     """Yield (instance label, quantities, graph) in a fixed order."""
+    import numpy as np
     from nszcap import graphspace as gs
     from nszcap.theoremsuite import (RandomChannelSpec, _spec_from_seed, random_cq_graph,
                                      random_graph)
@@ -82,12 +93,40 @@ def ladder(large: bool, xl: bool):
     if xl:
         spec = RandomChannelSpec(3, 3, 2, 7)
         yield f"{spec.label()}^2", LARGE, gs.tensor_power(random_graph(spec), 2)
+    if xxl:
+        spec = RandomChannelSpec(2, 3, 1, 5)
+        yield f"{spec.label()}^3", ("upsilon",), gs.tensor_power(random_graph(spec), 3)
+    if boundary:
+        for r in np.logspace(-6, -2, BOUNDARY_R):
+            yield (f"boundary:amplitude-damping({float(r)!r})", ("upsilon",),
+                   gs.ncgraph_from_channel(gs.amplitude_damping_channel(float(r))))
+
+
+RUNGS = ("base", "large", "xl", "xxl", "boundary")
 
 
 def rung(key: str) -> str:
-    """The ladder rung of a solve's key: ``base``, ``large`` or ``xl``."""
+    """The ladder rung of a solve's key, one of :data:`RUNGS`."""
     label = key.rsplit("/", 1)[0]
-    return "xl" if label.endswith("^2") else "large" if label.endswith("xdelta(2)") else "base"
+    if label.startswith("boundary:"):
+        return "boundary"
+    if label.endswith("^3"):
+        return "xxl"
+    if label.endswith("^2"):
+        return "xl"
+    return "large" if label.endswith("xdelta(2)") else "base"
+
+
+def boundary_report(rec: dict) -> str:
+    """The boundary rung's failed solves and its ``optimal`` values farther than
+    ``GAP_TOL (1 + v)`` from 1, the true value."""
+    rows = [r for k, r in rec.items() if rung(k) == "boundary"]
+    failed = sum(r["status"] != "optimal" for r in rows)
+    off = [r["value"] for r in rows
+           if r["status"] == "optimal" and abs(r["value"] - 1.0) > GAP_TOL * (1 + r["value"])]
+    worst = max(off, key=lambda v: abs(v - 1.0), default=None)
+    return (f"{len(rows)} solves, {failed} not optimal, {len(off)} optimal values off 1 by more "
+            f"than gap_tol (1 + v)" + (f", the worst {worst!r}" if off else ""))
 
 
 def digest(value: float, arrays: dict) -> str:
@@ -113,12 +152,12 @@ def digest(value: float, arrays: dict) -> str:
     return h.hexdigest()
 
 
-def record(large: bool, xl: bool) -> dict:
+def record(large: bool, xl: bool, xxl: bool, boundary: bool) -> dict:
     from nszcap import capacities as cap
     from nszcap.sdpsolver import SolverFailure
 
     rows = {}
-    for label, quantities, graph in ladder(large, xl):
+    for label, quantities, graph in ladder(large, xl, xxl, boundary):
         for q in quantities:
             t0 = time.perf_counter()
             try:
@@ -169,7 +208,11 @@ def main(argv=None) -> int:
     parser.add_argument("--large", action="store_true",
                         help="also solve the n = 36 product instances (about a minute)")
     parser.add_argument("--xl", action="store_true",
-                        help="also solve the n = 81 instance (about 110 s and 1 GB)")
+                        help="also solve the n = 81 instance (about 5 s)")
+    parser.add_argument("--xxl", action="store_true",
+                        help="also solve the n = 216 instance (about 26 s and 0.8 GB)")
+    parser.add_argument("--boundary", action="store_true",
+                        help="also solve the 401-point amplitude-damping grid (about 20 s)")
     args = parser.parse_args(argv)
 
     if args.compare:
@@ -198,17 +241,21 @@ def main(argv=None) -> int:
         for q in sorted({k.rsplit("/", 1)[1] for k in common}):
             keys = [k for k in common if k.rsplit("/", 1)[1] == q]
             print(f"quantity {q}: {sum(map(identical, keys))} of {len(keys)} solves bit-identical")
-        for name in ("base", "large", "xl"):
+        for name in RUNGS:
             keys = [k for k in common if rung(k) == name]
             if keys:
                 secs = [sum(rec[k].get("seconds", 0.0) for k in keys) for rec in (a, b)]
                 print(f"rung {name}: {len(keys)} solves, {secs[0]:.2f} s vs {secs[1]:.2f} s")
+        if any(rung(k) == "boundary" for k in common):
+            for side, rec in zip("AB", (a, b)):
+                print(f"boundary {side}: {boundary_report(rec)}")
         return 1 if problems else 0
 
     sys.path.insert(0, str(ROOT / "src"))
     t0 = time.perf_counter()
-    rows = record(args.large, args.xl)
-    doc = {"large": args.large, "xl": args.xl, "seconds": round(time.perf_counter() - t0, 2), "solves": rows}
+    rows = record(args.large, args.xl, args.xxl, args.boundary)
+    doc = {"large": args.large, "xl": args.xl, "xxl": args.xxl, "boundary": args.boundary,
+           "seconds": round(time.perf_counter() - t0, 2), "solves": rows}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     failed = sum(r["status"] != "optimal" for r in rows.values())
     print(f"{len(rows)} solves, {failed} not optimal, {doc['seconds']} s -> {args.out}")
