@@ -34,7 +34,6 @@ from .sdpsolver import (
     SdpSolution,
     SolverFailure,
     SolverOptions,
-    Trace,
     solve,
 )
 
@@ -135,7 +134,7 @@ def build_upsilon_problem(K: NCGraph, hat: bool) -> SdpProblem:
     if r:
         blocks.append(Block(r))
         coupling[2] = Read(theta.conj().T)
-    marginal = {1: Trace(dA)}
+    marginal = {1: Lift(1, t=dA)}                   # tr_A U: U's d_A principal B-blocks
     if hat:
         blocks.append(Block(dB))
         marginal[len(blocks) - 1] = Read()
@@ -171,22 +170,26 @@ def build_upsilon_hat_dual_problem(K: NCGraph) -> SdpProblem:
     y2 = tr_B V - 1_A, Y3 = -(1-P) V (1-P); V itself is eliminated through
     Y1.  Y3 is an r-dim block on ker(P), which keeps the program strictly
     feasible.  The equations are ``y2 + tr_B Y1 - tr(T) 1_A = -1_A`` and
-    ``Y3 - theta^dag Y1 theta + theta^dag (1 (x) T) theta = 0``.  Both maps of T
-    are Kraus sums: ``tr(T) 1_A`` lifts the d_B diagonal entries of T, and
-    ``theta^dag (1 (x) T) theta = sum_a kappa_a^dag T kappa_a`` for the d_A
-    operators ``kappa_a = (<a| (x) 1) theta``.
+    ``Y3 - theta^dag Y1 theta + theta^dag (1 (x) T) theta = 0``.  Y1 and theta
+    are stored on B (x) A, so tr_B Y1 is the sum of Y1's d_B principal A-blocks,
+    a ``Lift(1, t=d_B)``.  Both maps of T are Kraus sums: ``tr(T) 1_A`` lifts the
+    d_B diagonal entries of T, and ``theta^dag (1 (x) T) theta = sum_a kappa_a^dag
+    T kappa_a`` for the d_A operators ``kappa_a = (1_B (x) <a|) theta``, side by
+    side in theta's d_B x (d_A r) reshape.  :func:`upsilon_hat_dual` reorders Y1
+    back to A (x) B.
     """
     n, dA, dB = K.dim, K.d_A, K.d_B
     theta = _projection_basis(K.P_AB, _graph_is_real(K.P_AB))
     r = theta.shape[1]
+    theta = theta.reshape(dA, dB, r).transpose(1, 0, 2).reshape(n, r)    # rows on B (x) A
     blocks = [Block(dB), Block(n), Block(dA)]
     objective = [-np.eye(dB)] + [None] * (2 + bool(r))
-    constraints = [Equation({2: Read(), 1: Trace(dB, first=False), 0: Lift(dA, -1.0, t=dB)},
+    constraints = [Equation({2: Read(), 1: Lift(1, t=dB), 0: Lift(dA, -1.0, t=dB)},
                             -np.eye(dA))]                     # blocks T, Y1, y2, Y3 (if r)
     if r:
         blocks.append(Block(r))
-        kappa = theta.reshape(dA, dB, r).transpose(1, 0, 2).reshape(dB, dA * r)
-        constraints.append(Equation({3: Read(), 1: Read(theta, -1.0), 0: Read(kappa, t=dA)},
+        constraints.append(Equation({3: Read(), 1: Read(theta, -1.0),
+                                     0: Read(theta.reshape(dB, dA * r), t=dA)},
                                     np.zeros((r, r))))
     return SdpProblem(blocks, objective, constraints, name="upsilon_hat_dual")
 
@@ -195,8 +198,9 @@ def upsilon_hat_dual(K: NCGraph, opts: SolverOptions | None = None) -> CapacityR
     """Activated capacity computed from its dual program (min tr T form)."""
     sol = _run(build_upsilon_hat_dual_problem(K), opts, "upsilon_hat_dual")
     T = np.asarray(sol.primal_blocks[0])
-    Y1 = np.asarray(sol.primal_blocks[1])
-    V = tensor(np.eye(K.d_A, dtype=T.dtype), T) - Y1
+    n, dA, dB = K.dim, K.d_A, K.d_B         # Y1 from B (x) A back to A (x) B
+    Y1 = np.asarray(sol.primal_blocks[1]).reshape(dB, dA, dB, dA).transpose(1, 0, 3, 2)
+    V = tensor(np.eye(dA, dtype=T.dtype), T) - Y1.reshape(n, n)
     primal = {"T_B": T, "V_AB": V}
     return CapacityResult("upsilon_hat_dual", -sol.primal_value, primal, {},
                           sol.gap, sol.status, sol.iterations, sol.trace)

@@ -18,25 +18,26 @@ frame G, with ``X = G diag(lw) G^dag`` and ``G^dag Z G = diag(lw)``: both
 iterates are the same diagonal matrix in the frame, the NT point is
 ``W = G G^dag``, and step lengths and the corrector work elementwise on lw.
 
-An :class:`Equation` holds on Herm(p); each of its three kinds of term maps one
+An :class:`Equation` holds on Herm(p); each of its two kinds of term maps one
 block X into Herm(p), and a stack (..., dim, dim) to a stack (..., p, p):
 :class:`Read` ``scale sum_a F_a^dag X F_a`` for t Kraus operators F_a (with
 ``F = theta^dag`` for an isometry theta, an r-dim block reads as
-``theta X theta^dag``), :class:`Lift` a sum of t principal blocks of X times an
-identity, and :class:`Trace` a partial trace.  Every map the capacity programs
-apply to a block is one of these, up to a sign or a transpose of the block (Choi
-1975; Kraus 1983).  An equation's rows are the entry functionals ``(i, i, re)``
-for each i, then ``(i, j, re), (i, j, im)`` for each i < j, without the ``im``
-rows when all data is real (an exact restriction).  One row codec per equation,
+``theta X theta^dag``), and :class:`Lift` a sum of t principal blocks of X times
+an identity; ``Lift(1, t=d)`` is the partial trace over a d-dim first factor.
+Every map the capacity programs apply to a block is one of these, up to a sign,
+a transpose or a reordering of the block's factors (Choi 1975; Kraus 1983).  An
+equation's rows are the entry functionals ``(i, i, re)`` for each i, then
+``(i, j, re), (i, j, im)`` for each i < j, without the ``im`` rows when all data
+is real (an exact restriction).  One row codec per equation,
 :class:`_Rows`, maps between Herm(p) and its rows: ``read`` takes a stack of
 Hermitian matrices to their row values and ``matrix`` is its inverse, in the
 manner of SDPT3's svec/smat pair (Toh, Todd & Tutuncu 1999).  The right-hand
 side, the dual multiplier matrices and the core path's coordinates all go
 through it.  Every row reads a sum of t scaled real or imaginary entries of
-``F^dag X F``, F the frame of all t Kraus operators side by side (t = d for a
-Trace); the rows of one (block, frame, t) group form an entry family, whose
-Schur block comes in closed form from t pairs of outer products of rows of
-``F^dag W F`` per row.
+``F^dag X F``, F the frame of all t Kraus operators side by side (t principal
+blocks of X, for a Lift); the rows of one (block, frame, t) group form an entry
+family, whose Schur block comes in closed form from t pairs of outer products of
+rows of ``F^dag W F`` per row.
 
 The Newton system takes one of two paths, chosen from the program alone: the
 dense path assembles M and factors it, and the core path (:class:`_CoreNewton`:
@@ -47,6 +48,7 @@ pivoted Cholesky.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import ClassVar, NamedTuple
@@ -65,6 +67,10 @@ _STATUS_UNBOUNDED = "unbounded"
 _STATUS_INFEASIBLE = "infeasible"
 
 
+def _integer(v, least=1):
+    return isinstance(v, (int, np.integer)) and v >= least
+
+
 @dataclass(frozen=True, eq=False)
 class Block:
     """Cone block of dimension ``dim``: a Hermitian PSD matrix (its ``kind`` is :data:`PSD`)."""
@@ -73,8 +79,8 @@ class Block:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("block dimension must be positive")
+        if not _integer(self.dim):
+            raise ValidationError("block dimension must be a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +129,6 @@ class Lift:
             S = S + X[..., a:a + q, a:a + q]
         lifted = S[..., :, None, :, None] * np.eye(self.d)[:, None, :]   # [a, x, b, y]
         return self.scale * lifted.reshape(S.shape[:-2] + (p, p))
-
-
-@dataclass(frozen=True, eq=False)
-class Trace:
-    """The partial trace of a (d p)-dim block over its d-dim first factor (``tr_A``),
-    or over its second: ``H[x, y] = sum_a X[(a, x), (a, y)]`` or ``X[(x, a), (y, a)]``."""
-
-    d: int
-    first: bool = True
-
-    def apply(self, X, p):
-        Y = X.reshape(X.shape[:-2] + ((self.d, p) * 2 if self.first else (p, self.d) * 2))
-        return np.einsum("...axay->...xy" if self.first else "...xaya->...xy", Y)
 
 
 class Equation(NamedTuple):
@@ -304,7 +297,7 @@ def _add(M, rows, cols, B):
 
 
 class _EntryFamily:
-    """The Read, Lift and Trace rows of one (block, frame, t) group.
+    """The Read and Lift rows of one (block, frame, t) group.
 
     Row ``e`` (constraint ``k[e]``) pairs with a block matrix V as
     ``Re(c[e] sum_t (G V G^dag)[i[e, t], j[e, t]])``; ``G = F^dag`` maps block to
@@ -613,24 +606,19 @@ class _CoreNewton:
 
 def _check_term(k, t, dim, p):
     """Reject a term that does not map a block of dimension ``dim`` into Herm(p)."""
-    def integer(v, least=1):
-        return isinstance(v, (int, np.integer)) and v >= least
-
     if isinstance(t, Read):
-        ok = integer(t.t) and (np.shape(t.frame) == (dim, t.t * p) if t.frame is not None
-                               else dim == p and t.t == 1)
+        ok = _integer(t.t) and (np.shape(t.frame) == (dim, t.t * p) if t.frame is not None
+                                else dim == p and t.t == 1)
     elif isinstance(t, Lift):
-        ok = integer(t.d) and integer(t.t) and integer(t.at, 0) and p % t.d == 0 \
+        ok = _integer(t.d) and _integer(t.t) and _integer(t.at, 0) and p % t.d == 0 \
             and t.at + t.t * (p // t.d) <= dim
-    elif isinstance(t, Trace):
-        ok = integer(t.d) and dim == t.d * p
     else:
         raise ValidationError(f"equation {k}: unknown term {t!r}")
     if not ok:
         raise ValidationError(f"equation {k}: a {type(t).__name__} term does not map "
                               f"a block of dimension {dim} into Herm({p})")
-    if not math.isfinite(getattr(t, "scale", 0.0)):
-        raise ValidationError(f"equation {k}: non-finite scale")
+    if not (isinstance(t.scale, numbers.Real) and math.isfinite(t.scale)):
+        raise ValidationError(f"equation {k}: scale is not a finite real number")
 
 
 def _preprocess(problem: SdpProblem):
@@ -654,6 +642,8 @@ def _preprocess(problem: SdpProblem):
         for bi, t in terms.items():
             _check_term(k, t, blocks[bi].dim, len(rhs))
     arrays = _data(problem)
+    if any(np.asarray(A).dtype.kind not in "biufc" for A in arrays):
+        raise ValidationError("objective, rhs or frame is not numeric")
     if not all(np.all(np.isfinite(A)) for A in arrays):
         raise ValidationError("non-finite objective, rhs or frame")
     if any(herm_deviation(C) > HERM_TOL for C in problem.objective if C is not None):
@@ -673,14 +663,10 @@ def _preprocess(problem: SdpProblem):
         b.append(r.read(np.asarray(rhs)) + 0.0)     # + 0.0: no negative zeros
         i, j, k = r.i[:, None], r.j[:, None], r.k
         for bi, t in terms.items():
-            scale = getattr(t, "scale", 1.0)
-            c = np.where(r.im, -1j * scale, scale)
+            c = np.where(r.im, -1j * t.scale, t.scale)
             if isinstance(t, Lift):             # block s at a_s = at + s q
                 sel, a = r.i % t.d == r.j % t.d, t.at + r.p // t.d * np.arange(t.t)
                 entries = [k[sel], a + i[sel] // t.d, a + j[sel] // t.d, c[sel]]
-            elif isinstance(t, Trace):          # entry (a, x) at a p + x, or (x, a) at x d + a
-                a, (si, sa) = np.arange(t.d), (1, r.p) if t.first else (t.d, 1)
-                entries = [k, si * i + sa * a, si * j + sa * a, c]
             else:                               # Kraus operator a at a p + (i, j)
                 a = r.p * np.arange(t.t)
                 entries = [k, a + i, a + j, c]

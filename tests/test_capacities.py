@@ -9,9 +9,10 @@ from nszcap.matrixcore import ValidationError, partial_trace
 from nszcap.sdpsolver import (
     Block,
     Equation,
+    Lift,
     Read,
     SdpProblem,
-    Trace,
+    SolverFailure,
     _preprocess,
     _Rows,
     solve,
@@ -110,11 +111,16 @@ class TestUpsilonHatDual:
         d = cap.upsilon_hat_dual(K).value
         assert abs(p - d) <= 1e-6
 
-    def test_solution_witness_feasible(self, prop11):
-        res = cap.upsilon_hat_dual(prop11)
-        viol = cap.check_eq5_witness(prop11, res.primal_witness["T_B"],
-                                     res.primal_witness["V_AB"])
+    # with d_A != d_B, a V_AB left in the program's B (x) A order is infeasible
+    @pytest.mark.parametrize("spec", [None, (2, 3, 2, 4), (3, 2, 2, 5)],
+                             ids=lambda s: "prop11" if s is None else str(s))
+    def test_solution_witness_feasible(self, spec, prop11):
+        K = prop11 if spec is None else random_graph(RandomChannelSpec(*spec))
+        res = cap.upsilon_hat_dual(K)
+        T, V = res.primal_witness["T_B"], res.primal_witness["V_AB"]
+        viol = cap.check_eq5_witness(K, T, V)
         assert max(viol.values()) <= 1e-6
+        assert np.trace(T).real == pytest.approx(res.value, abs=1e-6)
 
     def test_generic_3x3_channel(self):
         K = random_graph(RandomChannelSpec(3, 3, 2, 17))
@@ -139,13 +145,15 @@ def _row_values(M, real):
 class TestCoefficientHelpers:
     @pytest.mark.parametrize("real", [False, True])
     def test_lifted_functional_reads_partial_traces(self, real):
-        # the entry-family rows of tr_A and tr_B terms read the partial traces' entries
+        # the entry-family rows of the Lift(1, t=d) terms read the partial traces'
+        # entries: tr_A of U on A (x) B, and tr_B of V on its B (x) A reordering
         rng = np.random.default_rng(41)
         dA, dB = 2, 3
         U = _random_herm(rng, dA * dB, real)
         V = _random_herm(rng, dA * dB, real)
-        for X, term, p, traced in ((U, Trace(dA), dB, partial_trace(U, dA, dB, "first")),
-                                   (V, Trace(dB, first=False), dA,
+        V_BA = V.reshape(dA, dB, dA, dB).transpose(1, 0, 3, 2).reshape(dA * dB, dA * dB)
+        for X, term, p, traced in ((U, Lift(1, t=dA), dB, partial_trace(U, dA, dB, "first")),
+                                   (V_BA, Lift(1, t=dB), dA,
                                     partial_trace(V, dA, dB, "second"))):
             problem = SdpProblem([Block(dA * dB)], [X],
                                  [Equation({0: term}, np.zeros((p, p)))])
@@ -273,6 +281,48 @@ class TestCqQuantities:
         C = random_cq_graph(seed)
         K = gs.ncgraph_from_cq(C)
         assert cap.upsilon_cq(C).value == pytest.approx(cap.upsilon(K).value, abs=2e-6)
+
+
+# the seven quantities of example 4 at alpha^2 = a: (function, graph kind, value);
+# the graph is confusable (Upsilon = 1), and Upsilon-hat = A = 1/a for a cq channel
+_EX4_QUANTITIES = {
+    "upsilon": (cap.upsilon, "nc", lambda a: 1.0),
+    "upsilon_cq": (cap.upsilon_cq, "cq", lambda a: 1.0),
+    "upsilon_hat": (cap.upsilon_hat, "nc", lambda a: 1 / a),
+    "upsilon_hat_dual": (cap.upsilon_hat_dual, "nc", lambda a: 1 / a),
+    "upsilon_hat_cq": (cap.upsilon_hat_cq, "cq", lambda a: 1 / a),
+    "aram": (cap.aram, "nc", lambda a: 1 / a),
+    "aram_cq": (cap.aram_cq, "cq", lambda a: 1 / a),
+}
+
+
+def _ex4_result(quantity, a):
+    fn, kind, value = _EX4_QUANTITIES[quantity]
+    graph = (gs.ncgraph_from_channel(gs.example4_channel(a)) if kind == "nc"
+             else gs.cq_from_states(gs.example4_states(a)))
+    return fn(graph), value(a)
+
+
+class TestNearDegenerateExample4:
+    """Example 4 near its degenerate ends: at alpha^2 -> 1/2 the two outputs'
+    overlap 2 alpha^2 - 1 vanishes (at 1/2 they are orthogonal, and Upsilon = 2),
+    and at alpha^2 -> 1 they coincide."""
+
+    @pytest.mark.parametrize("quantity", sorted(_EX4_QUANTITIES))
+    @pytest.mark.parametrize("a", [0.51, 0.5001, 0.500001, 0.99, 0.9999, 0.999999, 0.99999999])
+    def test_value(self, a, quantity):
+        res, want = _ex4_result(quantity, a)
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.xfail(strict=True, reason="upsilon returns 2.0000000102 'optimal' after "
+                       "21 iterations at alpha^2 = 0.5 + 1e-8, where the value is 1")
+    def test_upsilon_at_overlap_2e_8_is_right_or_fails(self):
+        try:
+            res, want = _ex4_result("upsilon", 0.5 + 1e-8)
+        except SolverFailure:
+            return
+        assert res.value == pytest.approx(want, abs=1e-6)
 
 
 class TestSuperdenseBound:

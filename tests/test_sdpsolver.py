@@ -19,7 +19,6 @@ from nszcap.sdpsolver import (
     SdpProblem,
     SolverFailure,
     SolverOptions,
-    Trace,
     _CoreNewton,
     _herm,
     _max_step_scaled,
@@ -116,6 +115,13 @@ def _random_herm(rng, n, real, stack=()):
     return M + np.swapaxes(M.conj(), -1, -2)
 
 
+def _swap(X, dA, dB):
+    """A stack of operators on A (x) B with their factors reordered to B (x) A."""
+    n = dA * dB
+    return X.reshape(X.shape[:-2] + (dA, dB, dA, dB)).transpose(
+        *range(X.ndim - 2), -3, -4, -1, -2).reshape(X.shape[:-2] + (n, n))
+
+
 class TestEntryHelpers:
     @pytest.mark.parametrize("real", [False, True])
     def test_functionals_read_entries(self, real):
@@ -142,23 +148,25 @@ class TestEntryHelpers:
     @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
     @pytest.mark.parametrize("real", [False, True])
     def test_trace_family_reads_and_scatters(self, real, first):
-        # a Trace term's rows form one family of t = d entries each: it reads the
-        # partial trace, and its scatter is the adjoint, 1_A (x) Y or Y (x) 1_B
+        # the partial trace over a d-dim first factor, Lift(1, t=d), is one family
+        # of t = d entries per row: it reads tr_A X, or tr_B X of X reordered to
+        # B (x) A, and its scatter is the adjoint 1_d (x) Y
         dA, dB = 2, 3
         d, p = (dA, dB) if first else (dB, dA)
         rng = np.random.default_rng(28)
         X = _random_herm(rng, dA * dB, real)
-        prob = SdpProblem([Block(dA * dB)], [X], [Equation({0: Trace(d, first)}, np.eye(p))])
+        Xd = X if first else _swap(X, dA, dB)       # the traced factor first
+        prob = SdpProblem([Block(dA * dB)], [Xd], [Equation({0: Lift(1, t=d)}, np.eye(p))])
         data, _, _, (rows,) = _preprocess(prob)
         (f,) = data[0].families
         assert f.t == d and f.i.shape == f.j.shape == (len(rows), d)
         traced = partial_trace(X, dA, dB, "first" if first else "second")
-        assert_allclose(f.read(X), rows.read(traced), atol=1e-12)
+        assert_allclose(f.read(Xd), rows.read(traced), atol=1e-12)
         y = rng.standard_normal(len(rows))
         acc = np.zeros_like(data[0].C)
         f.scatter(y, acc)
         Y = rows.matrix(rows.norm2 * y)
-        want = np.kron(np.eye(dA), Y) if first else np.kron(Y, np.eye(dB))
+        want = np.kron(np.eye(d), Y)
         assert np.iscomplexobj(acc) != real
         assert_allclose(_herm(acc), want, atol=1e-12)
 
@@ -207,8 +215,8 @@ def _stack_cases():
         "lift at 1": (Lift(2, -1.5, at=1), 4, 4),
         "lift of three blocks": (Lift(2, -1.5, at=1, t=3), 7, 4),
         "map partial trace": (Read(np.eye(6), t=2), 6, 3),     # tr_A: Kraus operators <a| (x) 1
-        "trace first": (Trace(2), 6, 3),
-        "trace second": (Trace(3, first=False), 6, 2),
+        "trace first": (Lift(1, t=2), 6, 3),           # tr_A on A (x) B, d_A = 2
+        "trace second": (Lift(1, t=3), 6, 2),          # tr_B on B (x) A, d_B = 3
     }
 
 
@@ -247,15 +255,17 @@ class TestBatchedTerms:
 
     @pytest.mark.parametrize("case", ["trace first", "trace second"])
     def test_trace_is_partial_trace(self, case):
-        # on each matrix of a stack (2 x 3 factors), and as its Kraus operators do
+        # on each matrix of a stack on A (x) B (2 x 3 factors), tr_B read on its
+        # B (x) A reordering, and as the Kraus operators <a| (x) 1 of the traced factor do
         term, dim, p = _stack_cases()[case]
+        first = case == "trace first"
         X = _random_herm(np.random.default_rng(27), dim, False, stack=(2, 3))
-        H = term.apply(X, p)
+        Xd = X if first else _swap(X, 2, 3)
+        H = term.apply(Xd, p)
         for idx in np.ndindex(2, 3):
-            want = partial_trace(X[idx], 2, 3, "first" if term.first else "second")
+            want = partial_trace(X[idx], 2, 3, "first" if first else "second")
             assert_allclose(H[idx], want, rtol=1e-14, atol=1e-14)
-        if term.first:
-            assert_allclose(H, Read(np.eye(6), t=2).apply(X, p), rtol=1e-14, atol=1e-14)
+        assert_allclose(H, Read(np.eye(6), t=term.t).apply(Xd, p), rtol=1e-14, atol=1e-14)
 
 
 def _lp(c, rows):
@@ -280,7 +290,7 @@ class TestSolveBasics:
 
     def test_largest_eigenvalue_complex(self):
         Y = np.array([[0, -1j], [1j, 0]])
-        p = SdpProblem([Block(2)], [Y], [Equation({0: Trace(2)}, np.eye(1))])
+        p = SdpProblem([Block(2)], [Y], [Equation({0: Lift(1, t=2)}, np.eye(1))])
         sol = solve(p)
         assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
 
@@ -426,13 +436,6 @@ class TestValidation:
             prob = build_upsilon_problem(K, hat=hat)
             prob.validate()
 
-    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
-    def test_rejects_trace_of_wrong_dimension(self, first):
-        # a 5-dim block is not (d p)-dim for d = p = 2
-        p = SdpProblem([Block(5)], [np.eye(5)], [Equation({0: Trace(2, first)}, np.eye(2))])
-        with pytest.raises(ValidationError):
-            p.validate()
-
     def test_rejects_frame_of_wrong_shape(self):
         p = SdpProblem([Block(2)], [np.eye(2)],
                        [Equation({0: Read(np.ones((3, 2)))}, np.eye(2))])
@@ -445,7 +448,8 @@ def _bad_program(case):
     broken as ``case`` names."""
     nan = float("nan")
     frame = np.eye(2)[:, :1]
-    rows = [Equation({0: Read(frame)}, np.eye(1)), Equation({0: Trace(2)}, 2 * np.eye(1))]
+    rows = [Equation({0: Read(frame)}, np.eye(1)), Equation({0: Lift(1, t=2)}, 2 * np.eye(1))]
+    blocks = [Block(2)]
     objective = [np.eye(2)]
     if case == "nan rhs":
         rows[1] = Equation(rows[1].terms, np.array([[nan]]))
@@ -460,9 +464,9 @@ def _bad_program(case):
     elif case == "frame rows differ from the block":
         rows[0] = Equation({0: Read(np.ones((3, 1)))}, np.eye(1))
     elif case == "block index past the end":
-        rows[1] = Equation({1: Trace(2)}, 2 * np.eye(1))
+        rows[1] = Equation({1: Lift(1, t=2)}, 2 * np.eye(1))
     elif case == "negative block index":
-        rows[1] = Equation({-1: Trace(2)}, 2 * np.eye(1))
+        rows[1] = Equation({-1: Lift(1, t=2)}, 2 * np.eye(1))
     elif case == "short objective list":
         objective = []
     elif case == "negative entry index":
@@ -481,10 +485,20 @@ def _bad_program(case):
         rows[0] = Equation({0: Read(t=2)}, np.eye(2))
     elif case == "lift blocks past the block":
         rows[1] = Equation({0: Lift(1, at=1, t=2)}, 2 * np.eye(1))
-    elif case == "trace of the wrong dimension":
-        rows[1] = Equation({0: Trace(3)}, 2 * np.eye(1))
+    elif case == "trace of the wrong dimension":   # a 3-dim traced factor of a 2-dim block
+        rows[1] = Equation({0: Lift(1, t=3)}, 2 * np.eye(1))
     elif case == "trace of a non-integer factor":
-        rows[1] = Equation({0: Trace(2.0)}, 2 * np.eye(1))
+        rows[1] = Equation({0: Lift(1, t=2.0)}, 2 * np.eye(1))
+    elif case == "non-integer block dimension":
+        blocks = [Block(2.0)]
+    elif case == "complex scale":
+        rows[0] = Equation({0: Read(frame, scale=1j)}, np.eye(1))
+    elif case == "string scale":
+        rows[1] = Equation({0: Lift(1, "2", t=2)}, 2 * np.eye(1))
+    elif case == "object frame":
+        rows[0] = Equation({0: Read(frame.astype(object))}, np.eye(1))
+    elif case == "string rhs":
+        rows[1] = Equation(rows[1].terms, np.array([["2"]]))
     elif case == "lift of a non-integer factor":
         rows[0] = Equation({0: Lift(2.0)}, np.eye(2))
     elif case == "lift at a non-integer index":
@@ -497,7 +511,7 @@ def _bad_program(case):
         rows[0] = Equation({0: Read()}, np.array([[1.0, 0.5], [0.0, 1.0]]))
     elif case == "non-Hermitian objective":
         objective = [np.array([[1.0, 1.0], [0.0, 1.0]])]
-    return SdpProblem([Block(2)], objective, rows)
+    return SdpProblem(blocks, objective, rows)
 
 
 class TestMalformedPrograms:
@@ -511,7 +525,8 @@ class TestMalformedPrograms:
              "kraus count below one", "frameless kraus count above one",
              "lift blocks past the block", "trace of the wrong dimension",
              "trace of a non-integer factor", "lift of a non-integer factor",
-             "lift at a non-integer index",
+             "lift at a non-integer index", "non-integer block dimension", "complex scale",
+             "string scale", "object frame", "string rhs",
              "objective larger than the block", "objective a row", "non-Hermitian rhs",
              "non-Hermitian objective"]
 
@@ -681,11 +696,12 @@ class TestSchurOracle:
 
     @pytest.mark.parametrize("real", [False, True])
     def test_families_of_one_two_and_three_entries(self, real):
-        # one 6-dim block read whole (t = 1), and through tr_A (t = 2) and tr_B (t = 3)
+        # one 6-dim block read whole (t = 1), and through the partial traces over
+        # a 2-dim (t = 2) and a 3-dim (t = 3) first factor
         C = _random_herm(np.random.default_rng(29), 6, real)
         problem = SdpProblem([Block(6)], [C], [
-            Equation({0: Read()}, np.eye(6)), Equation({0: Trace(2)}, np.eye(3)),
-            Equation({0: Trace(3, first=False)}, np.eye(2))])
+            Equation({0: Read()}, np.eye(6)), Equation({0: Lift(1, t=2)}, np.eye(3)),
+            Equation({0: Lift(1, t=3)}, np.eye(2))])
         data, dtype, _, _ = _preprocess(problem)
         assert sorted(f.t for f in data[0].families) == [1, 2, 3]
         assert (dtype == np.float64) == real
@@ -729,7 +745,7 @@ def _lemma2_graph():
 
 def _kraus_marginal(K):
     """The Upsilon-hat program with tr_A U stated as a Read of its d_A Kraus
-    operators ``<a| (x) 1_B`` instead of a Trace."""
+    operators ``<a| (x) 1_B`` instead of a Lift."""
     prob = cap.build_upsilon_problem(K, hat=True)
     marginal, coupling = prob.constraints
     terms = {**marginal.terms, 1: Read(np.eye(K.dim), t=K.d_A)}
