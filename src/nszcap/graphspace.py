@@ -332,7 +332,7 @@ def prop11_packing_dual_witness() -> np.ndarray:
     return T
 
 
-def amplitude_damping_activation_witness(r: float = 0.75):
+def amplitude_damping_activation_witness():
     """Feasible ``(S_A, U_AB)`` pair certifying the activated capacity 9/8 at r=3/4."""
     S = np.diag([3 / 8, 3 / 4]).astype(complex)
     U = np.zeros((4, 4), dtype=complex)

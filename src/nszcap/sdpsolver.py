@@ -263,7 +263,7 @@ class SolverFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Preprocessed per-block constraint data
+# Preprocessed constraint data: the program's entry families, in block order
 # ---------------------------------------------------------------------------
 
 _SCHUR_BUDGET = 1 << 18  # frame-matrix entries per row group of entry-family Schur assembly
@@ -297,7 +297,7 @@ def _add(M, rows, cols, B):
 
 
 class _EntryFamily:
-    """The Read and Lift rows of one (block, frame, t) group.
+    """The Read and Lift rows of one (block, frame, t) group, on block ``b``.
 
     Row ``e`` (constraint ``k[e]``) pairs with a block matrix V as
     ``Re(c[e] sum_t (G V G^dag)[i[e, t], j[e, t]])``; ``G = F^dag`` maps block to
@@ -306,8 +306,8 @@ class _EntryFamily:
     A framed family of t Kraus operators has entries ``a p + (i, j)`` in the (t p)-wide
     frame, and reads and scatters on Herm(p) through ``sum_a G_a V G_a^dag``."""
 
-    def __init__(self, k, i, j, c, frame, r, dtype):
-        self.k, self.i, self.j, self.r, self.t = k, i, j, r, i.shape[1]
+    def __init__(self, b, k, i, j, c, frame, r, dtype):
+        self.b, self.k, self.i, self.j, self.r, self.t = b, k, i, j, r, i.shape[1]
         self.ids = _ids(k)
         self.c = c = _cast(c, dtype)
         # the rows a_1..a_t, conj(b_t)..conj(b_1) of :meth:`outer`, which pair up reversed
@@ -370,29 +370,12 @@ class _EntryFamily:
                 _add(M, other.ids, rows, B.T)
 
 
-class _BlockData:
-    """Constraint data for one block: its objective C, and one :class:`_EntryFamily`
-    per frame (and per t for the frameless rows)."""
-
-    def __init__(self, C, families):
-        self.C, self.families = C, families
-
-    def pair_all(self, V, out):
-        """out[k] += <A_k, V> for all constraints touching this block."""
-        for f in self.families:
-            out[f.k] += f.read(V)
-
-    def scatter(self, y, out):
-        """out += sum_k y[k] A_k over this block's constraints, up to
-        an anti-Hermitian part: the caller keeps the Hermitian part."""
-        for f in self.families:
-            f.scatter(y, out)
-
-    def schur(self, W, M):
-        """M += the block's contribution <A_k, W A_l W>."""
-        for a, f in enumerate(self.families):
-            for g in self.families[a:]:
-                f.schur(g, W, M)
+def _schur(families, Ws, M):
+    """M += ``<A_k, W_b A_l W_b>`` over each pair of families on one block b."""
+    for a, f in enumerate(families):
+        for g in families[a:]:
+            if g.b == f.b:
+                f.schur(g, Ws[f.b], M)
 
 
 class _Pivoted:
@@ -472,27 +455,25 @@ class _CoreNewton:
     iterations on delta(2))."""
 
     @classmethod
-    def find(cls, problem, data, rows):
+    def find(cls, problem, families, rows):
         """The program's core path, or None: it has fewer than ``_CORE_MIN_ROWS``
         rows or its last equation is not a core equation as above."""
         m = sum(map(len, rows))
         if m < _CORE_MIN_ROWS or 2 * len(rows[-1]) <= m:
             return None
-        *others, (terms, rhs) = problem.constraints
+        terms, rhs = problem.constraints[-1]
         m1 = rows[-1].k[0]
+        others = [f for f in families if f.k[0] < m1]
         reads = [bi for bi, t in terms.items() if isinstance(t, Read) and t.t == 1]
         u = next((bi for bi in reads if terms[bi].frame is None), None)
         reads = [bi for bi in reads if bi != u]
-        elsewhere = {bi for ts, _ in others for bi in ts}
         if u is None or len(reads) != 1 or np.any(rhs) \
-                or any(f.k[0] < m1 <= f.k[-1] for bi in terms for f in data[bi].families) \
-                or any(f.k[0] < m1 for bi in terms.keys() & elsewhere
-                       if not isinstance(terms[bi], Read) for f in data[bi].families):
+                or any(f.k[-1] >= m1 or isinstance(terms.get(f.b), Lift) for f in others):
             return None
-        return cls(problem, data, rows, u, reads[0], elsewhere)
+        return cls(problem, rows, u, reads[0], others)
 
-    def __init__(self, problem, data, rows, u, w, elsewhere):
-        terms = problem.constraints[-1].terms
+    def __init__(self, problem, rows, u, w, others):
+        self.terms = terms = problem.constraints[-1].terms
         self.rows = rows[-1]
         self.m1, self.m = self.rows.k[0], self.rows.k[-1] + 1   # the other rows: ids 0..m1-1
         self.wt = np.sqrt(1.0 / self.rows.norm2)      # wt_e E_e is an orthonormal basis
@@ -503,11 +484,7 @@ class _CoreNewton:
             if bi not in (u, w):
                 basis = _Rows(problem.blocks[bi].dim, self.rows.real)
                 self.low.append((bi, t, basis.matrix(np.diag(np.sqrt(basis.norm2)))))
-        # on each block the other rows touch: their entry families, and the core
-        # equation's term there (None: the core equation does not read it)
-        self.others = [(bi, _BlockData(data[bi].C, [f for f in data[bi].families
-                                                    if f.k[0] < self.m1]), terms.get(bi))
-                       for bi in sorted(elsewhere)]
+        self.others = others                            # the other rows' entry families
 
     def reduce(self, Ws, Gs):
         """Frame and closed-form elimination at the NT points ``W_b = G_b G_b^dag``;
@@ -533,20 +510,19 @@ class _CoreNewton:
         # of a family's outer products at X_a = G_f W_b Theta_a F
         C = np.zeros((len(rows), self.m1), order="F")                      # (N, m1)
         M11 = np.zeros((self.m1, self.m1))
-        for bi, own, t in self.others:
-            W = Ws[bi]
-            own.schur(W, M11)
+        _schur(self.others, Ws, M11)
+        for f in self.others:
+            t = self.terms.get(f.b)                 # None: the core equation does not read b
             if t is None:
                 continue
             kraus = [None] if t.frame is None else [
                 t.frame[:, a * p:(a + 1) * p] for a in range(t.t)]        # t is a Read
-            for f in own.families:
-                X = W if f.G is None else f.G @ W
-                for (e, R), *more in zip(*(f.outer((X if Th is None else X @ Th) @ F)
-                                           for Th in kraus)):
-                    for _, Ra in more:
-                        R += Ra
-                    C[:, f.k[e]] += (wt * (t.scale * rows.read(R))).T
+            X = Ws[f.b] if f.G is None else f.G @ Ws[f.b]
+            for (e, R), *more in zip(*(f.outer((X if Th is None else X @ Th) @ F)
+                                       for Th in kraus)):
+                for _, Ra in more:
+                    R += Ra
+                C[:, f.k[e]] += (wt * (t.scale * rows.read(R))).T
         # eliminate E: with V~ = D_E^-1/2 V_E, C- = D_E^-1/2 C_E and the capacitance
         # 1 + V~^T V~ = L L^T, the border is [[D_K + P P^T, C_K - P Q], [., M11 - C-^T C- + Q^T Q]]
         # for P = V_K L^-T and Q = L^-1 V~^T C-
@@ -624,9 +600,9 @@ def _check_term(k, t, dim, p):
 def _preprocess(problem: SdpProblem):
     """Check the program's data, in time linear in it: shapes, finiteness, and
     Hermiticity to ``HERM_TOL``.  Enumerate each equation's rows and sort them
-    into per-block entry families, in real arithmetic when all data is real.
-    Returns the block data, the working dtype, the rows' right-hand side b, and
-    each equation's :class:`_Rows`."""
+    into entry families, in real arithmetic when all data is real.  Returns the
+    objective blocks, the entry families in block order, the working dtype, the
+    rows' right-hand side b, and each equation's :class:`_Rows`."""
     blocks = problem.blocks
     if len(problem.objective) != len(blocks):
         raise ValidationError(f"{len(problem.objective)} objectives for {len(blocks)} blocks")
@@ -654,7 +630,7 @@ def _preprocess(problem: SdpProblem):
     real = not any(map(_has_imag, arrays))
     dtype = np.float64 if real else np.complex128
 
-    families = [{} for _ in blocks]     # per block and key: [k, i, j, c, frame, width] lists
+    groups = [{} for _ in blocks]       # per block and key: [k, i, j, c, frame, width] lists
     rows, b, k0 = [], [], 0
     for terms, rhs in problem.constraints:
         r = _Rows(len(rhs), real, k0)
@@ -672,17 +648,16 @@ def _preprocess(problem: SdpProblem):
                 entries = [k, a + i, a + j, c]
             # one family per frameless t on a block, and one per framed term
             frame = t.frame if isinstance(t, Read) else None
-            key = entries[1].shape[1] if frame is None else ("framed", len(families[bi]))
-            fam = families[bi].setdefault(
+            key = entries[1].shape[1] if frame is None else ("framed", len(groups[bi]))
+            fam = groups[bi].setdefault(
                 key, [[], [], [], [], frame, blocks[bi].dim if frame is None else t.t * r.p])
             for acc, new in zip(fam, entries):
                 acc.append(new)
-    data = [_BlockData(np.zeros((blk.dim, blk.dim), dtype) if C is None
-                       else _cast(np.asarray(C), dtype),
-                       [_EntryFamily(*map(np.concatenate, f[:4]), *f[4:], dtype)
-                        for f in fams.values()])
-            for blk, C, fams in zip(blocks, problem.objective, families)]
-    return data, dtype, np.concatenate(b) if b else np.zeros(0), rows
+    C = [np.zeros((blk.dim, blk.dim), dtype) if Cb is None else _cast(np.asarray(Cb), dtype)
+         for blk, Cb in zip(blocks, problem.objective)]
+    families = [_EntryFamily(bi, *map(np.concatenate, f[:4]), *f[4:], dtype)
+                for bi, group in enumerate(groups) for f in group.values()]
+    return C, families, dtype, np.concatenate(b) if b else np.zeros(0), rows
 
 
 # ---------------------------------------------------------------------------
@@ -736,35 +711,35 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution
 
 def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
     opts = opts or SolverOptions()
-    data, dtype, b, rows = _preprocess(problem)
+    C, families, dtype, b, rows = _preprocess(problem)
     m = len(b)
     if m == 0:
         raise ValidationError("problem needs at least one constraint")
     blocks = problem.blocks
     nu = float(sum(bl.dim for bl in blocks))
     norm_b = float(np.linalg.norm(b))
-    norm_C = np.sqrt(sum(float(np.linalg.norm(d.C) ** 2) for d in data))
+    norm_C = np.sqrt(sum(float(np.linalg.norm(c) ** 2) for c in C))
     eta = 1.0 + float(np.abs(b).max(initial=0.0))
 
-    core = _CoreNewton.find(problem, data, rows)
+    core = _CoreNewton.find(problem, families, rows)
     path = "dense" if core is None else "core"
     X = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
     Z = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
     y = np.zeros(m)
 
     def pair_all(mats):
+        """out[k] = sum_b <A_k, mats[b]> over the blocks b that row k reads."""
         out = np.zeros(m)
-        for d, V in zip(data, mats):
-            d.pair_all(V, out)
+        for f in families:
+            out[f.k] += f.read(mats[f.b])
         return out
 
     def scatter(yv):
-        out = []
-        for d in data:
-            acc = np.zeros(d.C.shape, d.C.dtype)
-            d.scatter(yv, acc)
-            out.append(_herm(acc))
-        return out
+        """Per block b, the Hermitian part of sum_k yv[k] A_k on b."""
+        out = [np.zeros(c.shape, c.dtype) for c in C]
+        for f in families:
+            f.scatter(yv, out[f.b])
+        return [_herm(acc) for acc in out]
 
     def inner(U, V):
         tot = 0.0
@@ -789,7 +764,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         t_lap = now
 
     for it in range(1, opts.max_iter + 1):
-        pobj = inner([d.C for d in data], X)
+        pobj = inner(C, X)
         dobj = float(b @ y)
         record = dict(pobj=pobj, dobj=dobj, gap=None, pinf=None, dinf=None, mu=None, path=path,
                       sigma=None, alpha_p=None, alpha_d=None, size=None, rank=None)
@@ -807,8 +782,8 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         Ay = scatter(y)
         R_d = []
         dres = 0.0
-        for d, ay, z in zip(data, Ay, Z):
-            rd = d.C + z - ay
+        for c, ay, z in zip(C, Ay, Z):
+            rd = c + z - ay
             R_d.append(rd)
             dres = max(dres, float(np.abs(rd).max(initial=0.0)))
         pinf = float(np.linalg.norm(r_p)) / (1.0 + norm_b)
@@ -852,8 +827,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             lap("scaling")
             if core is None:
                 M = np.zeros((m, m))
-                for d, W in zip(data, Ws):
-                    d.schur(W, M)
+                _schur(families, Ws, M)
                 M = 0.5 * (M + M.T)
             else:
                 M = core.reduce(Ws, [G for G, _ in frames])

@@ -145,17 +145,11 @@ def activation_witness(K: gs.NCGraph, S, U):
     From a feasible (S, U) of the relaxed program build
     ``S' = S (x) 1_2`` and ``U' = U (x) (|00><00|+|11><11|)
     + Ubar (x) (|01><01|+|10><10|)`` with
-    ``Ubar = S/tr(S) (x) (1_B - tr_A U)``, reordered to (A A')(B B').
+    ``Ubar = S/tr(S) (x) (1_B - tr_A U)``, reordered to (A A')(B B'): the
+    :func:`cross_activation_witness` of (S, U) with delta(2)'s witness (1_2, P).
     """
-    S = np.asarray(S); U = np.asarray(U)
-    dA, dB = K.d_A, K.d_B
-    trA_U = partial_trace(U, dA, dB, "first")
-    Ubar = tensor(S / np.trace(S), np.eye(dB) - trA_U)
-    diag_flags = np.zeros((4, 4)); diag_flags[0, 0] = diag_flags[3, 3] = 1.0
-    off_flags = np.zeros((4, 4)); off_flags[1, 1] = off_flags[2, 2] = 1.0
-    U2 = tensor(U, diag_flags) + tensor(Ubar, off_flags)
-    U2 = permute_systems(U2, [dA, dB, 2, 2], [0, 2, 1, 3])
-    return tensor(S, np.eye(2)), U2
+    D = gs.delta(2)
+    return cross_activation_witness(K, S, U, D, np.eye(2), D.P_AB)
 
 
 def cross_activation_witness(K1: gs.NCGraph, S1, U1, K2: gs.NCGraph, S2, U2):
@@ -269,8 +263,8 @@ def check_theorem7(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
                    tol: float = EQ_TOL) -> TheoremCheck:
     """Direct-sum additivity of the one-shot capacity into activated parts."""
     cache = cache or CapacityCache()
+    require_choi_dim((K1.d_A + K2.d_A) * (K1.d_B + K2.d_B), dim_limit)
     D = gs.direct_sum(K1, K2)
-    require_choi_dim(D.dim, dim_limit)
     lhs = cache.value("upsilon", D)
     rhs = cache.value("upsilon_hat", K1) + cache.value("upsilon_hat", K2)
     return TheoremCheck("theorem7", label, lhs, rhs, "eq",

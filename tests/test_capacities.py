@@ -157,9 +157,9 @@ class TestCoefficientHelpers:
                                     partial_trace(V, dA, dB, "second"))):
             problem = SdpProblem([Block(dA * dB)], [X],
                                  [Equation({0: term}, np.zeros((p, p)))])
-            data, _, b, _ = _preprocess(problem)
+            _, (f,), _, b, _ = _preprocess(problem)
             values = np.zeros(len(b))
-            data[0].pair_all(X, values)
+            values[f.k] += f.read(X)
             assert_allclose(values, _row_values(traced, real), atol=1e-12)
             assert_allclose(term.apply(X, p), traced, atol=1e-12)
 
@@ -180,9 +180,9 @@ class TestCoefficientHelpers:
         p = frame.shape[1]
         problem = SdpProblem([Block(frame.shape[0])], [None],
                              [Equation({0: Read(frame)}, np.zeros((p, p)))])
-        data, _, b, _ = _preprocess(problem)
+        _, (f,), _, b, _ = _preprocess(problem)
         values = np.zeros(len(b))
-        data[0].pair_all(X, values)
+        values[f.k] += f.read(X)
         assert_allclose(values, _row_values(Xf, real), atol=1e-12)
         assert_allclose(Read(frame).apply(X, p), Xf, atol=1e-12)
 

@@ -176,6 +176,14 @@ class TestCompute:
         assert out == "" and len(err.strip().splitlines()) == 1
         assert "did not converge" in err
 
+    def test_solver_failure_exits_2(self, capsys):
+        # a gap tolerance that no iterate reaches: the solve stalls and fails typed
+        code, out, err = run_cli(capsys, "compute", "--builtin", "delta:l=2",
+                                 "--quantity", "upsilon", "--gap-tol", "1e-300")
+        assert code == EXIT_SOLVER
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("solver failure: upsilon:") and "'numerical-failure'" in err
+
     def test_missing_source(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--quantity", "upsilon")
         assert code == EXIT_INPUT
@@ -186,6 +194,13 @@ class TestCompute:
                                "--quantity", "upsilon")
         assert code == EXIT_INPUT
         assert "NSZCAP_MAX_DIM" in err
+
+    def test_dimension_guard_setting_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("NSZCAP_MAX_DIM", "abc")
+        code, out, err = run_cli(capsys, "compute", "--builtin", "delta:l=2",
+                                 "--quantity", "upsilon")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and "NSZCAP_MAX_DIM must be an integer" in err
 
     @pytest.mark.parametrize("name, constructor", [
         ("identity:d=100000", "identity_channel"),

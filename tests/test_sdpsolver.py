@@ -26,6 +26,7 @@ from nszcap.sdpsolver import (
     _Pivoted,
     _preprocess,
     _Rows,
+    _schur,
     constraint_residuals,
     solve,
 )
@@ -157,13 +158,12 @@ class TestEntryHelpers:
         X = _random_herm(rng, dA * dB, real)
         Xd = X if first else _swap(X, dA, dB)       # the traced factor first
         prob = SdpProblem([Block(dA * dB)], [Xd], [Equation({0: Lift(1, t=d)}, np.eye(p))])
-        data, _, _, (rows,) = _preprocess(prob)
-        (f,) = data[0].families
+        (C,), (f,), _, _, (rows,) = _preprocess(prob)
         assert f.t == d and f.i.shape == f.j.shape == (len(rows), d)
         traced = partial_trace(X, dA, dB, "first" if first else "second")
         assert_allclose(f.read(Xd), rows.read(traced), atol=1e-12)
         y = rng.standard_normal(len(rows))
-        acc = np.zeros_like(data[0].C)
+        acc = np.zeros_like(C)
         f.scatter(y, acc)
         Y = rows.matrix(rows.norm2 * y)
         want = np.kron(np.eye(d), Y)
@@ -179,12 +179,11 @@ class TestEntryHelpers:
         term = Read(F, 0.7, t=3)
         X = _random_herm(rng, 5, real)
         prob = SdpProblem([Block(5)], [X], [Equation({0: term}, np.eye(2))])
-        data, _, _, (rows,) = _preprocess(prob)
-        (f,) = data[0].families
+        (C,), (f,), _, _, (rows,) = _preprocess(prob)
         assert f.t == 3 and f.r == 6
         assert_allclose(f.read(X), rows.read(term.apply(X, 2)), atol=1e-12)
         y = rng.standard_normal(len(rows))
-        acc = np.zeros_like(data[0].C)
+        acc = np.zeros_like(C)
         f.scatter(y, acc)
         Y = rows.matrix(rows.norm2 * y)
         want = 0.7 * sum(F[:, a:a + 2] @ Y @ np.conj(F[:, a:a + 2]).T for a in (0, 2, 4))
@@ -428,6 +427,13 @@ class TestNumericalFailureExits:
         sol = self._solve(monkeypatch, lambda lw, D: 0.0)
         assert sol.iterations == 1 and sol.trace[0]["alpha_p"] == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_direction_takes_no_step(self, bad):
+        D = np.diag([-1.0, 1.0])
+        assert _max_step_scaled(np.ones(2), D) == 1.0
+        D[0, 1] = D[1, 0] = bad
+        assert _max_step_scaled(np.ones(2), D) == 0.0
+
 
 class TestValidation:
     def test_accepts_canonical_problem(self):
@@ -441,6 +447,10 @@ class TestValidation:
                        [Equation({0: Read(np.ones((3, 2)))}, np.eye(2))])
         with pytest.raises(ValidationError):
             p.validate()
+
+    def test_rejects_max_iter_below_one(self):
+        with pytest.raises(ValidationError, match="max_iter"):
+            SolverOptions(max_iter=0)
 
 
 def _bad_program(case):
@@ -511,6 +521,8 @@ def _bad_program(case):
         rows[0] = Equation({0: Read()}, np.array([[1.0, 0.5], [0.0, 1.0]]))
     elif case == "non-Hermitian objective":
         objective = [np.array([[1.0, 1.0], [0.0, 1.0]])]
+    elif case == "unknown term":                   # a dense matrix is neither Read nor Lift
+        rows[0] = Equation({0: np.eye(2)}, np.eye(1))
     return SdpProblem(blocks, objective, rows)
 
 
@@ -528,7 +540,7 @@ class TestMalformedPrograms:
              "lift at a non-integer index", "non-integer block dimension", "complex scale",
              "string scale", "object frame", "string rhs",
              "objective larger than the block", "objective a row", "non-Hermitian rhs",
-             "non-Hermitian objective"]
+             "non-Hermitian objective", "unknown term"]
 
     def test_well_formed_program_solves(self):
         sol = solve(_bad_program("none"))
@@ -651,7 +663,7 @@ class TestSchurOracle:
 
     @staticmethod
     def _compare(problem, seed):
-        data, dtype, _, _ = _preprocess(problem)
+        _, families, dtype, _, _ = _preprocess(problem)
         rng = np.random.default_rng(seed)
         Ws = []
         for blk in problem.blocks:
@@ -660,8 +672,7 @@ class TestSchurOracle:
                 G = G + 1j * rng.standard_normal((blk.dim, blk.dim))
             Ws.append(G @ G.conj().T + 0.1 * np.eye(blk.dim))
         M = np.zeros((problem.num_constraints,) * 2)
-        for d, W in zip(data, Ws):
-            d.schur(W, M)
+        _schur(families, Ws, M)
         want = _brute_schur(problem, Ws)
         assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -688,8 +699,8 @@ class TestSchurOracle:
             Equation({0: Read(F2, 0.5, t=2), 1: Lift(3, at=0)}, np.eye(3)),
             Equation({0: Read(F3, -1.0, t=3)}, np.eye(2)),
             Equation({0: Lift(2, -1.0, at=1, t=3), 1: Read()}, np.eye(2))])
-        data, dtype, _, _ = _preprocess(problem)
-        assert sorted((f.t, f.G is None) for f in data[0].families) == [
+        _, families, dtype, _, _ = _preprocess(problem)
+        assert sorted((f.t, f.G is None) for f in families if f.b == 0) == [
             (2, False), (3, False), (3, True)]
         assert (dtype == np.float64) == real
         self._compare(problem, seed=10)
@@ -702,8 +713,8 @@ class TestSchurOracle:
         problem = SdpProblem([Block(6)], [C], [
             Equation({0: Read()}, np.eye(6)), Equation({0: Lift(1, t=2)}, np.eye(3)),
             Equation({0: Lift(1, t=3)}, np.eye(2))])
-        data, dtype, _, _ = _preprocess(problem)
-        assert sorted(f.t for f in data[0].families) == [1, 2, 3]
+        _, families, dtype, _, _ = _preprocess(problem)
+        assert sorted(f.t for f in families) == [1, 2, 3]
         assert (dtype == np.float64) == real
         self._compare(problem, seed=9)
 
@@ -711,11 +722,11 @@ class TestSchurOracle:
         # a rank-deficient output puts unframed coupling rows and
         # theta^dag-framed marginal rows on the same kernel block
         problem = cap.build_cq_problem(random_cq_graph(1), hat=True)
-        data, _, _, _ = _preprocess(problem)
+        _, families, _, _, _ = _preprocess(problem)
         kernels = [b for b, t in problem.constraints[-1].terms.items()
                    if isinstance(t, Read) and t.frame is not None]
         assert kernels
-        assert all(len(data[b].families) == 2 for b in kernels)
+        assert all(sum(f.b == b for f in families) == 2 for b in kernels)
 
 
 def _with_path(monkeypatch, path):
@@ -765,7 +776,7 @@ class TestNewtonOracle:
     ], ids=["k16", "lemma2", "lemma2 dual", "map marginal"])
     def test_core_matches_dense_at_nt_points(self, monkeypatch, program):
         prob = program()
-        data, _, b, rows = _preprocess(prob)
+        _, families, _, b, rows = _preprocess(prob)
         points = []
         reduce, core_solve = _CoreNewton.reduce, _CoreNewton.solve
 
@@ -784,11 +795,10 @@ class TestNewtonOracle:
         assert sol.optimal and {r["path"] for r in sol.trace} == {"core"}
         assert len(points) == sol.iterations - 1           # endgame included
 
-        core = _CoreNewton.find(prob, data, rows)
+        core = _CoreNewton.find(prob, families, rows)
         for Ws, Gs, rhs in points:
             M = np.zeros((len(b),) * 2)
-            for d, W in zip(data, Ws):
-                d.schur(W, M)
+            _schur(families, Ws, M)
             dense = _Pivoted(0.5 * (M + M.T))
             fast = core.factor(core.reduce(Ws, Gs))
             for r in rhs:
@@ -870,29 +880,29 @@ class TestCoreRule:
     ])
     def test_nc_builders(self, monkeypatch, builder, qualifies):
         prob = _NC_BUILDERS[builder](_k16())
-        data, _, _, rows = _preprocess(prob)
+        _, families, _, _, rows = _preprocess(prob)
         _with_path(monkeypatch, "core")
-        assert (_CoreNewton.find(prob, data, rows) is not None) == qualifies
+        assert (_CoreNewton.find(prob, families, rows) is not None) == qualifies
 
     @pytest.mark.parametrize("variant", ["upsilon", "hat", "aram"])
     def test_cq_builders(self, monkeypatch, variant):
         # the marginal equation holds most rows, but its right-hand side is 1_B, not 0
         _with_path(monkeypatch, "core")
         prob = _CQ_BUILDERS[variant](random_cq_graph(1))
-        data, _, _, rows = _preprocess(prob)
-        assert _CoreNewton.find(prob, data, rows) is None
+        _, families, _, _, rows = _preprocess(prob)
+        assert _CoreNewton.find(prob, families, rows) is None
 
 
     def test_nonzero_core_rhs_takes_the_dense_path(self):
         # the same Upsilon-hat program with a nonzero coupling rhs
         prob = cap.build_upsilon_problem(_k16(), hat=True)
-        data, _, _, rows = _preprocess(prob)
-        assert _CoreNewton.find(prob, data, rows) is not None
+        _, families, _, _, rows = _preprocess(prob)
+        assert _CoreNewton.find(prob, families, rows) is not None
         marginal, coupling = prob.constraints
         n = len(coupling.rhs)
         prob.constraints = [marginal, Equation(coupling.terms, np.eye(n) / n)]
-        data, _, _, rows = _preprocess(prob)
-        assert _CoreNewton.find(prob, data, rows) is None
+        _, families, _, _, rows = _preprocess(prob)
+        assert _CoreNewton.find(prob, families, rows) is None
 
     def test_marginal_read_through_a_map_takes_the_core_path(self):
         # the same Upsilon-hat program with tr_A U stated as a Read of d_A Kraus
@@ -900,8 +910,8 @@ class TestCoreRule:
         K = _k16()
         prob, mapped = cap.build_upsilon_problem(K, hat=True), _kraus_marginal(K)
         for problem in (prob, mapped):
-            data, _, _, rows = _preprocess(problem)
-            assert _CoreNewton.find(problem, data, rows) is not None
+            _, families, _, _, rows = _preprocess(problem)
+            assert _CoreNewton.find(problem, families, rows) is not None
         sol, want = solve(mapped), solve(prob)
         assert {r["path"] for r in sol.trace} == {"core"}
         assert sol.optimal and sol.primal_value == pytest.approx(want.primal_value, rel=1e-8)
@@ -911,8 +921,27 @@ class TestCoreRule:
         # the other rows are ids 0..m1-1 only when the core equation comes last
         prob = cap.build_upsilon_problem(_k16(), hat=True)
         prob.constraints = prob.constraints[::-1]
-        data, _, _, rows = _preprocess(prob)
-        assert _CoreNewton.find(prob, data, rows) is None
+        _, families, _, _, rows = _preprocess(prob)
+        assert _CoreNewton.find(prob, families, rows) is None
+
+    @pytest.mark.parametrize("extra,qualifies", [
+        # U[3, 3] joins the core equation's t = 1 family on U, which then holds rows of both
+        (lambda n, dA: Equation({1: Lift(1, at=3)}, np.eye(1)), False),
+        # the same entry read through a frame has a family of its own
+        (lambda n, dA: Equation({1: Read(np.eye(n)[:, 3:4])}, np.eye(1)), True),
+        # other rows on S, which the core equation lifts
+        (lambda n, dA: Equation({0: Read(np.eye(dA))}, np.eye(dA)), False),
+    ], ids=["row in a core family", "row in a family of its own", "rows on a lifted block"])
+    def test_other_rows_on_core_blocks(self, monkeypatch, extra, qualifies):
+        # an extra equation before the core equation of Upsilon-hat (blocks S, U, W, Y)
+        _with_path(monkeypatch, "core")
+        K = random_graph(RandomChannelSpec(4, 4, 2, 7))
+        prob = cap.build_upsilon_problem(K, hat=True)
+        *others, core = prob.constraints
+        prob.constraints = [*others, extra(K.dim, K.d_A), core]
+        _, families, _, _, rows = _preprocess(prob)
+        assert 2 * len(rows[-1]) > sum(map(len, rows))    # the core equation holds most rows
+        assert (_CoreNewton.find(prob, families, rows) is not None) == qualifies
 
 
 class TestTrace:

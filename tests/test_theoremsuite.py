@@ -3,10 +3,12 @@ import pytest
 
 from nszcap import capacities as cap
 from nszcap import graphspace as gs
+from nszcap.capacities import DimensionLimitError
 from nszcap.graphspace import NCGraph
 from nszcap.matrixcore import ValidationError
 from nszcap.theoremsuite import (
     CapacityCache,
+    _compare,
     RandomChannelSpec,
     check_corollary6,
     check_lemma2,
@@ -59,6 +61,11 @@ class TestRandomChannels:
         C = random_cq_graph(seed)
         assert 2 <= C.num_inputs <= 4
         assert 2 <= C.d_B <= 3
+
+
+def test_compare_rejects_unknown_relation():
+    with pytest.raises(ValidationError):
+        _compare(1.0, 1.0, "lt", 1e-6)
 
 
 class TestLemma2:
@@ -142,6 +149,14 @@ class TestTheorem7:
         c = check_theorem7(rand_graph(24, 2, 3, 2), rand_graph(25, 3, 2, 2),
                            "mixed", cache)
         assert c.passed
+
+    def test_size_guard_before_direct_sum(self, ex4, monkeypatch):
+        # the direct sum of two example4 graphs has Choi dimension 16, past the limit
+        def unbuildable(*args):
+            raise AssertionError("direct_sum called past the size guard")
+        monkeypatch.setattr(gs, "direct_sum", unbuildable)
+        with pytest.raises(DimensionLimitError):
+            check_theorem7(ex4, ex4, "ex4+ex4", CapacityCache(), dim_limit=10)
 
 
 class TestTheorem9:
