@@ -50,21 +50,22 @@ def max_choi_dim() -> int:
     if raw is None:
         return DEFAULT_MAX_CHOI_DIM
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"NSZCAP_MAX_DIM must be an integer, got {raw!r}") from exc
+        limit = int(raw)
+        if limit < 1:
+            raise ValueError
+    except ValueError:
+        raise ValidationError(
+            f"NSZCAP_MAX_DIM must be an integer of at least 1, got {raw!r}") from None
+    return limit
 
 
-def require_choi_dim(dim: int, limit: int | None = None):
-    """Raise :class:`DimensionLimitError` when a Choi dimension exceeds the guard.
-
-    ``limit`` defaults to :func:`max_choi_dim`, the ``NSZCAP_MAX_DIM`` setting.
-    """
-    hint = ""
-    if limit is None:
-        limit, hint = max_choi_dim(), " (override with NSZCAP_MAX_DIM)"
+def require_choi_dim(dim: int):
+    """Raise :class:`DimensionLimitError` when a Choi dimension exceeds the
+    ``NSZCAP_MAX_DIM`` guard (:func:`max_choi_dim`)."""
+    limit = max_choi_dim()
     if dim > limit:
-        raise DimensionLimitError(f"Choi dimension {dim} exceeds the limit {limit}{hint}")
+        raise DimensionLimitError(
+            f"Choi dimension {dim} exceeds the limit {limit} (override with NSZCAP_MAX_DIM)")
 
 
 @dataclass
@@ -339,50 +340,73 @@ class Thm9Report:
         return all(vals) or not any(vals)
 
 
-def thm9_criteria(K: NCGraph, strict_tol: float = STRICT_TOL,
-                  opts: SolverOptions | None = None, value=None) -> Thm9Report:
+class CapacityCache:
+    """Memoizes capacity solves keyed by exact graph bytes (results are pure),
+    counting the solves it ran and the lookups it answered from memory."""
+
+    def __init__(self, opts: SolverOptions | None = None):
+        self.opts = opts
+        self._store = {}
+        self.solves = self.hits = 0
+
+    def _key(self, fn: str, K):
+        if isinstance(K, CqGraph):
+            return (fn, *(P.tobytes() for P in K.projections))
+        return (fn, K.d_A, K.d_B, K.P_AB.tobytes())
+
+    def result(self, fn: str, K):
+        key = self._key(fn, K)
+        if key in self._store:
+            self.hits += 1
+        else:
+            self.solves += 1
+            self._store[key] = globals()[fn](K, self.opts)
+        return self._store[key]
+
+    def value(self, fn: str, K) -> float:
+        return self.result(fn, K).value
+
+
+def thm9_criteria(K: NCGraph, cache: CapacityCache | None = None) -> Thm9Report:
     """Evaluate the four equivalent positivity criteria with declared tolerances.
 
-    Strict operator inequalities are decided with margin ``strict_tol``; the
+    Strict operator inequalities are decided with margin ``STRICT_TOL``; the
     criteria are provably equivalent, so a report whose criteria disagree
-    (:meth:`Thm9Report.all_agree` is False) signals solver trouble.
-    ``value(name, K)`` supplies the capacities ``"aram"`` and ``"upsilon_hat"``
-    (e.g. ``CapacityCache.value``); by default they are solved here.
+    (:meth:`Thm9Report.all_agree` is False) signals solver trouble.  The
+    capacities ``aram`` and ``upsilon_hat`` come from ``cache`` (a fresh
+    :class:`CapacityCache` by default).
     """
-    if value is None:
-        def value(name, G):
-            return globals()[name](G, opts).value
+    cache = cache or CapacityCache()
     pb_margin = K.d_A - op_norm(K.P_B)
     trq = partial_trace(K.Q_AB, K.d_A, K.d_B, "first")
     trq_margin = float(np.linalg.eigvalsh(0.5 * (trq + trq.conj().T))[0])
-    aram_margin = value("aram", K) - 1.0
-    uhat_margin = value("upsilon_hat", K) - 1.0
+    aram_margin = cache.value("aram", K) - 1.0
+    uhat_margin = cache.value("upsilon_hat", K) - 1.0
     return Thm9Report(
-        aram_gt_1=aram_margin > strict_tol,
-        pb_strict=pb_margin > strict_tol,
-        trq_posdef=trq_margin > strict_tol,
-        uhat_gt_1=uhat_margin > strict_tol,
+        aram_gt_1=aram_margin > STRICT_TOL,
+        pb_strict=pb_margin > STRICT_TOL,
+        trq_posdef=trq_margin > STRICT_TOL,
+        uhat_gt_1=uhat_margin > STRICT_TOL,
         margins={"aram": aram_margin, "pb": pb_margin,
                  "trq": trq_margin, "uhat": uhat_margin},
     )
 
 
-def is_activatable(K: NCGraph, eps: float = 1e-6,
-                   opts: SolverOptions | None = None) -> bool:
+def is_activatable(K: NCGraph, cache: CapacityCache | None = None) -> bool:
     """True when the activated capacity strictly exceeds the plain one-shot value."""
-    return upsilon_hat(K, opts).value > upsilon(K, opts).value + eps
+    cache = cache or CapacityCache()
+    return cache.value("upsilon_hat", K) > cache.value("upsilon", K) + 1e-6
 
 
-def find_n0(K: NCGraph, n_max: int, opts: SolverOptions | None = None,
-            dim_limit: int | None = None, value=None):
-    """Least tensor power with one-shot capacity at least 2, or None.
-    ``value(name, K)`` supplies ``"upsilon"`` as in :func:`thm9_criteria`."""
+def find_n0(K: NCGraph, n_max: int, cache: CapacityCache | None = None):
+    """Least tensor power with one-shot capacity at least 2, or None; the
+    values come from ``cache`` as in :func:`thm9_criteria`."""
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    value = value or (lambda name, G: upsilon(G, opts).value)
+    cache = cache or CapacityCache()
     for n in range(1, n_max + 1):
-        require_choi_dim(K.dim ** n, dim_limit)
-        if value("upsilon", tensor_power(K, n)) >= 2.0 - 1e-7:
+        require_choi_dim(K.dim ** n)
+        if cache.value("upsilon", tensor_power(K, n)) >= 2.0 - 1e-7:
             return n
     return None
 

@@ -275,10 +275,9 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     opts = SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
     report = ts.run_suite(
-        seeds=tuple(args.seed or ()),
+        seeds=args.seed or (),
         only=args.only,
         tolerance=args.tolerance,
-        dim_limit=args.dim_limit,
         opts=opts,
         progress=lambda c: print(c.line(), file=sys.stderr, flush=True),
     )
@@ -315,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--builtin", help="builtin channel, e.g. example4:alpha_sq=0.75")
     pc.add_argument("--quantity", required=True, choices=sorted(QUANTITIES))
     pc.add_argument("--witness", action="store_true", help="include witness matrices")
-    pc.add_argument("--gap-tol", type=float, default=1e-8)
-    pc.add_argument("--feas-tol", type=float, default=1e-8)
+    pc.add_argument("--gap-tol", type=float, default=SolverOptions.gap_tol)
+    pc.add_argument("--feas-tol", type=float, default=SolverOptions.feas_tol)
     pc.set_defaults(fn=cmd_compute)
 
     pv = sub.add_parser("verify", help="run the theorem-verification suite")
@@ -324,9 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="random-instance seed (repeatable; none = built-ins only)")
     pv.add_argument("--only", help="run a single check by name")
     pv.add_argument("--tolerance", type=float, help="override equality tolerance")
-    pv.add_argument("--dim-limit", type=int, help="Choi dimension guard")
-    pv.add_argument("--gap-tol", type=float, default=1e-8)
-    pv.add_argument("--feas-tol", type=float, default=1e-8)
+    pv.add_argument("--gap-tol", type=float, default=SolverOptions.gap_tol)
+    pv.add_argument("--feas-tol", type=float, default=SolverOptions.feas_tol)
     pv.set_defaults(fn=cmd_verify)
 
     pe = sub.add_parser("examples", help="list builtin channels")

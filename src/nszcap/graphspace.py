@@ -1,10 +1,12 @@
 """Channels and non-commutative bipartite graphs.
 
-A quantum channel enters as a Kraus family, is turned into its Choi matrix
-(convention ``J_AB = sum_ij |i><j|_A (x) N(|i><j|)_B``, A first), and is then
-reduced to the projection ``P_AB`` onto the Choi support.  That projection,
-together with the input/output dimensions, is the non-commutative bipartite
-graph on which every capacity in :mod:`nszcap.capacities` is defined.
+A quantum channel enters as a Kraus family and is reduced to the projection
+``P_AB`` onto the span of its Kraus vectors, the support of its Choi matrix
+(convention ``J_AB = sum_ij |i><j|_A (x) N(|i><j|)_B``, A first);
+:func:`ncgraph_from_channel` takes a pivoted QR of the Kraus vectors and never
+forms that matrix.  The projection, together with the input/output dimensions,
+is the non-commutative bipartite graph on which every capacity in
+:mod:`nszcap.capacities` is defined.
 
 Classical-quantum channels get the lighter :class:`CqGraph` representation, a
 list of output support projections.

@@ -16,12 +16,12 @@ import numpy as np
 
 from . import capacities as cap
 from . import graphspace as gs
-from .capacities import DimensionLimitError, require_choi_dim
+from .capacities import CapacityCache, DimensionLimitError, require_choi_dim
 from .matrixcore import ValidationError, partial_trace, permute_systems, tensor
 from .sdpsolver import SolverOptions
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
-EQ_TOL = 1e-5   # theorem equality tolerance: 10x the solver gap tolerance
+EQ_TOL = 1e-5   # theorem equality tolerance: 1000x the solver's default gap tolerance
 CHECK_NAMES = ("lemma2", "main_theorem", "theorem5", "corollary6", "theorem7",
                "theorem9", "prop11", "sandwich")
 
@@ -32,7 +32,7 @@ class TheoremCheck:
     instance: str
     lhs: float
     rhs: float
-    relation: str           # eq | ge | le | implies
+    relation: str           # eq | ge | le
     tolerance: float
     passed: bool
     vacuous: bool = False
@@ -108,33 +108,6 @@ def random_cq_graph(seed: int, max_inputs: int = 4, max_dim: int = 3) -> gs.CqGr
     return gs.cq_from_states(outputs)
 
 
-class CapacityCache:
-    """Memoizes capacity solves keyed by exact graph bytes (results are pure),
-    counting the solves it ran and the lookups it answered from memory."""
-
-    def __init__(self, opts: SolverOptions | None = None):
-        self.opts = opts
-        self._store = {}
-        self.solves = self.hits = 0
-
-    def _key(self, fn: str, K):
-        if isinstance(K, gs.CqGraph):
-            return (fn, *(P.tobytes() for P in K.projections))
-        return (fn, K.d_A, K.d_B, K.P_AB.tobytes())
-
-    def result(self, fn: str, K):
-        key = self._key(fn, K)
-        if key in self._store:
-            self.hits += 1
-        else:
-            self.solves += 1
-            self._store[key] = getattr(cap, fn)(K, self.opts)
-        return self._store[key]
-
-    def value(self, fn: str, K) -> float:
-        return self.result(fn, K).value
-
-
 # ---------------------------------------------------------------------------
 # Witness constructions used in the proofs (and verified by the checks)
 # ---------------------------------------------------------------------------
@@ -173,11 +146,10 @@ def cross_activation_witness(K1: gs.NCGraph, S1, U1, K2: gs.NCGraph, S2, U2):
 
 def check_lemma2(K: gs.NCGraph, ell: int, label: str = "",
                  cache: CapacityCache | None = None,
-                 dim_limit: int | None = None,
                  tol: float = EQ_TOL) -> TheoremCheck:
     """Tensoring with a noiseless ell-channel multiplies the activated capacity."""
     cache = cache or CapacityCache()
-    require_choi_dim(K.dim * ell * ell, dim_limit)
+    require_choi_dim(K.dim * ell * ell)
     uh = cache.value("upsilon_hat", K)
     lhs = cache.value("upsilon_hat", gs.tensor_graph(K, gs.delta(ell)))
     rhs = ell * uh
@@ -188,7 +160,6 @@ def check_lemma2(K: gs.NCGraph, ell: int, label: str = "",
 
 def check_main_theorem(K: gs.NCGraph, label: str = "",
                        cache: CapacityCache | None = None,
-                       dim_limit: int | None = None,
                        tol: float = EQ_TOL) -> TheoremCheck:
     """The activated capacity equals half the capacity after borrowing one bit.
 
@@ -197,7 +168,7 @@ def check_main_theorem(K: gs.NCGraph, label: str = "",
     program.
     """
     cache = cache or CapacityCache()
-    require_choi_dim(K.dim * 4, dim_limit)
+    require_choi_dim(K.dim * 4)
     KD = gs.tensor_graph(K, gs.delta(2))
     lhs = cache.value("upsilon", KD) / 2.0
     rhs = cache.value("upsilon_hat", K)
@@ -212,7 +183,6 @@ def check_main_theorem(K: gs.NCGraph, label: str = "",
 
 def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
                    cache: CapacityCache | None = None,
-                   dim_limit: int | None = None,
                    tol: float = EQ_TOL) -> TheoremCheck:
     """A channel with enough one-shot capacity activates an activatable one.
 
@@ -220,7 +190,7 @@ def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
     re-verified as a feasible point of the product program.
     """
     cache = cache or CapacityCache()
-    require_choi_dim(K1.dim * K2.dim, dim_limit)
+    require_choi_dim(K1.dim * K2.dim)
     u2 = cache.value("upsilon", K2)
     uh1 = cache.value("upsilon_hat", K1)
     if u2 - 1.0 < 1.0 / uh1 - 1e-9:
@@ -242,7 +212,6 @@ def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
 
 def check_corollary6(K: gs.NCGraph, label: str = "",
                      cache: CapacityCache | None = None,
-                     dim_limit: int | None = None,
                      tol: float = EQ_TOL) -> TheoremCheck:
     """Golden-ratio self-activation."""
     cache = cache or CapacityCache()
@@ -250,7 +219,7 @@ def check_corollary6(K: gs.NCGraph, label: str = "",
     if u < GOLDEN_RATIO - 1e-9:
         return TheoremCheck("corollary6", label, u, GOLDEN_RATIO, "ge", 0.0,
                             True, vacuous=True, note="one-shot value below golden ratio")
-    require_choi_dim(K.dim ** 2, dim_limit)
+    require_choi_dim(K.dim ** 2)
     lhs = cache.value("upsilon", gs.tensor_graph(K, K))
     rhs = cache.value("upsilon_hat", K) * u
     return TheoremCheck("corollary6", label, lhs, rhs, "ge",
@@ -259,11 +228,10 @@ def check_corollary6(K: gs.NCGraph, label: str = "",
 
 def check_theorem7(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
                    cache: CapacityCache | None = None,
-                   dim_limit: int | None = None,
                    tol: float = EQ_TOL) -> TheoremCheck:
     """Direct-sum additivity of the one-shot capacity into activated parts."""
     cache = cache or CapacityCache()
-    require_choi_dim((K1.d_A + K2.d_A) * (K1.d_B + K2.d_B), dim_limit)
+    require_choi_dim((K1.d_A + K2.d_A) * (K1.d_B + K2.d_B))
     D = gs.direct_sum(K1, K2)
     lhs = cache.value("upsilon", D)
     rhs = cache.value("upsilon_hat", K1) + cache.value("upsilon_hat", K2)
@@ -277,7 +245,7 @@ def check_theorem9(K: gs.NCGraph, label: str = "",
     """Positivity criteria agree; dense-coding bound holds and is attained as
     the packing number of the dense-coding cq graph."""
     cache = cache or CapacityCache()
-    report = cap.thm9_criteria(K, value=cache.value)
+    report = cap.thm9_criteria(K, cache)
     uh = cache.value("upsilon_hat", K)
     sdb = cap.superdense_bound(K)
     acq = cache.value("aram_cq", gs.superdense_cq(K))
@@ -308,13 +276,12 @@ def check_prop11(cache: CapacityCache | None = None) -> TheoremCheck:
 
 def check_sandwich(K: gs.NCGraph, n: int, label: str = "",
                    cache: CapacityCache | None = None,
-                   dim_limit: int | None = None,
                    tol: float = EQ_TOL) -> TheoremCheck:
     """Finite tensor-power sandwich around the activated capacity."""
     cache = cache or CapacityCache()
     try:
-        require_choi_dim(K.dim ** n, dim_limit)
-        n0 = cap.find_n0(K, n, cache.opts, dim_limit, cache.value)
+        require_choi_dim(K.dim ** n)
+        n0 = cap.find_n0(K, n, cache)
     except DimensionLimitError as exc:
         return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
                             vacuous=True, note=f"size guard: {exc}")
@@ -377,17 +344,15 @@ def _spec_from_seed(seed: int) -> RandomChannelSpec:
 
 
 def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
-              dim_limit: int | None = None, opts: SolverOptions | None = None,
-              progress=None) -> SuiteReport:
+              opts: SolverOptions | None = None, progress=None) -> SuiteReport:
     """Run every check on built-ins plus the seeded random instances."""
+    seeds = tuple(seeds)
     if only is not None and only not in CHECK_NAMES:
         raise ValidationError(f"unknown check {only!r}; known: {', '.join(CHECK_NAMES)}")
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
         raise ValidationError(f"tolerance must be finite and positive, got {tolerance!r}")
     if any(s < 0 for s in seeds):
         raise ValidationError(f"seeds must be nonnegative, got {list(seeds)!r}")
-    if dim_limit is not None and dim_limit < 1:
-        raise ValidationError(f"dim_limit must be at least 1, got {dim_limit!r}")
     t0 = time.perf_counter()
     tol = EQ_TOL if tolerance is None else tolerance
     cache = CapacityCache(opts)
@@ -414,52 +379,47 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
 
     if want("lemma2"):
         for label, K in builtins + rand:
-            emit(check_lemma2(K, 2, label, cache, dim_limit, tol))
-        emit(check_lemma2(gs.delta(2), 3, "delta(2)", cache, dim_limit, tol))
+            emit(check_lemma2(K, 2, label, cache, tol))
+        emit(check_lemma2(gs.delta(2), 3, "delta(2)", cache, tol))
     if want("main_theorem"):
         for label, K in builtins + rand:
-            emit(check_main_theorem(K, label, cache, dim_limit, tol))
-        emit(check_main_theorem(gs.delta(2), "delta(2)", cache, dim_limit, tol))
+            emit(check_main_theorem(K, label, cache, tol))
+        emit(check_main_theorem(gs.delta(2), "delta(2)", cache, tol))
     if want("theorem5"):
-        emit(check_theorem5(ex4, gs.delta(2), "example4(0.75) | delta(2)",
-                            cache, dim_limit, tol))
-        emit(check_theorem5(ex4, gs.delta(1), "example4(0.75) | delta(1)",
-                            cache, dim_limit, tol))
+        emit(check_theorem5(ex4, gs.delta(2), "example4(0.75) | delta(2)", cache, tol))
+        emit(check_theorem5(ex4, gs.delta(1), "example4(0.75) | delta(1)", cache, tol))
         for i in range(0, len(rand) - 1, 2):
             l1, K1 = rand[i]
             l2, K2 = rand[i + 1]
-            emit(check_theorem5(K1, K2, f"{l1} | {l2}", cache, dim_limit, tol))
+            emit(check_theorem5(K1, K2, f"{l1} | {l2}", cache, tol))
     if want("corollary6"):
-        emit(check_corollary6(gs.delta(2), "delta(2)", cache, dim_limit, tol))
-        emit(check_corollary6(ex4, "example4(0.75)", cache, dim_limit, tol))
+        emit(check_corollary6(gs.delta(2), "delta(2)", cache, tol))
+        emit(check_corollary6(ex4, "example4(0.75)", cache, tol))
         # small inputs keep K (x) K solvable quickly when the hypothesis holds
         for s in seeds[:4]:
             rng = np.random.default_rng(s)
             spec = RandomChannelSpec(2, int(rng.integers(2, 4)),
                                      int(rng.integers(1, 3)), s)
-            emit(check_corollary6(random_graph(spec), spec.label(),
-                                  cache, dim_limit, tol))
+            emit(check_corollary6(random_graph(spec), spec.label(), cache, tol))
     if want("theorem7"):
-        emit(check_theorem7(gs.delta(1), gs.delta(1), "delta(1) + delta(1)",
-                            cache, dim_limit, tol))
-        emit(check_theorem7(ex4, ex4, "example4 + example4", cache, dim_limit, tol))
+        emit(check_theorem7(gs.delta(1), gs.delta(1), "delta(1) + delta(1)", cache, tol))
+        emit(check_theorem7(ex4, ex4, "example4 + example4", cache, tol))
         for i in range(0, len(rand) - 1, 2):
             l1, K1 = rand[i]
             l2, K2 = rand[i + 1]
-            emit(check_theorem7(K1, K2, f"{l1} + {l2}", cache, dim_limit, tol))
+            emit(check_theorem7(K1, K2, f"{l1} + {l2}", cache, tol))
     if want("theorem9"):
         for label, K in builtins + [("depolarizing(2)", depol)] + rand:
             emit(check_theorem9(K, label, cache, tol))
     if want("prop11"):
         emit(check_prop11(cache))
     if want("sandwich"):
-        emit(check_sandwich(gs.delta(2), 2, "delta(2)", cache, dim_limit, tol))
+        emit(check_sandwich(gs.delta(2), 2, "delta(2)", cache, tol))
         # isometry channels have one-shot capacity >= 2, so n0 = 1
         for s in seeds[:5]:
             rng = np.random.default_rng(s)
             spec = RandomChannelSpec(2, int(rng.integers(2, 4)), 1, s)
-            emit(check_sandwich(random_graph(spec), 2, spec.label(),
-                                cache, dim_limit, tol))
+            emit(check_sandwich(random_graph(spec), 2, spec.label(), cache, tol))
 
     order = {id(c): i for i, c in enumerate(checks)}
     checks.sort(key=lambda c: (c.name, c.instance, order[id(c)]))

@@ -13,6 +13,7 @@ from nszcap.sdpsolver import (
     Read,
     SdpProblem,
     SolverFailure,
+    SolverOptions,
     _preprocess,
     _Rows,
     solve,
@@ -367,6 +368,27 @@ class TestActivatable:
         assert cap.is_activatable(damp)
 
 
+class TestCacheRoute:
+    def test_criteria_and_activation_share_one_cache(self, ex4, monkeypatch):
+        K = ex4[0.75]
+        expected = cap.thm9_criteria(K), cap.is_activatable(K)
+        solved = []
+        original = cap.upsilon_hat
+
+        def counted(G, opts=None):
+            solved.append(G)
+            return original(G, opts)
+        monkeypatch.setattr(cap, "upsilon_hat", counted)
+        cache = cap.CapacityCache()
+        assert (cap.thm9_criteria(K, cache), cap.is_activatable(K, cache)) == expected
+        assert cache.solves == 3            # aram, upsilon_hat and upsilon
+        assert cache.hits == 1 and len(solved) == 1     # upsilon_hat came from memory
+
+    def test_cache_options_reach_the_solver(self, ex4):
+        with pytest.raises(SolverFailure):
+            cap.thm9_criteria(ex4[0.75], cap.CapacityCache(SolverOptions(max_iter=1)))
+
+
 class TestFindN0:
     def test_noiseless_bit(self):
         assert cap.find_n0(gs.delta(2), 1) == 1
@@ -378,11 +400,19 @@ class TestFindN0:
     def test_capacity_two_gives_one(self):
         assert cap.find_n0(gs.ncgraph_from_channel(gs.identity_channel(2)), 2) == 1
 
-    def test_dimension_guard(self, damp):
+    def test_dimension_guard(self, damp, monkeypatch):
         # the damping channel needs activation, so the search reaches n = 2
-        # where the Choi dimension 16 trips the guard
+        # where the Choi dimension 16 trips the guard before the power is built
+        power = cap.tensor_power
+
+        def first_power_only(K, n):
+            if n > 1:
+                raise AssertionError("tensor_power called past the size guard")
+            return power(K, n)
+        monkeypatch.setattr(cap, "tensor_power", first_power_only)
+        monkeypatch.setenv("NSZCAP_MAX_DIM", "10")
         with pytest.raises(DimensionLimitError):
-            cap.find_n0(damp, 2, dim_limit=10)
+            cap.find_n0(damp, 2)
 
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValidationError):

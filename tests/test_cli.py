@@ -320,16 +320,21 @@ class TestSettings:
         (("verify", "--only", "theorem7", "--tolerance", "-1"), "tolerance"),
         (("verify", "--only", "bogus"), "theorem7"),
         (("verify", "--only", "theorem7", "--seed", "-1"), "seed"),
-        (("verify", "--only", "theorem7", "--dim-limit", "-3"), "dim_limit"),
-        (("verify", "--only", "theorem7", "--dim-limit", "0"), "dim_limit"),
     ], ids=["gap-tol-inf", "gap-tol-nan", "gap-tol-negative", "feas-tol-zero",
-            "tolerance-nan", "tolerance-negative", "unknown-check", "seed-negative",
-            "dim-limit-negative", "dim-limit-zero"])
+            "tolerance-nan", "tolerance-negative", "unknown-check", "seed-negative"])
     def test_bad_setting_is_input_error(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INPUT
         assert out == "" and len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("value", ["-3", "0"], ids=["max-dim-negative", "max-dim-zero"])
+    def test_nonpositive_dimension_guard_is_input_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("NSZCAP_MAX_DIM", value)
+        code, out, err = run_cli(capsys, "verify", "--only", "theorem7")
+        assert code == EXIT_INPUT
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "NSZCAP_MAX_DIM must be an integer" in err
 
 
 class TestExamples:

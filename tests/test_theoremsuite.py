@@ -155,8 +155,9 @@ class TestTheorem7:
         def unbuildable(*args):
             raise AssertionError("direct_sum called past the size guard")
         monkeypatch.setattr(gs, "direct_sum", unbuildable)
+        monkeypatch.setenv("NSZCAP_MAX_DIM", "10")
         with pytest.raises(DimensionLimitError):
-            check_theorem7(ex4, ex4, "ex4+ex4", CapacityCache(), dim_limit=10)
+            check_theorem7(ex4, ex4, "ex4+ex4", CapacityCache())
 
 
 class TestTheorem9:
@@ -232,11 +233,12 @@ class TestSandwich:
     # K.dim ** n = 16 is past the limit: delta(2) would find n0 = 1 within it,
     # amplitude damping none
     @pytest.mark.parametrize("graph", ["amplitude-damping", "delta(2)"])
-    def test_skip_on_dimension_guard(self, cache, graph):
+    def test_skip_on_dimension_guard(self, cache, graph, monkeypatch):
         K = {"amplitude-damping": lambda: gs.ncgraph_from_channel(
                  gs.amplitude_damping_channel(0.75)),
              "delta(2)": lambda: gs.delta(2)}[graph]()
-        c = check_sandwich(K, 2, "guarded", cache, dim_limit=10)
+        monkeypatch.setenv("NSZCAP_MAX_DIM", "10")
+        c = check_sandwich(K, 2, "guarded", cache)
         assert c.passed and c.vacuous
         assert "size guard" in c.note
 
@@ -251,6 +253,12 @@ class TestRunSuite:
         r1 = run_suite(seeds=(7,), only="lemma2")
         r2 = run_suite(seeds=(7,), only="lemma2")
         assert [c.line() for c in r1.checks] == [c.line() for c in r2.checks]
+
+    @pytest.mark.parametrize("only", ["lemma2", "corollary6"])
+    def test_seeds_from_an_iterator(self, only):
+        def instances(seeds):
+            return [(c.name, c.instance) for c in run_suite(seeds=seeds, only=only).checks]
+        assert instances(s for s in [1, 2]) == instances((1, 2))
 
     def test_only_filter(self):
         report = run_suite(seeds=(7,), only="theorem7")
