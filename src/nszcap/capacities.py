@@ -18,7 +18,6 @@ dual witness, so values can be re-verified outside the solver.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,35 +36,7 @@ from .sdpsolver import (
     solve,
 )
 
-DEFAULT_MAX_CHOI_DIM = 4096
 STRICT_TOL = 1e-7
-
-
-class DimensionLimitError(RuntimeError):
-    """A construction would exceed the configured Choi-dimension guard."""
-
-
-def max_choi_dim() -> int:
-    raw = os.environ.get("NSZCAP_MAX_DIM")
-    if raw is None:
-        return DEFAULT_MAX_CHOI_DIM
-    try:
-        limit = int(raw)
-        if limit < 1:
-            raise ValueError
-    except ValueError:
-        raise ValidationError(
-            f"NSZCAP_MAX_DIM must be an integer of at least 1, got {raw!r}") from None
-    return limit
-
-
-def require_choi_dim(dim: int):
-    """Raise :class:`DimensionLimitError` when a Choi dimension exceeds the
-    ``NSZCAP_MAX_DIM`` guard (:func:`max_choi_dim`)."""
-    limit = max_choi_dim()
-    if dim > limit:
-        raise DimensionLimitError(
-            f"Choi dimension {dim} exceeds the limit {limit} (override with NSZCAP_MAX_DIM)")
 
 
 @dataclass
@@ -405,7 +376,6 @@ def find_n0(K: NCGraph, n_max: int, cache: CapacityCache | None = None):
         raise ValidationError("n_max must be at least 1")
     cache = cache or CapacityCache()
     for n in range(1, n_max + 1):
-        require_choi_dim(K.dim ** n)
         if cache.value("upsilon", tensor_power(K, n)) >= 2.0 - 1e-7:
             return n
     return None

@@ -48,7 +48,7 @@ def _square(make, value, name: str):
     """``make(d)`` for the d -> d channel of parameter ``name``; its Choi
     dimension d*d is checked by the size guard before anything is built."""
     d = _number(value, f"parameter '{name}'", True)
-    cap.require_choi_dim(d * d)
+    gs.require_choi_dim(d * d)
     return make(d)
 
 
@@ -244,7 +244,7 @@ def cmd_compute(args) -> int:
     opts = SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
     # the size guard reads the Choi dimension off the channel, before any graph is built
     cq = isinstance(channel, gs.CqGraph)
-    cap.require_choi_dim(channel.num_inputs * channel.d_B if cq else channel.d_in * channel.d_out)
+    gs.require_choi_dim(channel.num_inputs * channel.d_B if cq else channel.d_in * channel.d_out)
 
     if kind == "cq":
         if not cq:
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, cap.DimensionLimitError) as exc:
+    except (ValidationError, gs.DimensionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverFailure as exc:

@@ -9,11 +9,13 @@ is the non-commutative bipartite graph on which every capacity in
 :mod:`nszcap.capacities` is defined.
 
 Classical-quantum channels get the lighter :class:`CqGraph` representation, a
-list of output support projections.
+list of output support projections.  Product graphs check their Choi dimension
+against ``NSZCAP_MAX_DIM`` (:func:`require_choi_dim`) before they are formed.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,6 +36,34 @@ from .matrixcore import (
 
 PROJECTOR_TOL = 1e-9
 TRACE_PRESERVING_TOL = 1e-8
+DEFAULT_MAX_CHOI_DIM = 4096
+
+
+class DimensionLimitError(RuntimeError):
+    """A construction would exceed the configured Choi-dimension guard."""
+
+
+def max_choi_dim() -> int:
+    raw = os.environ.get("NSZCAP_MAX_DIM")
+    if raw is None:
+        return DEFAULT_MAX_CHOI_DIM
+    try:
+        limit = int(raw)
+        if limit < 1:
+            raise ValueError
+    except ValueError:
+        raise ValidationError(
+            f"NSZCAP_MAX_DIM must be an integer of at least 1, got {raw!r}") from None
+    return limit
+
+
+def require_choi_dim(dim: int):
+    """Raise :class:`DimensionLimitError` when a Choi dimension exceeds the
+    ``NSZCAP_MAX_DIM`` guard (:func:`max_choi_dim`)."""
+    limit = max_choi_dim()
+    if dim > limit:
+        raise DimensionLimitError(
+            f"Choi dimension {dim} exceeds the limit {limit} (override with NSZCAP_MAX_DIM)")
 
 
 @dataclass
@@ -186,13 +216,15 @@ def delta(ell: int) -> NCGraph:
 
 
 def tensor_graph(K1: NCGraph, K2: NCGraph) -> NCGraph:
-    """Graph of a product channel, reordered to (A A')(B B')."""
+    """Graph of a product channel, reordered to (A A')(B B'), size-guarded."""
+    require_choi_dim(K1.dim * K2.dim)
     P = tensor(K1.P_AB, K2.P_AB)
     P = permute_systems(P, [K1.d_A, K1.d_B, K2.d_A, K2.d_B], [0, 2, 1, 3])
     return NCGraph(K1.d_A * K2.d_A, K1.d_B * K2.d_B, P)
 
 
 def tensor_power(K: NCGraph, n: int) -> NCGraph:
+    """n-fold product graph; :func:`tensor_graph` guards each step's size."""
     if n < 0:
         raise ValidationError("tensor power must be nonnegative")
     out = delta(1)
@@ -203,8 +235,9 @@ def tensor_power(K: NCGraph, n: int) -> NCGraph:
 
 def direct_sum(K1: NCGraph, K2: NCGraph) -> NCGraph:
     """Graph of the direct sum of two channels: the block embedding of
-    ``P1`` and ``P2`` on ``(A1 + A2) (x) (B1 + B2)``."""
+    ``P1`` and ``P2`` on ``(A1 + A2) (x) (B1 + B2)``, size-guarded."""
     dA, dB = K1.d_A + K2.d_A, K1.d_B + K2.d_B
+    require_choi_dim(dA * dB)
     P = np.zeros((dA * dB, dA * dB), dtype=complex)
     idx1 = [a * dB + b for a in range(K1.d_A) for b in range(K1.d_B)]
     idx2 = [(K1.d_A + a) * dB + (K1.d_B + b) for a in range(K2.d_A) for b in range(K2.d_B)]

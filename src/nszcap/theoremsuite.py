@@ -16,7 +16,7 @@ import numpy as np
 
 from . import capacities as cap
 from . import graphspace as gs
-from .capacities import CapacityCache, DimensionLimitError, require_choi_dim
+from .capacities import CapacityCache
 from .matrixcore import ValidationError, partial_trace, permute_systems, tensor
 from .sdpsolver import SolverOptions
 
@@ -144,31 +144,25 @@ def cross_activation_witness(K1: gs.NCGraph, S1, U1, K2: gs.NCGraph, S2, U2):
 # Individual checks
 # ---------------------------------------------------------------------------
 
-def check_lemma2(K: gs.NCGraph, ell: int, label: str = "",
-                 cache: CapacityCache | None = None,
-                 tol: float = EQ_TOL) -> TheoremCheck:
+def check_lemma2(K: gs.NCGraph, ell: int, label: str,
+                 cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
     """Tensoring with a noiseless ell-channel multiplies the activated capacity."""
-    cache = cache or CapacityCache()
-    require_choi_dim(K.dim * ell * ell)
     uh = cache.value("upsilon_hat", K)
     lhs = cache.value("upsilon_hat", gs.tensor_graph(K, gs.delta(ell)))
     rhs = ell * uh
     abs_tol = tol * ell * (1.0 + uh)
-    return TheoremCheck("lemma2", f"{label or 'K'} x delta({ell})", lhs, rhs, "eq",
+    return TheoremCheck("lemma2", f"{label} x delta({ell})", lhs, rhs, "eq",
                         abs_tol, _compare(lhs, rhs, "eq", abs_tol))
 
 
-def check_main_theorem(K: gs.NCGraph, label: str = "",
-                       cache: CapacityCache | None = None,
-                       tol: float = EQ_TOL) -> TheoremCheck:
+def check_main_theorem(K: gs.NCGraph, label: str,
+                       cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
     """The activated capacity equals half the capacity after borrowing one bit.
 
     Besides comparing the two solver values, the explicit lifting of the
     activated witness is re-verified as a feasible point of the borrowed-bit
     program.
     """
-    cache = cache or CapacityCache()
-    require_choi_dim(K.dim * 4)
     KD = gs.tensor_graph(K, gs.delta(2))
     lhs = cache.value("upsilon", KD) / 2.0
     rhs = cache.value("upsilon_hat", K)
@@ -176,21 +170,18 @@ def check_main_theorem(K: gs.NCGraph, label: str = "",
     S2, U2 = activation_witness(K, res.primal_witness["S_A"], res.primal_witness["U_AB"])
     viol = max(cap.check_upsilon_witness(KD, S2, U2, hat=False).values())
     passed = _compare(lhs, rhs, "eq", tol) and viol <= 1e-6
-    return TheoremCheck("main_theorem", label or "K", lhs, rhs, "eq",
+    return TheoremCheck("main_theorem", label, lhs, rhs, "eq",
                         tol, passed,
                         note=f"lifted witness violation {viol:.1e}")
 
 
-def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
-                   cache: CapacityCache | None = None,
-                   tol: float = EQ_TOL) -> TheoremCheck:
+def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str,
+                   cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
     """A channel with enough one-shot capacity activates an activatable one.
 
     When the hypothesis holds, the combined witness construction is also
     re-verified as a feasible point of the product program.
     """
-    cache = cache or CapacityCache()
-    require_choi_dim(K1.dim * K2.dim)
     u2 = cache.value("upsilon", K2)
     uh1 = cache.value("upsilon_hat", K1)
     if u2 - 1.0 < 1.0 / uh1 - 1e-9:
@@ -210,28 +201,22 @@ def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
                         note=f"combined witness violation {viol:.1e}")
 
 
-def check_corollary6(K: gs.NCGraph, label: str = "",
-                     cache: CapacityCache | None = None,
-                     tol: float = EQ_TOL) -> TheoremCheck:
+def check_corollary6(K: gs.NCGraph, label: str,
+                     cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
     """Golden-ratio self-activation."""
-    cache = cache or CapacityCache()
     u = cache.value("upsilon", K)
     if u < GOLDEN_RATIO - 1e-9:
         return TheoremCheck("corollary6", label, u, GOLDEN_RATIO, "ge", 0.0,
                             True, vacuous=True, note="one-shot value below golden ratio")
-    require_choi_dim(K.dim ** 2)
     lhs = cache.value("upsilon", gs.tensor_graph(K, K))
     rhs = cache.value("upsilon_hat", K) * u
     return TheoremCheck("corollary6", label, lhs, rhs, "ge",
                         tol, _compare(lhs, rhs, "ge", tol))
 
 
-def check_theorem7(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
-                   cache: CapacityCache | None = None,
-                   tol: float = EQ_TOL) -> TheoremCheck:
+def check_theorem7(K1: gs.NCGraph, K2: gs.NCGraph, label: str,
+                   cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
     """Direct-sum additivity of the one-shot capacity into activated parts."""
-    cache = cache or CapacityCache()
-    require_choi_dim((K1.d_A + K2.d_A) * (K1.d_B + K2.d_B))
     D = gs.direct_sum(K1, K2)
     lhs = cache.value("upsilon", D)
     rhs = cache.value("upsilon_hat", K1) + cache.value("upsilon_hat", K2)
@@ -239,12 +224,10 @@ def check_theorem7(K1: gs.NCGraph, K2: gs.NCGraph, label: str = "",
                         tol, _compare(lhs, rhs, "eq", tol))
 
 
-def check_theorem9(K: gs.NCGraph, label: str = "",
-                   cache: CapacityCache | None = None,
-                   tol: float = EQ_TOL) -> TheoremCheck:
+def check_theorem9(K: gs.NCGraph, label: str,
+                   cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
     """Positivity criteria agree; dense-coding bound holds and is attained as
     the packing number of the dense-coding cq graph."""
-    cache = cache or CapacityCache()
     report = cap.thm9_criteria(K, cache)
     uh = cache.value("upsilon_hat", K)
     sdb = cap.superdense_bound(K)
@@ -258,9 +241,8 @@ def check_theorem9(K: gs.NCGraph, label: str = "",
     return TheoremCheck("theorem9", label, uh, sdb, "ge", 1e-6, passed, note=note)
 
 
-def check_prop11(cache: CapacityCache | None = None) -> TheoremCheck:
+def check_prop11(cache: CapacityCache) -> TheoremCheck:
     """The activated capacity can exceed the packing number (built-in witness)."""
-    cache = cache or CapacityCache()
     K = gs.ncgraph_from_channel(gs.prop11_channel())
     uh = cache.value("upsilon_hat", K)
     a = cache.value("aram", K)
@@ -274,23 +256,20 @@ def check_prop11(cache: CapacityCache | None = None) -> TheoremCheck:
                         passed, note=note)
 
 
-def check_sandwich(K: gs.NCGraph, n: int, label: str = "",
-                   cache: CapacityCache | None = None,
-                   tol: float = EQ_TOL) -> TheoremCheck:
+def check_sandwich(K: gs.NCGraph, n: int, label: str,
+                   cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
     """Finite tensor-power sandwich around the activated capacity."""
-    cache = cache or CapacityCache()
     try:
-        require_choi_dim(K.dim ** n)
         n0 = cap.find_n0(K, n, cache)
-    except DimensionLimitError as exc:
+        if n0 is None:
+            return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
+                                vacuous=True, note=f"n0 not found up to {n}")
+        mid = cache.value("upsilon", gs.tensor_power(K, n))
+        lo = 2.0 * cache.value("upsilon_hat", gs.tensor_power(K, n - n0))
+        hi = cache.value("upsilon_hat", gs.tensor_power(K, n))
+    except gs.DimensionLimitError as exc:
         return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
                             vacuous=True, note=f"size guard: {exc}")
-    if n0 is None:
-        return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
-                            vacuous=True, note=f"n0 not found up to {n}")
-    mid = cache.value("upsilon", gs.tensor_power(K, n))
-    lo = 2.0 * cache.value("upsilon_hat", gs.tensor_power(K, n - n0))
-    hi = cache.value("upsilon_hat", gs.tensor_power(K, n))
     lower_ok = _compare(lo, mid, "le", tol)
     upper_ok = _compare(mid, hi, "le", tol)
     return TheoremCheck("sandwich", f"{label} n={n} n0={n0}", lo, hi, "le",
@@ -353,6 +332,7 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
         raise ValidationError(f"tolerance must be finite and positive, got {tolerance!r}")
     if any(s < 0 for s in seeds):
         raise ValidationError(f"seeds must be nonnegative, got {list(seeds)!r}")
+    gs.max_choi_dim()      # a bad NSZCAP_MAX_DIM is an input error before any check runs
     t0 = time.perf_counter()
     tol = EQ_TOL if tolerance is None else tolerance
     cache = CapacityCache(opts)

@@ -12,7 +12,7 @@ import pytest
 
 from nszcap import capacities as cap
 from nszcap import graphspace as gs
-from nszcap.capacities import DimensionLimitError
+from nszcap.graphspace import DimensionLimitError
 from nszcap.theoremsuite import RandomChannelSpec, random_channel, random_cq_graph
 
 ALPHAS = (0.5, 2 / 3, 0.75, 0.9)
@@ -209,16 +209,16 @@ def test_criterion_10_tensor_power_sandwich():
         K = gs.ncgraph_from_channel(random_channel(spec))
         try:
             n0 = cap.find_n0(K, 2)
+            if n0 is None:
+                notes.append(f"seed {s}: n0 not found up to 2")
+                continue
+            mid = cap.upsilon(gs.tensor_power(K, 2)).value
+            lo = 2 * cap.upsilon_hat(gs.tensor_power(K, 2 - n0)).value
+            hi = cap.upsilon_hat(gs.tensor_power(K, 2)).value
         except DimensionLimitError as exc:
             notes.append(f"seed {s}: size guard ({exc})")
             continue
-        if n0 is None:
-            notes.append(f"seed {s}: n0 not found up to 2")
-            continue
         used += 1
-        mid = cap.upsilon(gs.tensor_power(K, 2)).value
-        lo = 2 * cap.upsilon_hat(gs.tensor_power(K, 2 - n0)).value
-        hi = cap.upsilon_hat(gs.tensor_power(K, 2)).value
         worst = max(worst, lo - mid, mid - hi)
     detail = f"{used}/5 substantive, worst violation {worst:.2e}"
     if notes:

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from nszcap import capacities as cap
 from nszcap import graphspace as gs
-from nszcap.capacities import DimensionLimitError
+from nszcap.graphspace import DimensionLimitError
 from nszcap.matrixcore import ValidationError, partial_trace
 from nszcap.sdpsolver import (
     Block,
@@ -403,13 +403,9 @@ class TestFindN0:
     def test_dimension_guard(self, damp, monkeypatch):
         # the damping channel needs activation, so the search reaches n = 2
         # where the Choi dimension 16 trips the guard before the power is built
-        power = cap.tensor_power
-
-        def first_power_only(K, n):
-            if n > 1:
-                raise AssertionError("tensor_power called past the size guard")
-            return power(K, n)
-        monkeypatch.setattr(cap, "tensor_power", first_power_only)
+        def unbuildable(*factors):
+            raise AssertionError("Kronecker product formed past the size guard")
+        monkeypatch.setattr(gs, "tensor", unbuildable)
         monkeypatch.setenv("NSZCAP_MAX_DIM", "10")
         with pytest.raises(DimensionLimitError):
             cap.find_n0(damp, 2)

@@ -154,6 +154,14 @@ class TestCompute:
         ({"type": "kraus", "d_in": True, "d_out": 2, "kraus": [[[[1, 0]], [[0, 0]]]]}, "'d_in'"),
         ({"type": "kraus", "d_in": 2, "d_out": 2, "relaxed": "false",
           "kraus": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}, "'relaxed'"),
+        ({"d_in": 2, "d_out": 2, "kraus": []}, "'type'"),
+        ({"type": "cq"}, "'outputs'"),
+        ({"type": "builtin", "params": {"l": 2}}, "'name'"),
+        (("--builtin", "delta"), "missing parameter 'l'"),
+        (("--builtin", "example4:alpha_sq"), "'alpha_sq' is not key=val"),
+        ({"type": "kraus", "d_in": 1, "d_out": 1, "kraus": [[[["one", 0]]]]},
+         "kraus[0]: not a numeric nested array"),
+        ({"type": "cq", "outputs": [[[1, 0, 0]]]}, "outputs[0]: expected a matrix of [re, im] pairs"),
     ])
     def test_malformed_input_names_the_field(self, capsys, tmp_path, source, field):
         if isinstance(source, dict):
@@ -183,6 +191,27 @@ class TestCompute:
         assert code == EXIT_SOLVER
         assert out == "" and len(err.strip().splitlines()) == 1
         assert err.startswith("solver failure: upsilon:") and "'numerical-failure'" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (("--builtin", "delta:l=2", "--channel", "chan.json", "--quantity", "upsilon"),
+         "not both"),
+        (("--channel", "missing.json", "--quantity", "upsilon"), "cannot read missing.json"),
+        (("--channel", "bad.json", "--quantity", "upsilon"), "invalid JSON"),
+        (("--builtin", "delta:l=2", "--quantity", "capacity"), "invalid choice: 'capacity'"),
+        (("--builtin", "delta:l=2"), "--quantity"),
+    ], ids=["channel-and-builtin", "unreadable-file", "invalid-json", "unknown-quantity",
+            "no-quantity"])
+    def test_invocation_error_is_input_error(self, capsys, monkeypatch, tmp_path, argv, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{not json")
+        try:
+            code = main(["compute", *argv])
+        except SystemExit as exc:       # argparse's own rejections exit through the parser
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("error:") and named in last
 
     def test_missing_source(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--quantity", "upsilon")
@@ -264,6 +293,26 @@ class TestCompute:
         total = sum(S[i][i][0] for i in range(len(S)))
         assert total == pytest.approx(doc["value"], abs=1e-6)
 
+    @pytest.mark.parametrize("quantity", ["upsilon-cq", "upsilon-hat-cq", "aram-cq"])
+    def test_cq_witness_emission(self, capsys, tmp_path, quantity):
+        C = gs.cq_from_states(gs.example4_states(0.75))
+        path = tmp_path / "cq.json"
+        path.write_text(json.dumps(channel_to_document(C)))
+        code, out, _ = run_cli(capsys, "compute", "--channel", str(path),
+                               "--quantity", quantity, "--witness")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        witness = doc["witness"]
+        assert "dual_witness" not in doc
+        s = witness["s"]
+        assert len(s) == C.num_inputs and all(isinstance(x, float) for x in s)
+        assert sum(s) == pytest.approx(doc["value"], abs=1e-6)
+        if quantity == "aram-cq":
+            assert witness.keys() == {"s"}
+            return
+        R = np.array(witness["R"])
+        assert R.shape == (C.num_inputs, C.d_B, C.d_B, 2)
+
 
 class TestVerify:
     def test_single_check(self, capsys):
@@ -328,10 +377,16 @@ class TestSettings:
         assert out == "" and len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and named in err
 
-    @pytest.mark.parametrize("value", ["-3", "0"], ids=["max-dim-negative", "max-dim-zero"])
-    def test_nonpositive_dimension_guard_is_input_error(self, capsys, monkeypatch, value):
+    # prop11 and theorem9 build no product graph, so only run_suite's own
+    # reading of the setting can reject it
+    @pytest.mark.parametrize("value, only", [
+        ("-3", "theorem7"), ("0", "theorem7"), ("-3", "prop11"), ("0", "prop11"),
+        ("-3", "theorem9"), ("0", "theorem9"),
+    ], ids=["max-dim-negative", "max-dim-zero", "prop11-max-dim-negative",
+            "prop11-max-dim-zero", "theorem9-max-dim-negative", "theorem9-max-dim-zero"])
+    def test_nonpositive_dimension_guard_is_input_error(self, capsys, monkeypatch, value, only):
         monkeypatch.setenv("NSZCAP_MAX_DIM", value)
-        code, out, err = run_cli(capsys, "verify", "--only", "theorem7")
+        code, out, err = run_cli(capsys, "verify", "--only", only)
         assert code == EXIT_INPUT
         assert out == "" and len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and "NSZCAP_MAX_DIM must be an integer" in err

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nszcap import graphspace as gs
 from nszcap.graphspace import (
     CqGraph,
+    DimensionLimitError,
     KrausChannel,
     NCGraph,
     amplitude_damping_activation_witness,
@@ -172,6 +174,27 @@ class TestTensorGraph:
         K = tensor_power(_random_graph(8), 0)
         assert (K.d_A, K.d_B) == (1, 1)
 
+    # example4 (x) delta(2) and example4^(x)2 have Choi dimension 16, past the limit
+    @pytest.mark.parametrize("build", [
+        lambda K: tensor_graph(K, delta(2)),
+        lambda K: tensor_power(K, 2),
+    ], ids=["tensor_graph", "tensor_power"])
+    def test_size_guard_before_the_kronecker_product(self, monkeypatch, build):
+        K = ncgraph_from_channel(example4_channel(0.75))
+
+        def unbuildable(*factors):
+            raise AssertionError("P formed past the size guard")
+        monkeypatch.setattr(gs, "tensor", unbuildable)
+        monkeypatch.setenv("NSZCAP_MAX_DIM", "10")
+        with pytest.raises(DimensionLimitError, match="Choi dimension 16 exceeds the limit 10"):
+            build(K)
+
+    def test_power_is_guarded_at_each_step(self, monkeypatch):
+        monkeypatch.setenv("NSZCAP_MAX_DIM", "16")
+        assert tensor_power(delta(2), 2).dim == 16
+        with pytest.raises(DimensionLimitError, match="Choi dimension 64 exceeds the limit 16"):
+            tensor_power(delta(2), 3)
+
 
 class TestDirectSum:
     def test_two_trivial_channels_make_one_bit(self):
@@ -194,6 +217,20 @@ class TestDirectSum:
         assert (K.d_A, K.d_B) == (5, 5)
         assert K.rank() == K1.rank() + K2.rank()
         assert np.abs(K.P_AB @ K.P_AB - K.P_AB).max() <= 1e-9
+
+    def test_size_guard_before_p_is_allocated(self, monkeypatch):
+        # (2 + 3)(3 + 2) = 25, though the two Choi dimensions only add up to 12
+        K1 = _random_graph(11, 2, 3, 2)
+        K2 = _random_graph(12, 3, 2, 2)
+        monkeypatch.setenv("NSZCAP_MAX_DIM", "25")
+        assert direct_sum(K1, K2).dim == 25
+
+        def unallocatable(*args, **kwargs):
+            raise AssertionError("P allocated past the size guard")
+        monkeypatch.setattr(np, "zeros", unallocatable)
+        monkeypatch.setenv("NSZCAP_MAX_DIM", "24")
+        with pytest.raises(DimensionLimitError, match="Choi dimension 25 exceeds the limit 24"):
+            direct_sum(K1, K2)
 
 
 class TestSuperdenseCq:
@@ -281,3 +318,23 @@ class TestBuiltinWitnesses:
         S, U = amplitude_damping_activation_witness()
         assert np.trace(S).real == pytest.approx(9 / 8)
         assert np.linalg.eigvalsh(U)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: KrausChannel(0, 2, [np.zeros((2, 0))]), "channel dimensions must be positive"),
+    (lambda: KrausChannel(2, 2, []), "needs at least one Kraus operator"),
+    (lambda: NCGraph(2, 2, np.eye(3)), r"P_AB shape \(3, 3\) does not match dims \(2,2\)"),
+    (lambda: NCGraph(1, 2, np.array([[0.0, 1.0], [0.0, 0.0]])), "P_AB is not Hermitian"),
+    (lambda: CqGraph([]), "cq graph needs at least one projection"),
+    (lambda: CqGraph([np.eye(2), np.eye(3)]), "cq projections must share one output dimension"),
+    (lambda: CqGraph([np.diag([0.5, 1.0])]), "cq output is not a projector"),
+    (lambda: tensor_power(delta(2), -1), "tensor power must be nonnegative"),
+    (lambda: dephasing_channel(0), "dephasing channel needs at least one symbol"),
+    (lambda: example4_channel(0.0), r"alpha_sq must lie in \(0, 1\]"),
+    (lambda: amplitude_damping_channel(1.5), r"damping probability must lie in \[0, 1\]"),
+], ids=["kraus-dims", "kraus-empty", "graph-shape", "graph-not-hermitian", "cq-empty",
+        "cq-mixed-dims", "cq-not-projector", "negative-power", "dephasing-zero",
+        "example4-alpha", "damping-r"])
+def test_rejects_invalid_input(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()

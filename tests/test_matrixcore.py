@@ -213,3 +213,16 @@ class TestOpNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             op_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tensor(np.ones(3)), "expected a matrix, got ndim=1"),
+    (lambda: partial_trace(np.eye(4), 2, 2, "both"), "traced must be 'first' or 'second'"),
+    (lambda: permute_systems(np.eye(5), [2, 3], [1, 0]),
+     r"permute_systems: shape \(5, 5\) does not match dims \[2, 3\]"),
+    (lambda: permute_systems(np.eye(6), [2, 3], [0, 0]),
+     r"perm \[0, 0\] is not a permutation of 0\.\.1"),
+], ids=["not-a-matrix", "traced-side", "permute-shape", "not-a-permutation"])
+def test_rejects_invalid_input(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

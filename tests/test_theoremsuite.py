@@ -3,8 +3,7 @@ import pytest
 
 from nszcap import capacities as cap
 from nszcap import graphspace as gs
-from nszcap.capacities import DimensionLimitError
-from nszcap.graphspace import NCGraph
+from nszcap.graphspace import DimensionLimitError, NCGraph
 from nszcap.matrixcore import ValidationError
 from nszcap.theoremsuite import (
     CapacityCache,
@@ -151,13 +150,16 @@ class TestTheorem7:
         assert c.passed
 
     def test_size_guard_before_direct_sum(self, ex4, monkeypatch):
-        # the direct sum of two example4 graphs has Choi dimension 16, past the limit
+        # the direct sum of two example4 graphs has Choi dimension 16, past the
+        # limit: direct_sum refuses it before any graph is built or solved
         def unbuildable(*args):
-            raise AssertionError("direct_sum called past the size guard")
-        monkeypatch.setattr(gs, "direct_sum", unbuildable)
+            raise AssertionError("graph built past the size guard")
+        monkeypatch.setattr(gs, "NCGraph", unbuildable)
         monkeypatch.setenv("NSZCAP_MAX_DIM", "10")
-        with pytest.raises(DimensionLimitError):
-            check_theorem7(ex4, ex4, "ex4+ex4", CapacityCache())
+        cache = CapacityCache()
+        with pytest.raises(DimensionLimitError, match="Choi dimension 16"):
+            check_theorem7(ex4, ex4, "ex4+ex4", cache)
+        assert cache.solves == 0
 
 
 class TestTheorem9:
@@ -191,8 +193,8 @@ class TestTheorem9:
 
 
 class TestProp11:
-    def test_passes_with_margins(self):
-        c = check_prop11()
+    def test_passes_with_margins(self, cache):
+        c = check_prop11(cache)
         assert c.passed
         assert c.lhs - c.rhs >= 1e-3            # activated value beats packing
         assert c.rhs <= 1.1751 + 1e-4
@@ -278,7 +280,8 @@ class TestRunSuite:
         seen = []
 
         def progress(_check):
-            seen.append(check_theorem7(gs.delta(1), gs.delta(1)).tolerance)
+            seen.append(check_theorem7(gs.delta(1), gs.delta(1), "d1+d1",
+                                       CapacityCache()).tolerance)
 
         run_suite(seeds=(), only="prop11", tolerance=1e-13, progress=progress)
         assert seen == [1e-5]
