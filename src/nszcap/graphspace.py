@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .matrixcore import (
-    DEFAULT_RANK_TOL,
+    RANK_TOL,
     ValidationError,
     as_matrix,
     herm_deviation,
@@ -192,16 +192,16 @@ def choi_matrix(ch: KrausChannel) -> np.ndarray:
     return 0.5 * (J + J.conj().T)
 
 
-def ncgraph_from_channel(ch: KrausChannel, rank_tol: float = DEFAULT_RANK_TOL) -> NCGraph:
+def ncgraph_from_channel(ch: KrausChannel) -> NCGraph:
     """Graph of a channel: the projection onto the span of its Kraus vectors (the
     Choi support), from a column-pivoted QR of the normalized nonzero vectors
-    that keeps the pivots above ``rank_tol`` times the first.  Unlike the Choi
+    that keeps the pivots above ``RANK_TOL`` times the first.  Unlike the Choi
     eigenvalues, it does not depend on the Kraus weights (arXiv 1409.3426)."""
     V = np.stack([E.T.reshape(-1) for E in ch.kraus], axis=1)  # as in choi_matrix
     norms = np.linalg.norm(V, axis=0)
     Q, R, _ = sla.qr(V[:, norms > 0] / norms[norms > 0], mode="economic", pivoting=True)
     pivots = np.abs(np.diag(R))
-    Q = Q[:, pivots > rank_tol * pivots.max(initial=0.0)]
+    Q = Q[:, pivots > RANK_TOL * pivots.max(initial=0.0)]
     return NCGraph(ch.d_in, ch.d_out, Q @ Q.conj().T)
 
 
@@ -260,7 +260,7 @@ def superdense_cq(K: NCGraph) -> CqGraph:
     return CqGraph(projs)
 
 
-def cq_from_states(outputs, rank_tol: float = DEFAULT_RANK_TOL) -> CqGraph:
+def cq_from_states(outputs) -> CqGraph:
     """cq graph of a channel given by its output density matrices."""
     projs = []
     for rho in outputs:
@@ -270,7 +270,7 @@ def cq_from_states(outputs, rank_tol: float = DEFAULT_RANK_TOL) -> CqGraph:
         tr = float(np.real(np.trace(A)))
         if abs(tr - 1.0) > 1e-8:
             raise ValidationError(f"cq output state has trace {tr:.9f}, expected 1")
-        projs.append(support_projection(A, rank_tol))
+        projs.append(support_projection(A))
     return CqGraph(projs)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 HERM_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-9
+RANK_TOL = 1e-9
 
 
 class ValidationError(ValueError):
@@ -31,14 +31,6 @@ def herm_deviation(M) -> float:
     if A.shape[0] != A.shape[1]:
         return np.inf
     return float(np.abs(A - A.conj().T).max(initial=0.0))
-
-
-def require_hermitian(M, tol: float = HERM_TOL, what: str = "matrix") -> np.ndarray:
-    A = as_matrix(M)
-    dev = herm_deviation(A)
-    if dev > tol:
-        raise ValidationError(f"{what} is not Hermitian (deviation {dev:.3e} > {tol:.1e})")
-    return 0.5 * (A + A.conj().T)
 
 
 def tensor(*factors) -> np.ndarray:
@@ -87,28 +79,33 @@ def permute_systems(M, dims, perm) -> np.ndarray:
     return T.transpose(axes).reshape(n, n)
 
 
-def eig_hermitian(M, tol: float = HERM_TOL):
+def eig_hermitian(M):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, V)`` with eigenvalues ascending and columns of the
-    unitary ``V`` the matching eigenvectors, so ``M = V diag(w) V^dag``.
+    unitary ``V`` the matching eigenvectors, so ``M = V diag(w) V^dag``.  An
+    input off Hermitian by more than ``HERM_TOL`` is rejected.
     """
-    A = require_hermitian(M, tol, "eig_hermitian input")
-    w, V = np.linalg.eigh(A)
+    A = as_matrix(M)
+    dev = herm_deviation(A)
+    if dev > HERM_TOL:
+        raise ValidationError(
+            f"eig_hermitian input is not Hermitian (deviation {dev:.3e} > {HERM_TOL:.1e})")
+    w, V = np.linalg.eigh(0.5 * (A + A.conj().T))
     return w, V
 
 
-def support_projection(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def support_projection(M) -> np.ndarray:
     """Orthogonal projector onto the support of a PSD Hermitian matrix.
 
-    Eigenvalues above ``rank_tol 'times' lambda_max`` count toward the support;
+    Eigenvalues above ``RANK_TOL 'times' lambda_max`` count toward the support;
     an eigenvalue below ``-1e-8`` is rejected as genuinely negative.
     """
     w, V = eig_hermitian(M)
     if w.size and w[0] < -1e-8:
         raise ValidationError(f"support_projection: negative eigenvalue {w[0]:.3e}")
     lam_max = float(w[-1]) if w.size else 0.0
-    cut = rank_tol * max(lam_max, 0.0)
+    cut = RANK_TOL * max(lam_max, 0.0)
     keep = w > cut
     V_s = V[:, keep]
     P = V_s @ V_s.conj().T

@@ -771,12 +771,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         trace.append(record)
         if not (np.isfinite(pobj) and np.isfinite(dobj)) \
                 or not all(np.all(np.isfinite(x)) for x in X):
-            if best is not None and best[0] > 1e6 * eta:
-                status = _STATUS_UNBOUNDED
-            elif best is not None and best[1] < -1e6 * eta:
-                status = _STATUS_INFEASIBLE
-            else:
-                status = _STATUS_NUMFAIL
+            status = _STATUS_NUMFAIL
             break
         r_p = b - pair_all(X)
         Ay = scatter(y)

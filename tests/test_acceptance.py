@@ -164,7 +164,7 @@ def test_criterion_7_positivity_and_dense_coding(random_graphs, random_hat_value
     all_agree = True
     bound_ok = True
     for s, K in graphs.items():
-        report = cap.thm9_criteria(K)
+        report = cap.thm9_criteria(K, cap.CapacityCache())
         all_agree &= report.all_agree()
         uh = random_hat_values.get(s) or cap.upsilon_hat(K).value
         sdb = cap.superdense_bound(K)
@@ -208,7 +208,7 @@ def test_criterion_10_tensor_power_sandwich():
         spec = RandomChannelSpec(2, int(rng.integers(2, 4)), 1, s)
         K = gs.ncgraph_from_channel(random_channel(spec))
         try:
-            n0 = cap.find_n0(K, 2)
+            n0 = cap.find_n0(K, 2, cap.CapacityCache())
             if n0 is None:
                 notes.append(f"seed {s}: n0 not found up to 2")
                 continue

@@ -326,6 +326,24 @@ class TestNearDegenerateExample4:
         assert res.value == pytest.approx(want, abs=1e-6)
 
 
+class TestKrausSpanAtRankTol:
+    """Kraus operators cos(pi/4) 1 and sin(pi/4) diag(1, e^{i eps}), whose second
+    QR pivot is eps/2 of the first.  Above ``RANK_TOL`` the span is the diagonal
+    matrices (dephasing, Upsilon = 2); below it the second vector is dropped and
+    the graph is the identity channel's (Upsilon = 4)."""
+
+    @pytest.mark.parametrize("quantity", ["upsilon", "upsilon_hat"])
+    @pytest.mark.parametrize("eps, rank, want", [(4e-9, 2, 2.0), (1e-9, 1, 4.0)])
+    def test_value_follows_the_kept_rank(self, eps, rank, want, quantity):
+        c = s = np.sqrt(0.5)
+        K = gs.ncgraph_from_channel(gs.KrausChannel(
+            2, 2, [c * np.eye(2), s * np.diag([1.0, np.exp(1j * eps)])]))
+        assert K.rank() == rank
+        res = getattr(cap, quantity)(K)
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(want, abs=1e-6)
+
+
 class TestSuperdenseBound:
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
     def test_amplitude_damping_closed_form(self, r):
@@ -343,35 +361,37 @@ class TestSuperdenseBound:
 
 class TestThm9Criteria:
     def test_trivial_channel_all_false(self):
-        r = cap.thm9_criteria(gs.delta(1))
+        r = cap.thm9_criteria(gs.delta(1), cap.CapacityCache())
         assert not any([r.aram_gt_1, r.pb_strict, r.trq_posdef, r.uhat_gt_1])
 
     def test_example4_all_true(self, ex4):
-        r = cap.thm9_criteria(ex4[0.75])
+        r = cap.thm9_criteria(ex4[0.75], cap.CapacityCache())
         assert all([r.aram_gt_1, r.pb_strict, r.trq_posdef, r.uhat_gt_1])
 
     def test_depolarizing_all_false(self):
-        r = cap.thm9_criteria(gs.ncgraph_from_channel(gs.depolarizing_channel(2)))
+        r = cap.thm9_criteria(gs.ncgraph_from_channel(gs.depolarizing_channel(2)),
+                              cap.CapacityCache())
         assert not any([r.aram_gt_1, r.pb_strict, r.trq_posdef, r.uhat_gt_1])
         assert r.all_agree()
 
 
 class TestActivatable:
     def test_example4(self, ex4):
-        assert cap.is_activatable(ex4[0.75])
+        assert cap.is_activatable(ex4[0.75], cap.CapacityCache())
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_noiseless_not_activatable(self, ell):
-        assert not cap.is_activatable(gs.delta(ell))
+        assert not cap.is_activatable(gs.delta(ell), cap.CapacityCache())
 
     def test_amplitude_damping(self, damp):
-        assert cap.is_activatable(damp)
+        assert cap.is_activatable(damp, cap.CapacityCache())
 
 
 class TestCacheRoute:
     def test_criteria_and_activation_share_one_cache(self, ex4, monkeypatch):
         K = ex4[0.75]
-        expected = cap.thm9_criteria(K), cap.is_activatable(K)
+        expected = (cap.thm9_criteria(K, cap.CapacityCache()),
+                    cap.is_activatable(K, cap.CapacityCache()))
         solved = []
         original = cap.upsilon_hat
 
@@ -391,14 +411,15 @@ class TestCacheRoute:
 
 class TestFindN0:
     def test_noiseless_bit(self):
-        assert cap.find_n0(gs.delta(2), 1) == 1
+        assert cap.find_n0(gs.delta(2), 1, cap.CapacityCache()) == 1
 
     def test_example4_weak_channel_no_n0_by_two(self, ex4):
         # alpha^2 = 0.9: the one-shot value stays 1 for both available powers
-        assert cap.find_n0(ex4[0.9], 2) is None
+        assert cap.find_n0(ex4[0.9], 2, cap.CapacityCache()) is None
 
     def test_capacity_two_gives_one(self):
-        assert cap.find_n0(gs.ncgraph_from_channel(gs.identity_channel(2)), 2) == 1
+        assert cap.find_n0(gs.ncgraph_from_channel(gs.identity_channel(2)), 2,
+                           cap.CapacityCache()) == 1
 
     def test_dimension_guard(self, damp, monkeypatch):
         # the damping channel needs activation, so the search reaches n = 2
@@ -408,11 +429,11 @@ class TestFindN0:
         monkeypatch.setattr(gs, "tensor", unbuildable)
         monkeypatch.setenv("NSZCAP_MAX_DIM", "10")
         with pytest.raises(DimensionLimitError):
-            cap.find_n0(damp, 2)
+            cap.find_n0(damp, 2, cap.CapacityCache())
 
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValidationError):
-            cap.find_n0(gs.delta(2), 0)
+            cap.find_n0(gs.delta(2), 0, cap.CapacityCache())
 
 
 class TestInvariants:

@@ -133,7 +133,7 @@ class TestSupportProjection:
                         atol=1e-12)
 
     def test_tolerance_cutoff(self):
-        P = support_projection(np.diag([5.0, 1e-15, 0.0]), rank_tol=1e-9)
+        P = support_projection(np.diag([5.0, 1e-15, 0.0]))
         assert_allclose(P, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
 
     def test_pure_choi_support(self):

@@ -233,16 +233,18 @@ class TestSandwich:
         assert "n0 not found" in c.note
 
     # K.dim ** n = 16 is past the limit: delta(2) would find n0 = 1 within it,
-    # amplitude damping none
+    # amplitude damping none; the n-th power is built first, so neither solves
     @pytest.mark.parametrize("graph", ["amplitude-damping", "delta(2)"])
-    def test_skip_on_dimension_guard(self, cache, graph, monkeypatch):
+    def test_skip_on_dimension_guard(self, graph, monkeypatch):
         K = {"amplitude-damping": lambda: gs.ncgraph_from_channel(
                  gs.amplitude_damping_channel(0.75)),
              "delta(2)": lambda: gs.delta(2)}[graph]()
         monkeypatch.setenv("NSZCAP_MAX_DIM", "10")
+        cache = CapacityCache()
         c = check_sandwich(K, 2, "guarded", cache)
         assert c.passed and c.vacuous
         assert "size guard" in c.note
+        assert cache.solves == 0
 
 
 class TestRunSuite:
