@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphspace import CqGraph, NCGraph, ncgraph_from_cq, tensor_power
+from .graphspace import CqGraph, NCGraph, ncgraph_from_cq, tensor_graph
 from .matrixcore import ValidationError, op_norm, partial_trace, tensor
 from .sdpsolver import (
     Block,
@@ -378,8 +378,11 @@ def find_n0(K: NCGraph, n_max: int, cache: CapacityCache):
     values come from ``cache`` as in :func:`thm9_criteria`."""
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
+    Kn = K
     for n in range(1, n_max + 1):
-        if cache.value("upsilon", tensor_power(K, n)) >= 2.0 - 1e-7:
+        if n > 1:
+            Kn = tensor_graph(Kn, K)    # K^n from K^(n-1), the fold of tensor_power
+        if cache.value("upsilon", Kn) >= 2.0 - 1e-7:
             return n
     return None
 

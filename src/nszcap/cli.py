@@ -160,10 +160,7 @@ def document_to_channel(doc: dict):
                 raise ValidationError(f"channel document: missing '{field}' field")
         d_in, d_out = (_number(doc[f], f"channel document: '{f}'", True)
                        for f in ("d_in", "d_out"))
-        relaxed = doc.get("relaxed", False)
-        if not isinstance(relaxed, bool):
-            raise ValidationError(f"channel document: 'relaxed' must be true or false, got {relaxed!r}")
-        return gs.KrausChannel(d_in, d_out, _matrices(doc, "kraus"), relaxed=relaxed)
+        return gs.KrausChannel(d_in, d_out, _matrices(doc, "kraus"))
     if kind == "cq":
         if "outputs" not in doc:
             raise ValidationError("channel document: missing 'outputs' field")
@@ -277,7 +274,6 @@ def cmd_verify(args) -> int:
     report = ts.run_suite(
         seeds=args.seed or (),
         only=args.only,
-        tolerance=args.tolerance,
         opts=opts,
         progress=lambda c: print(c.line(), file=sys.stderr, flush=True),
     )
@@ -322,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, action="append",
                     help="random-instance seed (repeatable; none = built-ins only)")
     pv.add_argument("--only", help="run a single check by name")
-    pv.add_argument("--tolerance", type=float, help="override equality tolerance")
     pv.add_argument("--gap-tol", type=float, default=SolverOptions.gap_tol)
     pv.add_argument("--feas-tol", type=float, default=SolverOptions.feas_tol)
     pv.set_defaults(fn=cmd_verify)

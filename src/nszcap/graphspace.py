@@ -16,8 +16,7 @@ against ``NSZCAP_MAX_DIM`` (:func:`require_choi_dim`) before they are formed.
 from __future__ import annotations
 
 import os
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -71,15 +70,13 @@ class KrausChannel:
     """A completely positive map given by Kraus operators.
 
     ``kraus`` holds ``d_out x d_in`` matrices ``E_i`` with
-    ``sum_i E_i^dag E_i = 1`` (trace preservation).  With ``relaxed=True`` a
-    sub-normalized family (``sum <= 1``) is accepted and flagged.
+    ``sum_i E_i^dag E_i = 1`` to ``TRACE_PRESERVING_TOL`` (trace preservation);
+    any other family is rejected.
     """
 
     d_in: int
     d_out: int
     kraus: list
-    relaxed: bool = False
-    subnormalized: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
@@ -99,16 +96,8 @@ class KrausChannel:
         gram = sum(E.conj().T @ E for E in ops)
         dev = float(np.abs(gram - np.eye(self.d_in)).max())
         if dev > TRACE_PRESERVING_TOL:
-            if not self.relaxed:
-                raise ValidationError(
-                    f"Kraus family is not trace preserving (|sum E^dag E - 1| = {dev:.3e})")
-            w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-            if w.max() > 1 + TRACE_PRESERVING_TOL:
-                raise ValidationError(
-                    f"Kraus family exceeds trace preservation even in relaxed mode "
-                    f"(max eigenvalue {w.max():.6f})")
-            self.subnormalized = True
-            warnings.warn("sub-normalized Kraus family accepted in relaxed mode", stacklevel=2)
+            raise ValidationError(
+                f"Kraus family is not trace preserving (|sum E^dag E - 1| = {dev:.3e})")
 
 
 @dataclass
@@ -161,6 +150,8 @@ class CqGraph:
         d = None
         for i, P in enumerate(self.projections):
             A = as_matrix(P)
+            if A.shape[0] != A.shape[1]:
+                raise ValidationError(f"cq output {i} is not square: shape {A.shape}")
             if d is None:
                 d = A.shape[0]
             if A.shape != (d, d):
@@ -263,8 +254,10 @@ def superdense_cq(K: NCGraph) -> CqGraph:
 def cq_from_states(outputs) -> CqGraph:
     """cq graph of a channel given by its output density matrices."""
     projs = []
-    for rho in outputs:
+    for i, rho in enumerate(outputs):
         A = as_matrix(rho)
+        if A.shape[0] != A.shape[1]:
+            raise ValidationError(f"cq output state {i} is not square: shape {A.shape}")
         if not np.all(np.isfinite(A)):
             raise ValidationError("cq output state has non-finite entries")
         tr = float(np.real(np.trace(A)))

@@ -145,18 +145,18 @@ def cross_activation_witness(K1: gs.NCGraph, S1, U1, K2: gs.NCGraph, S2, U2):
 # ---------------------------------------------------------------------------
 
 def check_lemma2(K: gs.NCGraph, ell: int, label: str,
-                 cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
+                 cache: CapacityCache) -> TheoremCheck:
     """Tensoring with a noiseless ell-channel multiplies the activated capacity."""
     uh = cache.value("upsilon_hat", K)
     lhs = cache.value("upsilon_hat", gs.tensor_graph(K, gs.delta(ell)))
     rhs = ell * uh
-    abs_tol = tol * ell * (1.0 + uh)
+    abs_tol = EQ_TOL * ell * (1.0 + uh)
     return TheoremCheck("lemma2", f"{label} x delta({ell})", lhs, rhs, "eq",
                         abs_tol, _compare(lhs, rhs, "eq", abs_tol))
 
 
 def check_main_theorem(K: gs.NCGraph, label: str,
-                       cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
+                       cache: CapacityCache) -> TheoremCheck:
     """The activated capacity equals half the capacity after borrowing one bit.
 
     Besides comparing the two solver values, the explicit lifting of the
@@ -169,14 +169,14 @@ def check_main_theorem(K: gs.NCGraph, label: str,
     res = cache.result("upsilon_hat", K)
     S2, U2 = activation_witness(K, res.primal_witness["S_A"], res.primal_witness["U_AB"])
     viol = max(cap.check_upsilon_witness(KD, S2, U2, hat=False).values())
-    passed = _compare(lhs, rhs, "eq", tol) and viol <= 1e-6
+    passed = _compare(lhs, rhs, "eq", EQ_TOL) and viol <= 1e-6
     return TheoremCheck("main_theorem", label, lhs, rhs, "eq",
-                        tol, passed,
+                        EQ_TOL, passed,
                         note=f"lifted witness violation {viol:.1e}")
 
 
 def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str,
-                   cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
+                   cache: CapacityCache) -> TheoremCheck:
     """A channel with enough one-shot capacity activates an activatable one.
 
     When the hypothesis holds, the combined witness construction is also
@@ -196,13 +196,13 @@ def check_theorem5(K1: gs.NCGraph, K2: gs.NCGraph, label: str,
         K1, r1.primal_witness["S_A"], r1.primal_witness["U_AB"],
         K2, r2.primal_witness["S_A"], r2.primal_witness["U_AB"])
     viol = max(cap.check_upsilon_witness(K12, S, U, hat=False).values())
-    passed = _compare(lhs, rhs, "ge", tol) and viol <= 1e-5
-    return TheoremCheck("theorem5", label, lhs, rhs, "ge", tol, passed,
+    passed = _compare(lhs, rhs, "ge", EQ_TOL) and viol <= 1e-5
+    return TheoremCheck("theorem5", label, lhs, rhs, "ge", EQ_TOL, passed,
                         note=f"combined witness violation {viol:.1e}")
 
 
 def check_corollary6(K: gs.NCGraph, label: str,
-                     cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
+                     cache: CapacityCache) -> TheoremCheck:
     """Golden-ratio self-activation."""
     u = cache.value("upsilon", K)
     if u < GOLDEN_RATIO - 1e-9:
@@ -211,21 +211,21 @@ def check_corollary6(K: gs.NCGraph, label: str,
     lhs = cache.value("upsilon", gs.tensor_graph(K, K))
     rhs = cache.value("upsilon_hat", K) * u
     return TheoremCheck("corollary6", label, lhs, rhs, "ge",
-                        tol, _compare(lhs, rhs, "ge", tol))
+                        EQ_TOL, _compare(lhs, rhs, "ge", EQ_TOL))
 
 
 def check_theorem7(K1: gs.NCGraph, K2: gs.NCGraph, label: str,
-                   cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
+                   cache: CapacityCache) -> TheoremCheck:
     """Direct-sum additivity of the one-shot capacity into activated parts."""
     D = gs.direct_sum(K1, K2)
     lhs = cache.value("upsilon", D)
     rhs = cache.value("upsilon_hat", K1) + cache.value("upsilon_hat", K2)
     return TheoremCheck("theorem7", label, lhs, rhs, "eq",
-                        tol, _compare(lhs, rhs, "eq", tol))
+                        EQ_TOL, _compare(lhs, rhs, "eq", EQ_TOL))
 
 
 def check_theorem9(K: gs.NCGraph, label: str,
-                   cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
+                   cache: CapacityCache) -> TheoremCheck:
     """Positivity criteria agree; dense-coding bound holds and is attained as
     the packing number of the dense-coding cq graph."""
     report = cap.thm9_criteria(K, cache)
@@ -234,7 +234,7 @@ def check_theorem9(K: gs.NCGraph, label: str,
     acq = cache.value("aram_cq", gs.superdense_cq(K))
     agree = report.all_agree()
     bound_ok = uh >= sdb - 1e-6
-    attain_ok = abs(acq - sdb) <= tol
+    attain_ok = abs(acq - sdb) <= EQ_TOL
     passed = agree and bound_ok and attain_ok
     note = "" if passed else \
         f"agree={agree} bound_ok={bound_ok} attain_ok={attain_ok} margins={report.margins}"
@@ -257,24 +257,24 @@ def check_prop11(cache: CapacityCache) -> TheoremCheck:
 
 
 def check_sandwich(K: gs.NCGraph, n: int, label: str,
-                   cache: CapacityCache, tol: float = EQ_TOL) -> TheoremCheck:
+                   cache: CapacityCache) -> TheoremCheck:
     """Finite tensor-power sandwich around the activated capacity."""
     try:
         Kn = gs.tensor_power(K, n)
         n0 = cap.find_n0(K, n, cache)
         if n0 is None:
-            return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
+            return TheoremCheck("sandwich", label, 0.0, 0.0, "le", EQ_TOL, True,
                                 vacuous=True, note=f"n0 not found up to {n}")
         mid = cache.value("upsilon", Kn)
         lo = 2.0 * cache.value("upsilon_hat", gs.tensor_power(K, n - n0))
         hi = cache.value("upsilon_hat", Kn)
     except gs.DimensionLimitError as exc:
-        return TheoremCheck("sandwich", label, 0.0, 0.0, "le", tol, True,
+        return TheoremCheck("sandwich", label, 0.0, 0.0, "le", EQ_TOL, True,
                             vacuous=True, note=f"size guard: {exc}")
-    lower_ok = _compare(lo, mid, "le", tol)
-    upper_ok = _compare(mid, hi, "le", tol)
+    lower_ok = _compare(lo, mid, "le", EQ_TOL)
+    upper_ok = _compare(mid, hi, "le", EQ_TOL)
     return TheoremCheck("sandwich", f"{label} n={n} n0={n0}", lo, hi, "le",
-                        tol, lower_ok and upper_ok,
+                        EQ_TOL, lower_ok and upper_ok,
                         note=f"middle={mid:.8f}")
 
 
@@ -323,19 +323,16 @@ def _spec_from_seed(seed: int) -> RandomChannelSpec:
             return RandomChannelSpec(d_in, d_out, k, seed)
 
 
-def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
+def run_suite(seeds=(), only: str | None = None,
               opts: SolverOptions | None = None, progress=None) -> SuiteReport:
     """Run every check on built-ins plus the seeded random instances."""
     seeds = tuple(seeds)
     if only is not None and only not in CHECK_NAMES:
         raise ValidationError(f"unknown check {only!r}; known: {', '.join(CHECK_NAMES)}")
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValidationError(f"tolerance must be finite and positive, got {tolerance!r}")
     if any(s < 0 for s in seeds):
         raise ValidationError(f"seeds must be nonnegative, got {list(seeds)!r}")
     gs.max_choi_dim()      # a bad NSZCAP_MAX_DIM is an input error before any check runs
     t0 = time.perf_counter()
-    tol = EQ_TOL if tolerance is None else tolerance
     cache = CapacityCache(opts)
     checks = []
 
@@ -360,47 +357,47 @@ def run_suite(seeds=(), only: str | None = None, tolerance: float | None = None,
 
     if want("lemma2"):
         for label, K in builtins + rand:
-            emit(check_lemma2(K, 2, label, cache, tol))
-        emit(check_lemma2(gs.delta(2), 3, "delta(2)", cache, tol))
+            emit(check_lemma2(K, 2, label, cache))
+        emit(check_lemma2(gs.delta(2), 3, "delta(2)", cache))
     if want("main_theorem"):
         for label, K in builtins + rand:
-            emit(check_main_theorem(K, label, cache, tol))
-        emit(check_main_theorem(gs.delta(2), "delta(2)", cache, tol))
+            emit(check_main_theorem(K, label, cache))
+        emit(check_main_theorem(gs.delta(2), "delta(2)", cache))
     if want("theorem5"):
-        emit(check_theorem5(ex4, gs.delta(2), "example4(0.75) | delta(2)", cache, tol))
-        emit(check_theorem5(ex4, gs.delta(1), "example4(0.75) | delta(1)", cache, tol))
+        emit(check_theorem5(ex4, gs.delta(2), "example4(0.75) | delta(2)", cache))
+        emit(check_theorem5(ex4, gs.delta(1), "example4(0.75) | delta(1)", cache))
         for i in range(0, len(rand) - 1, 2):
             l1, K1 = rand[i]
             l2, K2 = rand[i + 1]
-            emit(check_theorem5(K1, K2, f"{l1} | {l2}", cache, tol))
+            emit(check_theorem5(K1, K2, f"{l1} | {l2}", cache))
     if want("corollary6"):
-        emit(check_corollary6(gs.delta(2), "delta(2)", cache, tol))
-        emit(check_corollary6(ex4, "example4(0.75)", cache, tol))
+        emit(check_corollary6(gs.delta(2), "delta(2)", cache))
+        emit(check_corollary6(ex4, "example4(0.75)", cache))
         # small inputs keep K (x) K solvable quickly when the hypothesis holds
         for s in seeds[:4]:
             rng = np.random.default_rng(s)
             spec = RandomChannelSpec(2, int(rng.integers(2, 4)),
                                      int(rng.integers(1, 3)), s)
-            emit(check_corollary6(random_graph(spec), spec.label(), cache, tol))
+            emit(check_corollary6(random_graph(spec), spec.label(), cache))
     if want("theorem7"):
-        emit(check_theorem7(gs.delta(1), gs.delta(1), "delta(1) + delta(1)", cache, tol))
-        emit(check_theorem7(ex4, ex4, "example4 + example4", cache, tol))
+        emit(check_theorem7(gs.delta(1), gs.delta(1), "delta(1) + delta(1)", cache))
+        emit(check_theorem7(ex4, ex4, "example4 + example4", cache))
         for i in range(0, len(rand) - 1, 2):
             l1, K1 = rand[i]
             l2, K2 = rand[i + 1]
-            emit(check_theorem7(K1, K2, f"{l1} + {l2}", cache, tol))
+            emit(check_theorem7(K1, K2, f"{l1} + {l2}", cache))
     if want("theorem9"):
         for label, K in builtins + [("depolarizing(2)", depol)] + rand:
-            emit(check_theorem9(K, label, cache, tol))
+            emit(check_theorem9(K, label, cache))
     if want("prop11"):
         emit(check_prop11(cache))
     if want("sandwich"):
-        emit(check_sandwich(gs.delta(2), 2, "delta(2)", cache, tol))
+        emit(check_sandwich(gs.delta(2), 2, "delta(2)", cache))
         # isometry channels have one-shot capacity >= 2, so n0 = 1
         for s in seeds[:5]:
             rng = np.random.default_rng(s)
             spec = RandomChannelSpec(2, int(rng.integers(2, 4)), 1, s)
-            emit(check_sandwich(random_graph(spec), 2, spec.label(), cache, tol))
+            emit(check_sandwich(random_graph(spec), 2, spec.label(), cache))
 
     order = {id(c): i for i, c in enumerate(checks)}
     checks.sort(key=lambda c: (c.name, c.instance, order[id(c)]))

@@ -435,6 +435,23 @@ class TestFindN0:
         with pytest.raises(ValidationError):
             cap.find_n0(gs.delta(2), 0, cap.CapacityCache())
 
+    def test_each_power_is_one_product(self, damp, monkeypatch):
+        # K^k is built from K^(k-1), so a search to n makes n - 1 products
+        class NeverTwo:
+            def value(self, fn, K):
+                return 1.0
+
+        calls = []
+        product = gs.tensor_graph
+
+        def counted(K1, K2):
+            calls.append(K1.dim * K2.dim)
+            return product(K1, K2)
+        monkeypatch.setattr(gs, "tensor_graph", counted)
+        monkeypatch.setattr(cap, "tensor_graph", counted)
+        assert cap.find_n0(damp, 3, NeverTwo()) is None
+        assert calls == [16, 64]
+
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", [11, 12, 13])

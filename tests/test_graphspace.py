@@ -36,18 +36,10 @@ def _random_graph(seed, d_in=2, d_out=2, k=2):
 
 
 class TestKrausChannel:
-    def test_rejects_non_trace_preserving(self):
-        with pytest.raises(ValidationError):
-            KrausChannel(2, 2, [np.eye(2) * 0.5])
-
-    def test_relaxed_accepts_subnormalized(self):
-        with pytest.warns(UserWarning):
-            ch = KrausChannel(2, 2, [np.eye(2) * 0.5], relaxed=True)
-        assert ch.subnormalized
-
-    def test_relaxed_rejects_supernormalized(self):
-        with pytest.raises(ValidationError):
-            KrausChannel(2, 2, [np.eye(2) * 1.5], relaxed=True)
+    @pytest.mark.parametrize("scale", [0.5, 1.5])
+    def test_rejects_non_trace_preserving(self, scale):
+        with pytest.raises(ValidationError, match="not trace preserving"):
+            KrausChannel(2, 2, [np.eye(2) * scale])
 
     def test_shape_check(self):
         with pytest.raises(ValidationError):
@@ -58,7 +50,7 @@ class TestKrausChannel:
         E = np.eye(2, dtype=complex)
         E[0, 1] = bad
         with pytest.raises(ValidationError):
-            KrausChannel(2, 2, [E], relaxed=True)
+            KrausChannel(2, 2, [E])
 
 
 class TestChoiMatrix:
@@ -328,13 +320,16 @@ class TestBuiltinWitnesses:
     (lambda: CqGraph([]), "cq graph needs at least one projection"),
     (lambda: CqGraph([np.eye(2), np.eye(3)]), "cq projections must share one output dimension"),
     (lambda: CqGraph([np.diag([0.5, 1.0])]), "cq output is not a projector"),
+    (lambda: CqGraph([np.eye(2), np.eye(2)[:, :1]]), r"cq output 1 is not square: shape \(2, 1\)"),
+    (lambda: cq_from_states([[[1, 0, 0], [0, 0, 0]]]),
+     r"cq output state 0 is not square: shape \(2, 3\)"),
     (lambda: tensor_power(delta(2), -1), "tensor power must be nonnegative"),
     (lambda: dephasing_channel(0), "dephasing channel needs at least one symbol"),
     (lambda: example4_channel(0.0), r"alpha_sq must lie in \(0, 1\]"),
     (lambda: amplitude_damping_channel(1.5), r"damping probability must lie in \[0, 1\]"),
 ], ids=["kraus-dims", "kraus-empty", "graph-shape", "graph-not-hermitian", "cq-empty",
-        "cq-mixed-dims", "cq-not-projector", "negative-power", "dephasing-zero",
-        "example4-alpha", "damping-r"])
+        "cq-mixed-dims", "cq-not-projector", "cq-not-square", "cq-state-not-square",
+        "negative-power", "dephasing-zero", "example4-alpha", "damping-r"])
 def test_rejects_invalid_input(build, message):
     with pytest.raises(ValidationError, match=message):
         build()

@@ -222,7 +222,9 @@ class TestOpNorm:
      r"permute_systems: shape \(5, 5\) does not match dims \[2, 3\]"),
     (lambda: permute_systems(np.eye(6), [2, 3], [0, 0]),
      r"perm \[0, 0\] is not a permutation of 0\.\.1"),
-], ids=["not-a-matrix", "traced-side", "permute-shape", "not-a-permutation"])
+    (lambda: eig_hermitian(np.ones((2, 3))),
+     r"eig_hermitian input is not Hermitian \(deviation inf"),
+], ids=["not-a-matrix", "traced-side", "permute-shape", "not-a-permutation", "eig-not-square"])
 def test_rejects_invalid_input(call, message):
     with pytest.raises(ValidationError, match=message):
         call()

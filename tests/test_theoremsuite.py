@@ -273,21 +273,6 @@ class TestRunSuite:
         with pytest.raises(ValidationError):
             NCGraph(2, 2, np.diag([0.4, 0.0, 0.0, 0.0]))
 
-    def test_unreasonable_tolerance_fails(self):
-        report = run_suite(seeds=(), only="theorem7", tolerance=1e-13)
-        assert report.failures
-
-    def test_tolerance_override_is_not_global(self):
-        # a check run while the suite is in progress keeps its own default
-        seen = []
-
-        def progress(_check):
-            seen.append(check_theorem7(gs.delta(1), gs.delta(1), "d1+d1",
-                                       CapacityCache()).tolerance)
-
-        run_suite(seeds=(), only="prop11", tolerance=1e-13, progress=progress)
-        assert seen == [1e-5]
-
     @pytest.mark.parametrize("only", ["theorem5", "corollary6", "sandwich"])
     def test_seeded_instances(self, only):
         report = run_suite(seeds=(2, 3), only=only)
