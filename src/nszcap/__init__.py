@@ -28,6 +28,7 @@ from .graphspace import (
     delta,
     tensor_graph,
     tensor_power,
+    tensor_powers,
     direct_sum,
     superdense_cq,
     cq_from_states,

@@ -18,11 +18,14 @@ dual witness, so values can be re-verified outside the solver.
 from __future__ import annotations
 
 import math
+import threading
+import time
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphspace import CqGraph, NCGraph, ncgraph_from_cq, tensor_graph
+from .graphspace import CqGraph, NCGraph, ncgraph_from_cq, tensor_powers
 from .matrixcore import ValidationError, op_norm, partial_trace, tensor
 from .sdpsolver import (
     Block,
@@ -318,13 +321,40 @@ class Thm9Report:
         return all(vals) or not any(vals)
 
 
+class _Inline(Executor):
+    """Runs each submitted call at once, in the submitting thread."""
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _timed(fn: str, K, opts):
+    """``fn(K, opts)`` for the capacity named ``fn``, and the seconds it took."""
+    t0 = time.perf_counter()
+    result = globals()[fn](K, opts)
+    return result, time.perf_counter() - t0
+
+
 class CapacityCache:
     """Memoizes capacity solves keyed by exact graph bytes (results are pure),
-    counting the solves it ran and the lookups it answered from memory."""
+    counting the solves it ran and the lookups it answered from memory.
 
-    def __init__(self, opts: SolverOptions | None = None):
+    A miss is submitted to ``executor`` (by default it is solved at once, in
+    the asking thread), and the cache keeps one future per key, so threads
+    asking for one key share one solve.
+    """
+
+    def __init__(self, opts: SolverOptions | None = None, executor: Executor | None = None):
         self.opts = opts
-        self._store = {}
+        self._executor = executor or _Inline()
+        self._futures = {}
+        self._lock = threading.Lock()
+        self._local = threading.local()
         self.solves = self.hits = 0
 
     def _key(self, fn: str, K):
@@ -333,16 +363,33 @@ class CapacityCache:
         return (fn, K.d_A, K.d_B, K.P_AB.tobytes())
 
     def result(self, fn: str, K):
+        cpu = time.thread_time()
         key = self._key(fn, K)
-        if key in self._store:
-            self.hits += 1
-        else:
-            self.solves += 1
-            self._store[key] = globals()[fn](K, self.opts)
-        return self._store[key]
+        with self._lock:
+            future = self._futures.get(key)
+            if future is None:
+                self.solves += 1
+                future = self._futures[key] = self._executor.submit(_timed, fn, K, self.opts)
+            else:
+                self.hits += 1
+        result = future.result()[0]
+        self.lookups().append((key, time.thread_time() - cpu))
+        return result
 
     def value(self, fn: str, K) -> float:
         return self.result(fn, K).value
+
+    def lookups(self) -> list:
+        """``(key, cpu_s)`` of each answered lookup of the calling thread, in
+        order: the key, and the thread CPU seconds the lookup took, solving
+        inline or waiting for the executor."""
+        if not hasattr(self._local, "lookups"):
+            self._local.lookups = []
+        return self._local.lookups
+
+    def seconds(self, key) -> float:
+        """Seconds the solve of ``key`` took where it ran."""
+        return self._futures[key].result()[1]
 
 
 def thm9_criteria(K: NCGraph, cache: CapacityCache) -> Thm9Report:
@@ -378,10 +425,13 @@ def find_n0(K: NCGraph, n_max: int, cache: CapacityCache):
     values come from ``cache`` as in :func:`thm9_criteria`."""
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    Kn = K
-    for n in range(1, n_max + 1):
-        if n > 1:
-            Kn = tensor_graph(Kn, K)    # K^n from K^(n-1), the fold of tensor_power
+    return first_n0(tensor_powers(K, n_max), cache)
+
+
+def first_n0(powers, cache: CapacityCache):
+    """The position, from 1, of the first graph of ``powers`` (K, K^2, ...)
+    with one-shot capacity at least 2, or None; powers past it are not taken."""
+    for n, Kn in enumerate(powers, 1):
         if cache.value("upsilon", Kn) >= 2.0 - 1e-7:
             return n
     return None

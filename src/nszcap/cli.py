@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -168,8 +169,13 @@ def document_to_channel(doc: dict):
         # accept either density matrices or projections
         try:
             return gs.cq_from_states(mats)
-        except ValidationError:
-            return gs.CqGraph(mats)
+        except ValidationError as as_states:
+            try:
+                return gs.CqGraph(mats)
+            except ValidationError as as_projections:
+                raise ValidationError(
+                    f"cq outputs are neither density matrices ({as_states}) "
+                    f"nor projections ({as_projections})") from None
     if kind == "builtin":
         if "name" not in doc:
             raise ValidationError("channel document: missing 'name' field")
@@ -343,6 +349,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except np.linalg.LinAlgError as exc:
         print(f"solver failure: linear algebra error ({exc})", file=sys.stderr)
+        return EXIT_SOLVER
+    except BrokenProcessPool as exc:
+        print(f"solver failure: a solver process died ({exc})", file=sys.stderr)
         return EXIT_SOLVER
 
 

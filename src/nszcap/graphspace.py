@@ -214,13 +214,22 @@ def tensor_graph(K1: NCGraph, K2: NCGraph) -> NCGraph:
     return NCGraph(K1.d_A * K2.d_A, K1.d_B * K2.d_B, P)
 
 
+def tensor_powers(K: NCGraph, n: int):
+    """K, K^2, ..., K^n, lazily: each power is one product with the last,
+    and :func:`tensor_graph` guards its size."""
+    Kn = None
+    for _ in range(n):
+        Kn = K if Kn is None else tensor_graph(Kn, K)
+        yield Kn
+
+
 def tensor_power(K: NCGraph, n: int) -> NCGraph:
-    """n-fold product graph; :func:`tensor_graph` guards each step's size."""
+    """n-fold product graph, the last of :func:`tensor_powers` (delta(1) for n = 0)."""
     if n < 0:
         raise ValidationError("tensor power must be nonnegative")
     out = delta(1)
-    for _ in range(n):
-        out = tensor_graph(out, K) if out.dim > 1 else K
+    for out in tensor_powers(K, n):
+        pass
     return out
 
 

@@ -8,8 +8,13 @@ channels plus seeded random instances and aggregates a deterministic report.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import multiprocessing as mp
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,15 +264,18 @@ def check_prop11(cache: CapacityCache) -> TheoremCheck:
 def check_sandwich(K: gs.NCGraph, n: int, label: str,
                    cache: CapacityCache) -> TheoremCheck:
     """Finite tensor-power sandwich around the activated capacity."""
+    if n < 1:
+        raise ValidationError("the sandwich needs a tensor power n of at least 1")
     try:
-        Kn = gs.tensor_power(K, n)
-        n0 = cap.find_n0(K, n, cache)
+        # K^k at index k, each formed once, all within the size guard before any solve
+        powers = [gs.delta(1), *gs.tensor_powers(K, n)]
+        n0 = cap.first_n0(powers[1:], cache)
         if n0 is None:
             return TheoremCheck("sandwich", label, 0.0, 0.0, "le", EQ_TOL, True,
                                 vacuous=True, note=f"n0 not found up to {n}")
-        mid = cache.value("upsilon", Kn)
-        lo = 2.0 * cache.value("upsilon_hat", gs.tensor_power(K, n - n0))
-        hi = cache.value("upsilon_hat", Kn)
+        mid = cache.value("upsilon", powers[n])
+        lo = 2.0 * cache.value("upsilon_hat", powers[n - n0])
+        hi = cache.value("upsilon_hat", powers[n])
     except gs.DimensionLimitError as exc:
         return TheoremCheck("sandwich", label, 0.0, 0.0, "le", EQ_TOL, True,
                             vacuous=True, note=f"size guard: {exc}")
@@ -286,6 +294,7 @@ def check_sandwich(K: gs.NCGraph, n: int, label: str,
 class SuiteReport:
     checks: list
     elapsed: float = 0.0
+    workers: int = 1        # solver processes; 1 when every solve ran inline
 
     @property
     def failures(self) -> list:
@@ -310,6 +319,7 @@ class SuiteReport:
             "num_failed": len(self.failures),
             "num_vacuous": len(self.vacuous),
             "elapsed_seconds": self.elapsed,
+            "workers": self.workers,
         }
 
 
@@ -323,9 +333,33 @@ def _spec_from_seed(seed: int) -> RandomChannelSpec:
             return RandomChannelSpec(d_in, d_out, k, seed)
 
 
+def _solver_processes(n_checks: int) -> int:
+    """Solver processes for a run of ``n_checks`` checks: one per CPU this
+    process may run on, and no more than there are checks.  One means that
+    every solve runs inline, as it does where processes cannot be forked."""
+    if "fork" not in mp.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_checks))
+
+
+def _run_check(check, cache: CapacityCache):
+    """Run ``check(cache=cache)`` in this thread: the check, the keys it asked
+    the cache for in order, and its own thread CPU seconds outside lookups."""
+    lookups = cache.lookups()
+    start, cpu = len(lookups), time.thread_time()
+    result = check(cache=cache)
+    mine = lookups[start:]
+    return result, [key for key, _ in mine], time.thread_time() - cpu - sum(s for _, s in mine)
+
+
 def run_suite(seeds=(), only: str | None = None,
               opts: SolverOptions | None = None, progress=None) -> SuiteReport:
-    """Run every check on built-ins plus the seeded random instances."""
+    """Run every check on built-ins plus the seeded random instances.
+
+    With more than one CPU, each check runs in its own thread and the distinct
+    solves run on forked worker processes, one per CPU; the checks are still
+    reported in run order, with the costs a sequential run would give them.
+    """
     seeds = tuple(seeds)
     if only is not None and only not in CHECK_NAMES:
         raise ValidationError(f"unknown check {only!r}; known: {', '.join(CHECK_NAMES)}")
@@ -333,72 +367,77 @@ def run_suite(seeds=(), only: str | None = None,
         raise ValidationError(f"seeds must be nonnegative, got {list(seeds)!r}")
     gs.max_choi_dim()      # a bad NSZCAP_MAX_DIM is an input error before any check runs
     t0 = time.perf_counter()
-    cache = CapacityCache(opts)
-    checks = []
+    plan = []              # the checks in run order, each waiting for its cache
 
-    def emit(check):
-        now = time.perf_counter()
-        check.elapsed_s, check.solves, check.cache_hits = \
-            now - last[0], cache.solves - last[1], cache.hits - last[2]
-        last[:] = now, cache.solves, cache.hits
-        checks.append(check)
-        if progress:
-            progress(check)
-
-    def want(name):
-        return only is None or only == name
+    def add(check, *args):
+        if only is None or only == check.__name__.removeprefix("check_"):
+            plan.append(functools.partial(check, *args))
 
     ex4 = gs.ncgraph_from_channel(gs.example4_channel(0.75))
     damp = gs.ncgraph_from_channel(gs.amplitude_damping_channel(0.75))
     depol = gs.ncgraph_from_channel(gs.depolarizing_channel(2))
     builtins = [("example4(0.75)", ex4), ("amplitude-damping(0.75)", damp)]
     rand = [(s.label(), random_graph(s)) for s in map(_spec_from_seed, seeds)]
-    last = [time.perf_counter(), 0, 0]   # clock, solves and hits at the last check
 
-    if want("lemma2"):
-        for label, K in builtins + rand:
-            emit(check_lemma2(K, 2, label, cache))
-        emit(check_lemma2(gs.delta(2), 3, "delta(2)", cache))
-    if want("main_theorem"):
-        for label, K in builtins + rand:
-            emit(check_main_theorem(K, label, cache))
-        emit(check_main_theorem(gs.delta(2), "delta(2)", cache))
-    if want("theorem5"):
-        emit(check_theorem5(ex4, gs.delta(2), "example4(0.75) | delta(2)", cache))
-        emit(check_theorem5(ex4, gs.delta(1), "example4(0.75) | delta(1)", cache))
-        for i in range(0, len(rand) - 1, 2):
-            l1, K1 = rand[i]
-            l2, K2 = rand[i + 1]
-            emit(check_theorem5(K1, K2, f"{l1} | {l2}", cache))
-    if want("corollary6"):
-        emit(check_corollary6(gs.delta(2), "delta(2)", cache))
-        emit(check_corollary6(ex4, "example4(0.75)", cache))
-        # small inputs keep K (x) K solvable quickly when the hypothesis holds
-        for s in seeds[:4]:
-            rng = np.random.default_rng(s)
-            spec = RandomChannelSpec(2, int(rng.integers(2, 4)),
-                                     int(rng.integers(1, 3)), s)
-            emit(check_corollary6(random_graph(spec), spec.label(), cache))
-    if want("theorem7"):
-        emit(check_theorem7(gs.delta(1), gs.delta(1), "delta(1) + delta(1)", cache))
-        emit(check_theorem7(ex4, ex4, "example4 + example4", cache))
-        for i in range(0, len(rand) - 1, 2):
-            l1, K1 = rand[i]
-            l2, K2 = rand[i + 1]
-            emit(check_theorem7(K1, K2, f"{l1} + {l2}", cache))
-    if want("theorem9"):
-        for label, K in builtins + [("depolarizing(2)", depol)] + rand:
-            emit(check_theorem9(K, label, cache))
-    if want("prop11"):
-        emit(check_prop11(cache))
-    if want("sandwich"):
-        emit(check_sandwich(gs.delta(2), 2, "delta(2)", cache))
-        # isometry channels have one-shot capacity >= 2, so n0 = 1
-        for s in seeds[:5]:
-            rng = np.random.default_rng(s)
-            spec = RandomChannelSpec(2, int(rng.integers(2, 4)), 1, s)
-            emit(check_sandwich(random_graph(spec), 2, spec.label(), cache))
+    for label, K in builtins + rand:
+        add(check_lemma2, K, 2, label)
+    add(check_lemma2, gs.delta(2), 3, "delta(2)")
+    for label, K in builtins + rand:
+        add(check_main_theorem, K, label)
+    add(check_main_theorem, gs.delta(2), "delta(2)")
+    add(check_theorem5, ex4, gs.delta(2), "example4(0.75) | delta(2)")
+    add(check_theorem5, ex4, gs.delta(1), "example4(0.75) | delta(1)")
+    for (l1, K1), (l2, K2) in zip(rand[0::2], rand[1::2]):
+        add(check_theorem5, K1, K2, f"{l1} | {l2}")
+    add(check_corollary6, gs.delta(2), "delta(2)")
+    add(check_corollary6, ex4, "example4(0.75)")
+    # small inputs keep K (x) K solvable quickly when the hypothesis holds
+    for s in seeds[:4]:
+        rng = np.random.default_rng(s)
+        spec = RandomChannelSpec(2, int(rng.integers(2, 4)), int(rng.integers(1, 3)), s)
+        add(check_corollary6, random_graph(spec), spec.label())
+    add(check_theorem7, gs.delta(1), gs.delta(1), "delta(1) + delta(1)")
+    add(check_theorem7, ex4, ex4, "example4 + example4")
+    for (l1, K1), (l2, K2) in zip(rand[0::2], rand[1::2]):
+        add(check_theorem7, K1, K2, f"{l1} + {l2}")
+    for label, K in builtins + [("depolarizing(2)", depol)] + rand:
+        add(check_theorem9, K, label)
+    add(check_prop11)
+    add(check_sandwich, gs.delta(2), 2, "delta(2)")
+    # isometry channels have one-shot capacity >= 2, so n0 = 1
+    for s in seeds[:5]:
+        rng = np.random.default_rng(s)
+        spec = RandomChannelSpec(2, int(rng.integers(2, 4)), 1, s)
+        add(check_sandwich, random_graph(spec), 2, spec.label())
+
+    checks, paid = [], set()
+    workers = _solver_processes(len(plan))
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            cache = CapacityCache(opts)
+            runs = (_run_check(check, cache) for check in plan)
+        else:
+            pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"))
+            threads = ThreadPoolExecutor(len(plan))
+            # callbacks run last first: the pool cancels its pending solves, so
+            # that after an error no check thread waits on one, before the
+            # check threads are joined
+            stack.callback(threads.shutdown, cancel_futures=True)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            pool.submit(int)    # forks every worker now, before any thread starts
+            cache = CapacityCache(opts, pool)
+            runs = (run.result() for run in
+                    [threads.submit(_run_check, check, cache) for check in plan])
+        for check, keys, cpu in runs:
+            # a solve is charged to the first check in run order that asked for it
+            new = [key for key in dict.fromkeys(keys) if key not in paid]
+            paid.update(new)
+            check.solves, check.cache_hits = len(new), len(keys) - len(new)
+            check.elapsed_s = cpu + sum(cache.seconds(key) for key in new)
+            checks.append(check)
+            if progress:
+                progress(check)
 
     order = {id(c): i for i, c in enumerate(checks)}
     checks.sort(key=lambda c: (c.name, c.instance, order[id(c)]))
-    return SuiteReport(checks, elapsed=time.perf_counter() - t0)
+    return SuiteReport(checks, elapsed=time.perf_counter() - t0, workers=workers)

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -404,6 +407,32 @@ class TestCacheRoute:
         assert cache.solves == 3            # aram, upsilon_hat and upsilon
         assert cache.hits == 1 and len(solved) == 1     # upsilon_hat came from memory
 
+    def test_threads_sharing_a_cache_share_each_solve(self, monkeypatch):
+        # more asking threads than solver threads, switching as often as the
+        # interpreter allows: a lost update would solve a key twice
+        solved = []
+
+        def fake(K, opts=None):
+            solved.append(K.dim)
+            return cap.CapacityResult("upsilon", float(K.dim), {}, {}, 0.0)
+        monkeypatch.setattr(cap, "upsilon", fake)
+        graphs = [gs.delta(ell) for ell in (1, 2, 3, 4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as solver, ThreadPoolExecutor(16) as askers:
+                for _ in range(50):
+                    solved.clear()
+                    cache = cap.CapacityCache(executor=solver)
+                    asks = [askers.submit(cache.value, "upsilon", graphs[i % 4])
+                            for i in range(64)]
+                    values = [f.result(timeout=60) for f in asks]
+                    assert values == [float(graphs[i % 4].dim) for i in range(64)]
+                    assert sorted(solved) == [1, 4, 9, 16]
+                    assert (cache.solves, cache.hits) == (4, 60)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_cache_options_reach_the_solver(self, ex4):
         with pytest.raises(SolverFailure):
             cap.thm9_criteria(ex4[0.75], cap.CapacityCache(SolverOptions(max_iter=1)))
@@ -448,7 +477,6 @@ class TestFindN0:
             calls.append(K1.dim * K2.dim)
             return product(K1, K2)
         monkeypatch.setattr(gs, "tensor_graph", counted)
-        monkeypatch.setattr(cap, "tensor_graph", counted)
         assert cap.find_n0(damp, 3, NeverTwo()) is None
         assert calls == [16, 64]
 

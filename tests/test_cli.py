@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from nszcap import capacities as cap
 from nszcap import cli
 from nszcap import graphspace as gs
+from nszcap import theoremsuite as ts
 from nszcap.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -119,6 +123,17 @@ class TestCompute:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "empty support" in err
+
+    def test_bad_cq_document_names_both_readings(self, capsys, tmp_path):
+        # diag(0.9, 0) is neither a density matrix nor a projection
+        path = tmp_path / "cq.json"
+        path.write_text(json.dumps({"type": "cq", "outputs": [[[[0.9, 0], [0, 0]],
+                                                              [[0, 0], [0, 0]]]]}))
+        code, out, err = run_cli(capsys, "compute", "--channel", str(path),
+                                 "--quantity", "upsilon-cq")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "trace 0.900000000, expected 1" in err and "not a projector" in err
 
     def test_cq_quantity_on_kraus_input_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--builtin", "prop11",
@@ -335,17 +350,44 @@ class TestVerify:
         assert "lemma2" in err
 
     def test_checks_report_their_cost(self, capsys, monkeypatch):
-        solves = []
+        # the solves run in forked worker processes, so the calls are counted
+        # in shared memory made before the workers fork
+        calls = multiprocessing.Value("i", 0)
         solve = cap.solve
-        monkeypatch.setattr(cap, "solve", lambda *args: solves.append(1) or solve(*args))
+
+        def counted(*args):
+            with calls.get_lock():
+                calls.value += 1
+            return solve(*args)
+        monkeypatch.setattr(cap, "solve", counted)
+        monkeypatch.setattr(ts, "_solver_processes", lambda n_checks: 2)
         code, out, err = run_cli(capsys, "verify", "--only", "theorem7",
                                  "--seed", "1", "--seed", "2")
         assert code == EXIT_OK
-        checks = json.loads(out)["checks"]
+        doc = json.loads(out)
+        checks = doc["checks"]
+        assert doc["workers"] == 2
         assert all({"elapsed_s", "solves", "cache_hits"} <= c.keys() for c in checks)
         assert all(c["elapsed_s"] > 0.0 for c in checks)
-        assert sum(c["solves"] for c in checks) == len(solves) > 0
+        assert sum(c["solves"] for c in checks) == calls.value > 0
         assert "elapsed_s" not in err
+
+    def test_worker_crash_is_solver_failure(self, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def crash(K, opts=None):
+            assert os.getpid() != parent, "the solve ran inline"
+            os._exit(1)
+        monkeypatch.setattr(cap, "upsilon", crash)
+        monkeypatch.setattr(ts, "_solver_processes", lambda n_checks: 2)
+        code, out, err = run_cli(capsys, "verify", "--only", "theorem7",
+                                 "--seed", "1", "--seed", "2")
+        assert code == EXIT_SOLVER and out == ""
+        assert err.startswith("solver failure: a solver process died")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        # the pool's workers and threads are all gone when verify returns
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
 
     def test_criteria_disagreement_is_a_failed_check(self, capsys):
         # at these tolerances the four theorem 9 criteria disagree on seed 2

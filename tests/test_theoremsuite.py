@@ -1,8 +1,13 @@
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from nszcap import capacities as cap
 from nszcap import graphspace as gs
+from nszcap import theoremsuite as ts
 from nszcap.graphspace import DimensionLimitError, NCGraph
 from nszcap.matrixcore import ValidationError
 from nszcap.theoremsuite import (
@@ -226,6 +231,18 @@ class TestSandwich:
         assert check_sandwich(K, 2, "unitary", shared).passed
         assert sum(G.dim == K.dim and np.array_equal(G.P_AB, K.P_AB) for G in solved) == 1
 
+    def test_each_power_is_formed_once(self, monkeypatch):
+        calls = []
+        product = gs.tensor_graph
+
+        def counted(K1, K2):
+            calls.append(K1.dim * K2.dim)
+            return product(K1, K2)
+        monkeypatch.setattr(gs, "tensor_graph", counted)
+        K = gs.ncgraph_from_channel(gs.amplitude_damping_channel(0.75))
+        check_sandwich(K, 2, "damping", CapacityCache())
+        assert calls == [16]
+
     def test_skip_when_n0_not_found(self, cache):
         K = gs.ncgraph_from_channel(gs.example4_channel(0.9))
         c = check_sandwich(K, 2, "weak", cache)
@@ -278,6 +295,27 @@ class TestRunSuite:
         report = run_suite(seeds=(2, 3), only=only)
         assert not report.failures
         assert any("seed=3" in c.instance for c in report.checks)
+
+    def test_worker_pool_report_equals_the_inline_one(self, monkeypatch):
+        def report(workers):
+            monkeypatch.setattr(ts, "_solver_processes", lambda n_checks: workers)
+            doc = run_suite(seeds=(1, 2, 3)).to_dict()
+            assert doc.pop("workers") == workers
+            del doc["elapsed_seconds"]
+            for check in doc["checks"]:
+                del check["elapsed_s"]
+            return doc
+        assert report(2) == report(1)
+
+    def test_workers_fork_before_any_thread(self, monkeypatch):
+        # a fork after threads start can deadlock the child (deprecated in 3.12)
+        forks = []
+        os.register_at_fork(before=lambda: forks.append(threading.active_count()))
+        monkeypatch.setattr(ts, "_solver_processes", lambda n_checks: 2)
+        assert run_suite(seeds=(7,), only="theorem7").workers == 2
+        assert forks == [1, 1]
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
 
     def test_report_serializes(self):
         report = run_suite(seeds=(), only="prop11")
