@@ -33,7 +33,7 @@ from .graphspace import (
     superdense_cq,
     cq_from_states,
 )
-from .sdpsolver import SdpProblem, SdpSolution, SolverOptions, solve
+from .sdpsolver import SdpProblem, SdpSolution, solve
 from .capacities import (
     CapacityResult,
     upsilon,

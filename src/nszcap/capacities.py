@@ -35,7 +35,6 @@ from .sdpsolver import (
     SdpProblem,
     SdpSolution,
     SolverFailure,
-    SolverOptions,
     solve,
 )
 
@@ -67,8 +66,8 @@ def _real_view(P, real: bool):
     return A.real.copy() if real else A.astype(complex)
 
 
-def _run(problem: SdpProblem, opts: SolverOptions | None, quantity: str) -> SdpSolution:
-    sol = solve(problem, opts)
+def _run(problem: SdpProblem, quantity: str) -> SdpSolution:
+    sol = solve(problem)
     if not sol.optimal:
         raise SolverFailure(
             f"{quantity}: solver returned status {sol.status!r} "
@@ -118,9 +117,9 @@ def build_upsilon_problem(K: NCGraph, hat: bool) -> SdpProblem:
     return SdpProblem(blocks, objective, constraints, name="upsilon_hat" if hat else "upsilon")
 
 
-def _upsilon_result(K: NCGraph, hat: bool, opts) -> CapacityResult:
+def _upsilon_result(K: NCGraph, hat: bool) -> CapacityResult:
     quantity = "upsilon_hat" if hat else "upsilon"
-    sol = _run(build_upsilon_problem(K, hat), opts, quantity)
+    sol = _run(build_upsilon_problem(K, hat), quantity)
     primal = {"S_A": np.asarray(sol.primal_blocks[0]),
               "U_AB": np.asarray(sol.primal_blocks[1])}
     T, V = sol.dual_multipliers
@@ -128,14 +127,14 @@ def _upsilon_result(K: NCGraph, hat: bool, opts) -> CapacityResult:
                           sol.gap, sol.status, sol.iterations, sol.trace)
 
 
-def upsilon(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
+def upsilon(K: NCGraph) -> CapacityResult:
     """One-shot no-signalling-assisted zero-error capacity (message count)."""
-    return _upsilon_result(K, False, opts)
+    return _upsilon_result(K, False)
 
 
-def upsilon_hat(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
+def upsilon_hat(K: NCGraph) -> CapacityResult:
     """Activated one-shot capacity: borrow a noiseless channel, pay it back."""
-    return _upsilon_result(K, True, opts)
+    return _upsilon_result(K, True)
 
 
 def build_upsilon_hat_dual_problem(K: NCGraph) -> SdpProblem:
@@ -169,9 +168,9 @@ def build_upsilon_hat_dual_problem(K: NCGraph) -> SdpProblem:
     return SdpProblem(blocks, objective, constraints, name="upsilon_hat_dual")
 
 
-def upsilon_hat_dual(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
+def upsilon_hat_dual(K: NCGraph) -> CapacityResult:
     """Activated capacity computed from its dual program (min tr T form)."""
-    sol = _run(build_upsilon_hat_dual_problem(K), opts, "upsilon_hat_dual")
+    sol = _run(build_upsilon_hat_dual_problem(K), "upsilon_hat_dual")
     T = np.asarray(sol.primal_blocks[0])
     n, dA, dB = K.dim, K.d_A, K.d_B         # Y1 from B (x) A back to A (x) B
     Y1 = np.asarray(sol.primal_blocks[1]).reshape(dB, dA, dB, dA).transpose(1, 0, 3, 2)
@@ -196,9 +195,9 @@ def build_aram_problem(K: NCGraph) -> SdpProblem:
                       name="aram")
 
 
-def aram(K: NCGraph, opts: SolverOptions | None = None) -> CapacityResult:
+def aram(K: NCGraph) -> CapacityResult:
     """Semidefinite (fractional) packing number."""
-    sol = _run(build_aram_problem(K), opts, "aram")
+    sol = _run(build_aram_problem(K), "aram")
     primal = {"S_A": np.asarray(sol.primal_blocks[0]).T.copy()}
     return CapacityResult("aram", sol.primal_value, primal, {"T_B": sol.dual_multipliers[0]},
                           sol.gap, sol.status, sol.iterations, sol.trace)
@@ -267,9 +266,9 @@ def build_cq_problem(C: CqGraph, hat: bool) -> SdpProblem:
     return SdpProblem(blocks, objective, constraints, name="cq_hat" if hat else "cq_upsilon")
 
 
-def _cq_result(C: CqGraph, hat: bool, opts) -> CapacityResult:
+def _cq_result(C: CqGraph, hat: bool) -> CapacityResult:
     quantity = "upsilon_hat_cq" if hat else "upsilon_cq"
-    sol = _run(build_cq_problem(C, hat), opts, quantity)
+    sol = _run(build_cq_problem(C, hat), quantity)
     thetas = _cq_kernels(C)
     R = iter(sol.primal_blocks[1::2])       # R_i, in input order
     primal = {"s": np.diag(sol.primal_blocks[0]).real.copy(),
@@ -280,20 +279,20 @@ def _cq_result(C: CqGraph, hat: bool, opts) -> CapacityResult:
                           sol.status, sol.iterations, sol.trace)
 
 
-def upsilon_cq(C: CqGraph, opts: SolverOptions | None = None) -> CapacityResult:
+def upsilon_cq(C: CqGraph) -> CapacityResult:
     """One-shot capacity of a classical-quantum graph."""
-    return _cq_result(C, False, opts)
+    return _cq_result(C, False)
 
 
-def upsilon_hat_cq(C: CqGraph, opts: SolverOptions | None = None) -> CapacityResult:
+def upsilon_hat_cq(C: CqGraph) -> CapacityResult:
     """Activated one-shot capacity of a classical-quantum graph."""
-    return _cq_result(C, True, opts)
+    return _cq_result(C, True)
 
 
-def aram_cq(C: CqGraph, opts: SolverOptions | None = None) -> CapacityResult:
+def aram_cq(C: CqGraph) -> CapacityResult:
     """Packing number of a classical-quantum graph: the packing program of its
     embedded graph ``sum_i |i><i| (x) P_i``, whose S_A has the diagonal s."""
-    sol = _run(build_aram_problem(ncgraph_from_cq(C)), opts, "aram_cq")
+    sol = _run(build_aram_problem(ncgraph_from_cq(C)), "aram_cq")
     return CapacityResult("aram_cq", sol.primal_value,
                           {"s": np.diag(sol.primal_blocks[0]).real.copy()}, {}, sol.gap,
                           sol.status, sol.iterations, sol.trace)
@@ -333,10 +332,10 @@ class _Inline(Executor):
         return future
 
 
-def _timed(fn: str, K, opts):
-    """``fn(K, opts)`` for the capacity named ``fn``, and the seconds it took."""
+def _timed(fn: str, K):
+    """``fn(K)`` for the capacity named ``fn``, and the seconds it took."""
     t0 = time.perf_counter()
-    result = globals()[fn](K, opts)
+    result = globals()[fn](K)
     return result, time.perf_counter() - t0
 
 
@@ -349,8 +348,7 @@ class CapacityCache:
     asking for one key share one solve.
     """
 
-    def __init__(self, opts: SolverOptions | None = None, executor: Executor | None = None):
-        self.opts = opts
+    def __init__(self, executor: Executor | None = None):
         self._executor = executor or _Inline()
         self._futures = {}
         self._lock = threading.Lock()
@@ -369,7 +367,7 @@ class CapacityCache:
             future = self._futures.get(key)
             if future is None:
                 self.solves += 1
-                future = self._futures[key] = self._executor.submit(_timed, fn, K, self.opts)
+                future = self._futures[key] = self._executor.submit(_timed, fn, K)
             else:
                 self.hits += 1
         result = future.result()[0]

@@ -33,7 +33,7 @@ from . import capacities as cap
 from . import graphspace as gs
 from . import theoremsuite as ts
 from .matrixcore import ValidationError
-from .sdpsolver import SolverFailure, SolverOptions
+from .sdpsolver import SolverFailure
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -244,7 +244,6 @@ def _serialize_witness(witness: dict) -> dict:
 def cmd_compute(args) -> int:
     kind, fn = QUANTITIES[args.quantity]
     channel = _load_channel(args)
-    opts = SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
     # the size guard reads the Choi dimension off the channel, before any graph is built
     cq = isinstance(channel, gs.CqGraph)
     gs.require_choi_dim(channel.num_inputs * channel.d_B if cq else channel.d_in * channel.d_out)
@@ -253,7 +252,7 @@ def cmd_compute(args) -> int:
         if not cq:
             raise ValidationError(
                 f"{args.quantity} needs a cq channel document (type 'cq')")
-        result = fn(channel, opts)
+        result = fn(channel)
     else:
         K = gs.ncgraph_from_cq(channel) if cq else gs.ncgraph_from_channel(channel)
         if kind == "bound":
@@ -262,7 +261,7 @@ def cmd_compute(args) -> int:
                               "log2_value": float(np.log2(value)), "gap": 0.0,
                               "status": "exact"}))
             return EXIT_OK
-        result = fn(K, opts)
+        result = fn(K)
 
     out = {"quantity": args.quantity, "value": result.value,
            "log2_value": result.log2_value, "gap": result.gap,
@@ -276,11 +275,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    opts = SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
     report = ts.run_suite(
         seeds=args.seed or (),
         only=args.only,
-        opts=opts,
         progress=lambda c: print(c.line(), file=sys.stderr, flush=True),
     )
     print(json.dumps(report.to_dict()))
@@ -316,16 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--builtin", help="builtin channel, e.g. example4:alpha_sq=0.75")
     pc.add_argument("--quantity", required=True, choices=sorted(QUANTITIES))
     pc.add_argument("--witness", action="store_true", help="include witness matrices")
-    pc.add_argument("--gap-tol", type=float, default=SolverOptions.gap_tol)
-    pc.add_argument("--feas-tol", type=float, default=SolverOptions.feas_tol)
     pc.set_defaults(fn=cmd_compute)
 
     pv = sub.add_parser("verify", help="run the theorem-verification suite")
     pv.add_argument("--seed", type=int, action="append",
                     help="random-instance seed (repeatable; none = built-ins only)")
     pv.add_argument("--only", help="run a single check by name")
-    pv.add_argument("--gap-tol", type=float, default=SolverOptions.gap_tol)
-    pv.add_argument("--feas-tol", type=float, default=SolverOptions.feas_tol)
     pv.set_defaults(fn=cmd_verify)
 
     pe = sub.add_parser("examples", help="list builtin channels")

@@ -66,6 +66,13 @@ _STATUS_NUMFAIL = "numerical-failure"
 _STATUS_UNBOUNDED = "unbounded"
 _STATUS_INFEASIBLE = "infeasible"
 
+# The stopping rule: a solve ends optimal at the first iterate whose relative
+# gap is at most GAP_TOL and whose relative primal and dual residuals are at
+# most FEAS_TOL; it runs at most MAX_ITER iterations
+GAP_TOL = 1e-8
+FEAS_TOL = 1e-8
+MAX_ITER = 200
+
 
 def _integer(v, least=1):
     return isinstance(v, (int, np.integer)) and v >= least
@@ -241,21 +248,6 @@ class SdpSolution:
         return self.status == _STATUS_OPTIMAL
 
 
-@dataclass
-class SolverOptions:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    max_iter: int = 200
-
-    def __post_init__(self):
-        for name in ("gap_tol", "feas_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be at least 1, got {self.max_iter!r}")
-
-
 class SolverFailure(RuntimeError):
     def __init__(self, message, solution=None):
         super().__init__(message)
@@ -403,13 +395,14 @@ class _Pivoted:
         return r[self.dropped] - K.T @ r[self.kept]
 
 
-# The core path (_CoreNewton) serves programs from this many rows m up.  Median
-# ms per iteration, dense / core, on Upsilon and Upsilon-hat of random channels
-# (2-core VM, one BLAS thread): n = 4, m = 20: 2.2 / 3.2; n = 9, m = 90:
-# 2.8 / 4.0; m = 153-180: 3.8-4.8 / 4.2-6.4; n = 16, m = 272: 7.7 / 6.6 and
-# 7.0 / 6.9; n = 16, m = 320: 10.0 / 6.9; n = 25, m = 650: 35 / 12; n = 36,
-# m = 1332: 115 / 20.
-_CORE_MIN_ROWS = 300
+# The core path (_CoreNewton) serves programs from this many rows m up.  Core
+# over dense solve time (2-core VM, one BLAS thread, best of 3 solves, equal
+# iterations): Upsilon and Upsilon-hat of random channels at m <= 153: 1.0-1.4;
+# m = 160-180: 0.89-0.96 (real arithmetic, m = 174-177: 0.89-1.13); m = 234-250:
+# 0.67-0.74; n = 16, m = 272: 0.70-0.75; the hat-dual at m = 169-241: 0.15-0.33.
+# Median ms per iteration, dense / core: n = 16, m = 320: 10.0 / 6.9; n = 25,
+# m = 650: 35 / 12; n = 36, m = 1332: 115 / 20.
+_CORE_MIN_ROWS = 160
 # Frame coordinates with den >= _CORE_TAU max(den) are eliminated in closed
 # form; the others join the border.  On n = 36 Upsilon and Upsilon-hat, 1e-1,
 # 1e-2 and 1e-3 all end optimal in 12 iterations, with a worst relative Newton
@@ -684,33 +677,34 @@ def _nt_frame(X, Z):
 
 
 def _max_step_scaled(lw, D):
-    """sup { a : diag(lw) + a D >= 0 } for Hermitian D in the NT frame."""
+    """sup { a : diag(lw) + a D_s >= 0 } for each Hermitian D_s of a stack D
+    (k, dim, dim) in the NT frame, by one eigvalsh; 0 for a non-finite D_s."""
     floor = max(float(lw[-1]) * 1e-14, 1e-150)
     s = 1.0 / np.sqrt(np.maximum(lw, floor))
     B = D * np.outer(s, s)
-    if not np.all(np.isfinite(B)):
-        return 0.0
+    finite = np.isfinite(B).all(axis=(1, 2))
+    B[~finite] = 0.0
     try:
-        lo = float(np.linalg.eigvalsh(B)[0])
+        lo = np.linalg.eigvalsh(B)[:, 0]
     except np.linalg.LinAlgError:
-        return 0.0
-    return np.inf if lo >= -1e-16 else 1.0 / (-lo)
+        return np.zeros(len(B))
+    steps = np.divide(1.0, -lo, out=np.full(len(B), np.inf), where=lo < -1e-16)
+    return np.where(finite, steps, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # The solver
 # ---------------------------------------------------------------------------
 
-def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point method; deterministic for fixed input."""
     # divergent iterates (unbounded/infeasible inputs) are caught by the
     # finiteness guard, so floating-point overflow along the way is expected
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _solve_loop(problem, opts)
+        return _solve_loop(problem)
 
 
-def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
-    opts = opts or SolverOptions()
+def _solve_loop(problem: SdpProblem) -> SdpSolution:
     C, families, dtype, b, rows = _preprocess(problem)
     m = len(b)
     if m == 0:
@@ -763,7 +757,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         phase_s[phase] += now - t_lap
         t_lap = now
 
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         pobj = inner(C, X)
         dobj = float(b @ y)
         record = dict(pobj=pobj, dobj=dobj, gap=None, pinf=None, dinf=None, mu=None, path=path,
@@ -791,11 +785,11 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             stall = 0
         else:
             stall += 1
-        converged = relgap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol
+        converged = relgap <= GAP_TOL and pinf <= FEAS_TOL and dinf <= FEAS_TOL
         if score < best_score or converged:
             best_score = score
-            best = (pobj, dobj, [x.copy() for x in X], y.copy(),
-                    [z.copy() for z in Z], relgap, pinf, dinf)
+            # X, y and Z are rebound each iteration, never written in place
+            best = (pobj, dobj, X, y, Z, relgap, pinf, dinf)
         if converged:
             status = _STATUS_OPTIMAL
             break
@@ -836,7 +830,7 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
         if it == 1 and fac.rank < fac.size:
             # here W = I and M = A A^T: the dropped rows are K^T times the kept
             # ones, and so must their right-hand sides be
-            if np.abs(fac.residue(b)).max() > opts.feas_tol * (1.0 + norm_b):
+            if np.abs(fac.residue(b)).max() > FEAS_TOL * (1.0 + norm_b):
                 status = _STATUS_INFEASIBLE
                 break
         A_WRdW = pair_all([_herm(W @ rd @ W) for W, rd in zip(Ws, R_d)])
@@ -858,8 +852,8 @@ def _solve_loop(problem: SdpProblem, opts: SolverOptions | None) -> SdpSolution:
             for bi, (G, lw) in enumerate(frames):
                 dz = _herm(np.conj(G).T @ dZs[bi] @ G)
                 dx = (-np.diag(lw) if Ds is None else Ds[bi]) - dz
-                ap = min(ap, _max_step_scaled(lw, dx))
-                ad = min(ad, _max_step_scaled(lw, dz))
+                sp, sd = _max_step_scaled(lw, np.stack([dx, dz]))
+                ap, ad = min(ap, sp), min(ad, sd)
                 scaled.append((dx, dz))
             return ap, ad, scaled
 

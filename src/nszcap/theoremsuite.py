@@ -23,10 +23,9 @@ from . import capacities as cap
 from . import graphspace as gs
 from .capacities import CapacityCache
 from .matrixcore import ValidationError, partial_trace, permute_systems, tensor
-from .sdpsolver import SolverOptions
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
-EQ_TOL = 1e-5   # theorem equality tolerance: 1000x the solver's default gap tolerance
+EQ_TOL = 1e-5   # theorem equality tolerance: 1000x sdpsolver.GAP_TOL
 CHECK_NAMES = ("lemma2", "main_theorem", "theorem5", "corollary6", "theorem7",
                "theorem9", "prop11", "sandwich")
 
@@ -352,8 +351,7 @@ def _run_check(check, cache: CapacityCache):
     return result, [key for key, _ in mine], time.thread_time() - cpu - sum(s for _, s in mine)
 
 
-def run_suite(seeds=(), only: str | None = None,
-              opts: SolverOptions | None = None, progress=None) -> SuiteReport:
+def run_suite(seeds=(), only: str | None = None, progress=None) -> SuiteReport:
     """Run every check on built-ins plus the seeded random instances.
 
     With more than one CPU, each check runs in its own thread and the distinct
@@ -414,7 +412,7 @@ def run_suite(seeds=(), only: str | None = None,
     workers = _solver_processes(len(plan))
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            cache = CapacityCache(opts)
+            cache = CapacityCache()
             runs = (_run_check(check, cache) for check in plan)
         else:
             pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"))
@@ -425,7 +423,7 @@ def run_suite(seeds=(), only: str | None = None,
             stack.callback(threads.shutdown, cancel_futures=True)
             stack.callback(pool.shutdown, cancel_futures=True)
             pool.submit(int)    # forks every worker now, before any thread starts
-            cache = CapacityCache(opts, pool)
+            cache = CapacityCache(pool)
             runs = (run.result() for run in
                     [threads.submit(_run_check, check, cache) for check in plan])
         for check, keys, cpu in runs:

@@ -16,7 +16,6 @@ from nszcap.sdpsolver import (
     Read,
     SdpProblem,
     SolverFailure,
-    SolverOptions,
     _preprocess,
     _Rows,
     solve,
@@ -398,9 +397,9 @@ class TestCacheRoute:
         solved = []
         original = cap.upsilon_hat
 
-        def counted(G, opts=None):
+        def counted(G):
             solved.append(G)
-            return original(G, opts)
+            return original(G)
         monkeypatch.setattr(cap, "upsilon_hat", counted)
         cache = cap.CapacityCache()
         assert (cap.thm9_criteria(K, cache), cap.is_activatable(K, cache)) == expected
@@ -412,7 +411,7 @@ class TestCacheRoute:
         # interpreter allows: a lost update would solve a key twice
         solved = []
 
-        def fake(K, opts=None):
+        def fake(K):
             solved.append(K.dim)
             return cap.CapacityResult("upsilon", float(K.dim), {}, {}, 0.0)
         monkeypatch.setattr(cap, "upsilon", fake)
@@ -432,10 +431,6 @@ class TestCacheRoute:
                     assert (cache.solves, cache.hits) == (4, 60)
         finally:
             sys.setswitchinterval(interval)
-
-    def test_cache_options_reach_the_solver(self, ex4):
-        with pytest.raises(SolverFailure):
-            cap.thm9_criteria(ex4[0.75], cap.CapacityCache(SolverOptions(max_iter=1)))
 
 
 class TestFindN0:

@@ -9,6 +9,7 @@ import pytest
 from nszcap import capacities as cap
 from nszcap import cli
 from nszcap import graphspace as gs
+from nszcap import sdpsolver
 from nszcap import theoremsuite as ts
 from nszcap.cli import (
     EXIT_INPUT,
@@ -197,7 +198,7 @@ class TestCompute:
         assert "Traceback" not in err and out == ""
 
     def test_linalg_error_is_solver_failure(self, capsys, monkeypatch):
-        def broken(K, opts):
+        def broken(K):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         monkeypatch.setitem(cli.QUANTITIES, "upsilon", ("nc", broken))
         code, out, err = run_cli(capsys, "compute", "--builtin", "delta:l=2",
@@ -206,10 +207,11 @@ class TestCompute:
         assert out == "" and len(err.strip().splitlines()) == 1
         assert "did not converge" in err
 
-    def test_solver_failure_exits_2(self, capsys):
+    def test_solver_failure_exits_2(self, capsys, monkeypatch):
         # a gap tolerance that no iterate reaches: the solve stalls and fails typed
+        monkeypatch.setattr(sdpsolver, "GAP_TOL", 1e-300)
         code, out, err = run_cli(capsys, "compute", "--builtin", "delta:l=2",
-                                 "--quantity", "upsilon", "--gap-tol", "1e-300")
+                                 "--quantity", "upsilon")
         assert code == EXIT_SOLVER
         assert out == "" and len(err.strip().splitlines()) == 1
         assert err.startswith("solver failure: upsilon:") and "'numerical-failure'" in err
@@ -224,8 +226,11 @@ class TestCompute:
          "invalid choice: 'capacity'"),
         (("compute", "--builtin", "delta:l=2"), "--quantity"),
         (("verify", "--tolerance", "1e-5"), "unrecognized arguments: --tolerance"),
+        (("compute", "--builtin", "delta:l=2", "--quantity", "upsilon", "--gap-tol", "1e-6"),
+         "unrecognized arguments: --gap-tol"),
+        (("verify", "--feas-tol", "0.5"), "unrecognized arguments: --feas-tol"),
     ], ids=["channel-and-builtin", "unreadable-file", "invalid-json", "unknown-quantity",
-            "no-quantity", "verify-tolerance"])
+            "no-quantity", "verify-tolerance", "compute-gap-tol", "verify-feas-tol"])
     def test_invocation_error_is_input_error(self, capsys, monkeypatch, tmp_path, argv, named):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.json").write_text("{not json")
@@ -375,7 +380,7 @@ class TestVerify:
     def test_worker_crash_is_solver_failure(self, capsys, monkeypatch):
         parent = os.getpid()
 
-        def crash(K, opts=None):
+        def crash(K):
             assert os.getpid() != parent, "the solve ran inline"
             os._exit(1)
         monkeypatch.setattr(cap, "upsilon", crash)
@@ -389,10 +394,12 @@ class TestVerify:
         assert multiprocessing.active_children() == []
         assert threading.active_count() == 1
 
-    def test_criteria_disagreement_is_a_failed_check(self, capsys):
-        # at these tolerances the four theorem 9 criteria disagree on seed 2
+    def test_criteria_disagreement_is_a_failed_check(self, capsys, monkeypatch):
+        # at these tolerances the four theorem 9 criteria disagree on seed 2; set
+        # before main, they reach the solver workers that verify forks
+        monkeypatch.setattr(sdpsolver, "GAP_TOL", 0.5)
+        monkeypatch.setattr(sdpsolver, "FEAS_TOL", 0.5)
         code, out, err = run_cli(capsys, "verify", "--only", "theorem9",
-                                 "--gap-tol", "0.5", "--feas-tol", "0.5",
                                  "--seed", "1", "--seed", "2")
         assert code == EXIT_VERIFY
         checks = {c["instance"]: c for c in json.loads(out)["checks"]}
@@ -403,18 +410,9 @@ class TestVerify:
 
 class TestSettings:
     @pytest.mark.parametrize("argv, named", [
-        (("compute", "--builtin", "delta:l=2", "--quantity", "upsilon",
-          "--gap-tol", "inf", "--feas-tol", "inf"), "gap_tol"),
-        (("compute", "--builtin", "delta:l=2", "--quantity", "upsilon",
-          "--gap-tol", "nan"), "gap_tol"),
-        (("compute", "--builtin", "delta:l=2", "--quantity", "upsilon",
-          "--gap-tol", "-1"), "gap_tol"),
-        (("compute", "--builtin", "delta:l=2", "--quantity", "upsilon",
-          "--feas-tol", "0"), "feas_tol"),
         (("verify", "--only", "bogus"), "theorem7"),
         (("verify", "--only", "theorem7", "--seed", "-1"), "seed"),
-    ], ids=["gap-tol-inf", "gap-tol-nan", "gap-tol-negative", "feas-tol-zero",
-            "unknown-check", "seed-negative"])
+    ], ids=["unknown-check", "seed-negative"])
     def test_bad_setting_is_input_error(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INPUT

@@ -18,7 +18,6 @@ from nszcap.sdpsolver import (
     Read,
     SdpProblem,
     SolverFailure,
-    SolverOptions,
     _CoreNewton,
     _herm,
     _max_step_scaled,
@@ -312,11 +311,10 @@ class TestSolveBasics:
 
     def test_weak_duality_and_gap(self):
         prob = build_upsilon_problem(delta(2), hat=True)
-        opts = SolverOptions()
-        sol = solve(prob, opts)
+        sol = solve(prob)
         scale = 1.0 + abs(sol.primal_value)
-        assert sol.primal_value <= sol.dual_value + 10 * opts.feas_tol * scale
-        assert abs(sol.primal_value - sol.dual_value) <= opts.gap_tol * scale
+        assert sol.primal_value <= sol.dual_value + 10 * sdpsolver.FEAS_TOL * scale
+        assert abs(sol.primal_value - sol.dual_value) <= sdpsolver.GAP_TOL * scale
         # the dual objective is sum <rhs, Y> over the equations' multiplier matrices
         pairs = zip(prob.constraints, sol.dual_multipliers)
         assert sum(np.vdot(rhs, Y).real for (_, rhs), Y in pairs) == \
@@ -346,22 +344,21 @@ class TestSolveBasics:
                 random_channel(RandomChannelSpec(2, 3, 2, 77))),
         }[graph]()
         prob = build_upsilon_problem(K, hat=hat)
-        opts = SolverOptions()
-        sol = solve(prob, opts)
+        sol = solve(prob)
         res = constraint_residuals(prob, sol.primal_blocks)
-        assert res["max_equality_violation"] <= 10 * opts.feas_tol
+        assert res["max_equality_violation"] <= 10 * sdpsolver.FEAS_TOL
         assert res["min_eigenvalue"] >= -1e-8
 
 
 class TestStatuses:
     def test_unbounded(self):
         p = _lp([1.0, 1.0], [([1.0, -1.0], 0.0)])
-        sol = solve(p, SolverOptions(max_iter=80))
+        sol = solve(p)
         assert sol.status == "unbounded"
 
     def test_infeasible(self):
         p = _lp([1.0, 1.0], [([1.0, 1.0], -1.0)])
-        sol = solve(p, SolverOptions(max_iter=80))
+        sol = solve(p)
         assert sol.status == "infeasible"
 
     def test_dependent_rows(self):
@@ -413,26 +410,35 @@ class TestNumericalFailureExits:
             return (G * np.nan if len(calls) > 2 * len(self.PROBLEM.blocks) else G), lw
 
         def step(lw, D):
-            return _max_step_scaled(lw, D) if np.all(np.isfinite(D)) else 1.0
+            return np.where(np.isfinite(D).all(axis=(1, 2)), _max_step_scaled(lw, D), 1.0)
 
         sol = self._solve(monkeypatch, step, nan_frame)
         assert sol.iterations == 4 and sol.trace[-1]["gap"] is None
 
     def test_stall(self, monkeypatch):
         # steps of 1e-6 leave the residuals in place: 15 iterations without progress
-        sol = self._solve(monkeypatch, lambda lw, D: 1e-6)
+        sol = self._solve(monkeypatch, lambda lw, D: np.full(len(D), 1e-6))
         assert sol.iterations == 16 and sol.trace[-1]["alpha_p"] is None
 
     def test_zero_step(self, monkeypatch):
-        sol = self._solve(monkeypatch, lambda lw, D: 0.0)
+        sol = self._solve(monkeypatch, lambda lw, D: np.zeros(len(D)))
         assert sol.iterations == 1 and sol.trace[0]["alpha_p"] == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_direction_takes_no_step(self, bad):
-        D = np.diag([-1.0, 1.0])
-        assert _max_step_scaled(np.ones(2), D) == 1.0
-        D[0, 1] = D[1, 0] = bad
-        assert _max_step_scaled(np.ones(2), D) == 0.0
+        D = np.diag([-1.0, 1.0])[None]
+        assert _max_step_scaled(np.ones(2), D).tolist() == [1.0]
+        D[0, 0, 1] = D[0, 1, 0] = bad
+        assert _max_step_scaled(np.ones(2), D).tolist() == [0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dual_direction_keeps_the_primal_step(self, bad):
+        # a block's primal and dual directions share one stack: only the
+        # non-finite one takes no step
+        D = np.stack([np.diag([-0.5, 1.0]), np.diag([-1.0, 1.0])])
+        assert _max_step_scaled(np.ones(2), D).tolist() == [2.0, 1.0]
+        D[1, 0, 1] = D[1, 1, 0] = bad
+        assert _max_step_scaled(np.ones(2), D).tolist() == [2.0, 0.0]
 
 
 class TestValidation:
@@ -447,10 +453,6 @@ class TestValidation:
                        [Equation({0: Read(np.ones((3, 2)))}, np.eye(2))])
         with pytest.raises(ValidationError):
             p.validate()
-
-    def test_rejects_max_iter_below_one(self):
-        with pytest.raises(ValidationError, match="max_iter"):
-            SolverOptions(max_iter=0)
 
 
 def _bad_program(case):
@@ -949,9 +951,12 @@ class TestTrace:
         ("upsilon n = 16", lambda: cap.build_upsilon_problem(_k16(), hat=False), "core"),
         ("upsilon_hat n = 16", lambda: cap.build_upsilon_problem(_k16(), hat=True), "core"),
         ("upsilon n = 16, m = 272", lambda: cap.build_upsilon_problem(
-            random_graph(RandomChannelSpec(4, 4, 2, 7)), hat=False), "dense"),
-        # m = 200, below the crossover _CORE_MIN_ROWS = 300
-        ("upsilon_hat_dual n = 16", lambda: cap.build_upsilon_hat_dual_problem(_k16()), "dense"),
+            random_graph(RandomChannelSpec(4, 4, 2, 7)), hat=False), "core"),
+        # m = 153, below the crossover _CORE_MIN_ROWS = 160
+        ("upsilon n = 12, m = 153", lambda: cap.build_upsilon_problem(
+            random_graph(RandomChannelSpec(4, 3, 2, 7)), hat=False), "dense"),
+        # m = 200, above the crossover
+        ("upsilon_hat_dual n = 16", lambda: cap.build_upsilon_hat_dual_problem(_k16()), "core"),
         ("upsilon_hat_dual lemma 2", lambda: cap.build_upsilon_hat_dual_problem(_lemma2_graph()),
          "core"),
         ("aram n = 16", lambda: cap.build_aram_problem(_k16()), "dense"),
@@ -972,12 +977,13 @@ class TestTrace:
         assert last["gap"] == sol.gap and last["pinf"] == sol.primal_residual
         assert last["size"] is None                       # converged before its step
 
-    def test_capacity_result_and_failure_carry_the_trace(self):
+    def test_capacity_result_and_failure_carry_the_trace(self, monkeypatch):
         K = ncgraph_from_channel(example4_channel(0.75))
         res = cap.upsilon_hat(K)
         assert len(res.trace) == res.iterations
+        monkeypatch.setattr(sdpsolver, "MAX_ITER", 3)
         with pytest.raises(SolverFailure) as info:
-            cap.upsilon_hat(K, SolverOptions(max_iter=3))
+            cap.upsilon_hat(K)
         last = info.value.solution.trace[-1]
         assert len(info.value.solution.trace) == 3
         assert str(info.value).endswith(f"rank {last['rank']}")

@@ -186,9 +186,9 @@ class TestTheorem9:
         solved = []
         original = cap.upsilon_hat
 
-        def counted(K, opts=None):
+        def counted(K):
             solved.append(K)
-            return original(K, opts)
+            return original(K)
 
         monkeypatch.setattr(cap, "upsilon_hat", counted)
         shared = CapacityCache()
@@ -221,9 +221,9 @@ class TestSandwich:
         solved = []
         original = cap.upsilon
 
-        def counted(G, opts=None):
+        def counted(G):
             solved.append(G)
-            return original(G, opts)
+            return original(G)
 
         monkeypatch.setattr(cap, "upsilon", counted)
         shared = CapacityCache()

@@ -39,7 +39,7 @@ different paths) and per quantity, the largest relative value deviation, how
 many solves differ in their iteration counts, and the summed seconds of each
 record per rung (base, ``--large``, ``--xl``, ``--xxl``, ``--boundary``).  For the
 boundary rung it reports, per record, the failed solves and the ``optimal``
-values farther than ``GAP_TOL (1 + v)`` from the true value 1.
+values farther than ``sdpsolver.GAP_TOL (1 + v)`` from the true value 1.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VALUE_RTOL = 1e-8
 ITER_SLACK = 1
-GAP_TOL = 1e-8           # the solver's default gap_tol
 BOUNDARY_R = 401         # log-spaced amplitude-damping parameters in [1e-6, 1e-2]
 
 NC = ("upsilon", "upsilon_hat", "upsilon_hat_dual", "aram")
@@ -120,13 +119,15 @@ def rung(key: str) -> str:
 def boundary_report(rec: dict) -> str:
     """The boundary rung's failed solves and its ``optimal`` values farther than
     ``GAP_TOL (1 + v)`` from 1, the true value."""
+    from nszcap.sdpsolver import GAP_TOL
+
     rows = [r for k, r in rec.items() if rung(k) == "boundary"]
     failed = sum(r["status"] != "optimal" for r in rows)
     off = [r["value"] for r in rows
            if r["status"] == "optimal" and abs(r["value"] - 1.0) > GAP_TOL * (1 + r["value"])]
     worst = max(off, key=lambda v: abs(v - 1.0), default=None)
     return (f"{len(rows)} solves, {failed} not optimal, {len(off)} optimal values off 1 by more "
-            f"than gap_tol (1 + v)" + (f", the worst {worst!r}" if off else ""))
+            f"than GAP_TOL (1 + v)" + (f", the worst {worst!r}" if off else ""))
 
 
 def digest(value: float, arrays: dict) -> str:
@@ -214,6 +215,7 @@ def main(argv=None) -> int:
     parser.add_argument("--boundary", action="store_true",
                         help="also solve the 401-point amplitude-damping grid (about 20 s)")
     args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
 
     if args.compare:
         a, b = (json.loads(p.read_text())["solves"] for p in args.compare)
@@ -251,7 +253,6 @@ def main(argv=None) -> int:
                 print(f"boundary {side}: {boundary_report(rec)}")
         return 1 if problems else 0
 
-    sys.path.insert(0, str(ROOT / "src"))
     t0 = time.perf_counter()
     rows = record(args.large, args.xl, args.xxl, args.boundary)
     doc = {"large": args.large, "xl": args.xl, "xxl": args.xxl, "boundary": args.boundary,
