@@ -27,7 +27,6 @@ from .graphspace import (
     ncgraph_from_cq,
     delta,
     tensor_graph,
-    tensor_power,
     tensor_powers,
     direct_sum,
     superdense_cq,
@@ -46,7 +45,7 @@ from .capacities import (
     superdense_bound,
     thm9_criteria,
     is_activatable,
-    find_n0,
+    first_n0,
 )
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphspace import CqGraph, NCGraph, ncgraph_from_cq, tensor_powers
-from .matrixcore import ValidationError, op_norm, partial_trace, tensor
+from .graphspace import CqGraph, NCGraph, ncgraph_from_cq
+from .matrixcore import op_norm, partial_trace, tensor
 from .sdpsolver import (
     Block,
     Equation,
@@ -416,14 +416,6 @@ def thm9_criteria(K: NCGraph, cache: CapacityCache) -> Thm9Report:
 def is_activatable(K: NCGraph, cache: CapacityCache) -> bool:
     """True when the activated capacity strictly exceeds the plain one-shot value."""
     return cache.value("upsilon_hat", K) > cache.value("upsilon", K) + 1e-6
-
-
-def find_n0(K: NCGraph, n_max: int, cache: CapacityCache):
-    """Least tensor power with one-shot capacity at least 2, or None; the
-    values come from ``cache`` as in :func:`thm9_criteria`."""
-    if n_max < 1:
-        raise ValidationError("n_max must be at least 1")
-    return first_n0(tensor_powers(K, n_max), cache)
 
 
 def first_n0(powers, cache: CapacityCache):

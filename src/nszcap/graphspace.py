@@ -223,16 +223,6 @@ def tensor_powers(K: NCGraph, n: int):
         yield Kn
 
 
-def tensor_power(K: NCGraph, n: int) -> NCGraph:
-    """n-fold product graph, the last of :func:`tensor_powers` (delta(1) for n = 0)."""
-    if n < 0:
-        raise ValidationError("tensor power must be nonnegative")
-    out = delta(1)
-    for out in tensor_powers(K, n):
-        pass
-    return out
-
-
 def direct_sum(K1: NCGraph, K2: NCGraph) -> NCGraph:
     """Graph of the direct sum of two channels: the block embedding of
     ``P1`` and ``P2`` on ``(A1 + A2) (x) (B1 + B2)``, size-guarded."""

@@ -63,8 +63,6 @@ PSD = "psd-hermitian"
 _STATUS_OPTIMAL = "optimal"
 _STATUS_MAXITER = "max-iter"
 _STATUS_NUMFAIL = "numerical-failure"
-_STATUS_UNBOUNDED = "unbounded"
-_STATUS_INFEASIBLE = "infeasible"
 
 # The stopping rule: a solve ends optimal at the first iterate whose relative
 # gap is at most GAP_TOL and whose relative primal and dual residuals are at
@@ -215,13 +213,13 @@ class SdpProblem:
         real = self.real
         return sum(len(r) * (len(r) + 1) // 2 if real else len(r) ** 2 for _, r in self.constraints)
 
-    def validate(self):
-        """The checks of :func:`solve`: raise :class:`ValidationError` on malformed data."""
-        _preprocess(self)
-
 
 @dataclass
 class SdpSolution:
+    """The best iterate of :func:`solve`; ``status`` is ``"optimal"`` (the stopping
+    rule holds), ``"max-iter"`` or ``"numerical-failure"`` (a non-finite iterate, 15
+    iterations without progress, a zero step or a failed factorization)."""
+
     status: str
     primal_value: float
     dual_value: float
@@ -379,20 +377,13 @@ class _Pivoted:
         self.size = len(M)
         U, piv, rank = (sla.lapack.dpstrf(M, tol)[:3] if self.size
                         else (M, np.zeros(0, dtype=np.intp), 0))
-        self.U1, self.U12, self.rank = U[:rank, :rank], U[:rank, rank:], rank
-        self.kept, self.dropped = piv[:rank] - 1, piv[rank:] - 1
+        self.U1, self.rank, self.kept = U[:rank, :rank], rank, piv[:rank] - 1
 
     def solve(self, r):
         x = np.zeros(self.size)
         if self.rank:
             x[self.kept] = sla.cho_solve((self.U1, False), r[self.kept], check_finite=False)
         return x
-
-    def residue(self, r):
-        """``r`` on the dropped pivots minus what the kept ones predict there: zero
-        for ``r`` in the range of M."""
-        K = sla.solve_triangular(self.U1, self.U12, check_finite=False)
-        return r[self.dropped] - K.T @ r[self.kept]
 
 
 # The core path (_CoreNewton) serves programs from this many rows m up.  Core
@@ -542,20 +533,16 @@ class _CoreNewton:
         self.size, self.rank = self.chol.size, self.chol.rank
         return self
 
-    def _border_rhs(self, r):
-        """The eliminated coordinates' scaled rhs g, and the scaled border rhs."""
+    def solve(self, r):
+        """The Newton step dy for the rows' rhs r: M dy = r."""
+        # the eliminated coordinates' scaled rhs g, and the border rhs rb
         R = self.rows.matrix(r[self.rows.k])
         rho = self.wt * self.rows.read(np.conj(self.F).T @ R @ self.F)
         g = rho[self.E] / self.sD
         v = sla.solve_triangular(self.L, self.Vt.T @ g, lower=True, check_finite=False)
         rb = np.concatenate([rho[~self.E] - self.P @ v,
                              r[:self.m1] - self.Cb.T @ g + self.Q.T @ v])
-        return g, self.jac * rb
-
-    def solve(self, r):
-        """The Newton step dy for the rows' rhs r: M dy = r."""
-        g, rb = self._border_rhs(r)
-        z = self.jac * self.chol.solve(rb)
+        z = self.jac * self.chol.solve(self.jac * rb)
         nK = int(np.count_nonzero(~self.E))
         xK, y1 = z[:nK], z[nK:]
         g = g - self.Vt @ (self.VK.T @ xK) - self.Cb @ y1
@@ -567,10 +554,6 @@ class _CoreNewton:
         dy[self.rows.k] = self.rows.read(Y) / self.rows.norm2        # Y = sum_e dy_e E_e
         dy[:self.m1] = y1
         return dy
-
-    def residue(self, r):
-        """:meth:`_Pivoted.residue` of the border rhs, in the border's units."""
-        return self.chol.residue(self._border_rhs(r)[1]) / self.jac[self.chol.dropped]
 
 
 def _check_term(k, t, dim, p):
@@ -698,8 +681,8 @@ def _max_step_scaled(lw, D):
 
 def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point method; deterministic for fixed input."""
-    # divergent iterates (unbounded/infeasible inputs) are caught by the
-    # finiteness guard, so floating-point overflow along the way is expected
+    # divergent iterates end the solve at the finiteness guard or the stall
+    # exit, so floating-point overflow along the way is expected
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _solve_loop(problem)
 
@@ -793,12 +776,6 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
         if converged:
             status = _STATUS_OPTIMAL
             break
-        if pobj > 1e8 * eta and pinf < 1e-4:
-            status = _STATUS_UNBOUNDED
-            break
-        if dobj < -1e8 * eta and dinf < 1e-4:
-            status = _STATUS_INFEASIBLE
-            break
         if stall >= 15:
             status = _STATUS_NUMFAIL
             break
@@ -827,12 +804,6 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
             status = _STATUS_NUMFAIL
             break
         record.update(size=fac.size, rank=fac.rank)
-        if it == 1 and fac.rank < fac.size:
-            # here W = I and M = A A^T: the dropped rows are K^T times the kept
-            # ones, and so must their right-hand sides be
-            if np.abs(fac.residue(b)).max() > FEAS_TOL * (1.0 + norm_b):
-                status = _STATUS_INFEASIBLE
-                break
         A_WRdW = pair_all([_herm(W @ rd @ W) for W, rd in zip(Ws, R_d)])
 
         def newton(Rc):
@@ -908,15 +879,3 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
         phase_s=phase_s,
         trace=trace,
     )
-
-
-def constraint_residuals(problem: SdpProblem, primal_blocks) -> dict:
-    """Re-check a primal witness against the original complex-domain problem:
-    the largest entry of ``sum_b term_b(X_b) - rhs`` over the equations, and the
-    smallest eigenvalue of a block."""
-    viol = 0.0
-    for terms, rhs in problem.constraints:
-        R = sum(t.apply(np.asarray(primal_blocks[bi]), len(rhs)) for bi, t in terms.items()) - rhs
-        viol = max(viol, np.abs(np.real(R)).max(), np.abs(np.imag(R)).max())
-    min_eigs = [float(np.linalg.eigvalsh(_herm(np.asarray(x)))[0]) for x in primal_blocks]
-    return {"max_equality_violation": float(viol), "min_eigenvalue": min(min_eigs)}

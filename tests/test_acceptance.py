@@ -208,13 +208,14 @@ def test_criterion_10_tensor_power_sandwich():
         spec = RandomChannelSpec(2, int(rng.integers(2, 4)), 1, s)
         K = gs.ncgraph_from_channel(random_channel(spec))
         try:
-            n0 = cap.find_n0(K, 2, cap.CapacityCache())
+            powers = [gs.delta(1), *gs.tensor_powers(K, 2)]
+            n0 = cap.first_n0(powers[1:], cap.CapacityCache())
             if n0 is None:
                 notes.append(f"seed {s}: n0 not found up to 2")
                 continue
-            mid = cap.upsilon(gs.tensor_power(K, 2)).value
-            lo = 2 * cap.upsilon_hat(gs.tensor_power(K, 2 - n0)).value
-            hi = cap.upsilon_hat(gs.tensor_power(K, 2)).value
+            mid = cap.upsilon(powers[2]).value
+            lo = 2 * cap.upsilon_hat(powers[2 - n0]).value
+            hi = cap.upsilon_hat(powers[2]).value
         except DimensionLimitError as exc:
             notes.append(f"seed {s}: size guard ({exc})")
             continue

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from nszcap import capacities as cap
 from nszcap import graphspace as gs
 from nszcap.graphspace import DimensionLimitError
-from nszcap.matrixcore import ValidationError, partial_trace
+from nszcap.matrixcore import partial_trace
 from nszcap.sdpsolver import (
     Block,
     Equation,
@@ -435,15 +435,15 @@ class TestCacheRoute:
 
 class TestFindN0:
     def test_noiseless_bit(self):
-        assert cap.find_n0(gs.delta(2), 1, cap.CapacityCache()) == 1
+        assert cap.first_n0(gs.tensor_powers(gs.delta(2), 1), cap.CapacityCache()) == 1
 
     def test_example4_weak_channel_no_n0_by_two(self, ex4):
         # alpha^2 = 0.9: the one-shot value stays 1 for both available powers
-        assert cap.find_n0(ex4[0.9], 2, cap.CapacityCache()) is None
+        assert cap.first_n0(gs.tensor_powers(ex4[0.9], 2), cap.CapacityCache()) is None
 
     def test_capacity_two_gives_one(self):
-        assert cap.find_n0(gs.ncgraph_from_channel(gs.identity_channel(2)), 2,
-                           cap.CapacityCache()) == 1
+        K = gs.ncgraph_from_channel(gs.identity_channel(2))
+        assert cap.first_n0(gs.tensor_powers(K, 2), cap.CapacityCache()) == 1
 
     def test_dimension_guard(self, damp, monkeypatch):
         # the damping channel needs activation, so the search reaches n = 2
@@ -453,11 +453,7 @@ class TestFindN0:
         monkeypatch.setattr(gs, "tensor", unbuildable)
         monkeypatch.setenv("NSZCAP_MAX_DIM", "10")
         with pytest.raises(DimensionLimitError):
-            cap.find_n0(damp, 2, cap.CapacityCache())
-
-    def test_rejects_bad_nmax(self):
-        with pytest.raises(ValidationError):
-            cap.find_n0(gs.delta(2), 0, cap.CapacityCache())
+            cap.first_n0(gs.tensor_powers(damp, 2), cap.CapacityCache())
 
     def test_each_power_is_one_product(self, damp, monkeypatch):
         # K^k is built from K^(k-1), so a search to n makes n - 1 products
@@ -472,7 +468,7 @@ class TestFindN0:
             calls.append(K1.dim * K2.dim)
             return product(K1, K2)
         monkeypatch.setattr(gs, "tensor_graph", counted)
-        assert cap.find_n0(damp, 3, NeverTwo()) is None
+        assert cap.first_n0(gs.tensor_powers(damp, 3), NeverTwo()) is None
         assert calls == [16, 64]
 
 

@@ -25,7 +25,7 @@ from nszcap.graphspace import (
     prop11_packing_dual_witness,
     superdense_cq,
     tensor_graph,
-    tensor_power,
+    tensor_powers,
 )
 from nszcap.matrixcore import ValidationError, partial_trace, support_projection, tensor
 from nszcap.theoremsuite import RandomChannelSpec, _spec_from_seed, random_channel
@@ -162,14 +162,10 @@ class TestTensorGraph:
         P = K.P_AB
         assert np.abs(P @ P - P).max() <= 1e-9
 
-    def test_power_zero_is_trivial(self):
-        K = tensor_power(_random_graph(8), 0)
-        assert (K.d_A, K.d_B) == (1, 1)
-
     # example4 (x) delta(2) and example4^(x)2 have Choi dimension 16, past the limit
     @pytest.mark.parametrize("build", [
         lambda K: tensor_graph(K, delta(2)),
-        lambda K: tensor_power(K, 2),
+        lambda K: list(tensor_powers(K, 2)),
     ], ids=["tensor_graph", "tensor_power"])
     def test_size_guard_before_the_kronecker_product(self, monkeypatch, build):
         K = ncgraph_from_channel(example4_channel(0.75))
@@ -183,9 +179,9 @@ class TestTensorGraph:
 
     def test_power_is_guarded_at_each_step(self, monkeypatch):
         monkeypatch.setenv("NSZCAP_MAX_DIM", "16")
-        assert tensor_power(delta(2), 2).dim == 16
+        assert [K.dim for K in tensor_powers(delta(2), 2)] == [4, 16]
         with pytest.raises(DimensionLimitError, match="Choi dimension 64 exceeds the limit 16"):
-            tensor_power(delta(2), 3)
+            list(tensor_powers(delta(2), 3))
 
 
 class TestDirectSum:
@@ -323,13 +319,12 @@ class TestBuiltinWitnesses:
     (lambda: CqGraph([np.eye(2), np.eye(2)[:, :1]]), r"cq output 1 is not square: shape \(2, 1\)"),
     (lambda: cq_from_states([[[1, 0, 0], [0, 0, 0]]]),
      r"cq output state 0 is not square: shape \(2, 3\)"),
-    (lambda: tensor_power(delta(2), -1), "tensor power must be nonnegative"),
     (lambda: dephasing_channel(0), "dephasing channel needs at least one symbol"),
     (lambda: example4_channel(0.0), r"alpha_sq must lie in \(0, 1\]"),
     (lambda: amplitude_damping_channel(1.5), r"damping probability must lie in \[0, 1\]"),
 ], ids=["kraus-dims", "kraus-empty", "graph-shape", "graph-not-hermitian", "cq-empty",
         "cq-mixed-dims", "cq-not-projector", "cq-not-square", "cq-state-not-square",
-        "negative-power", "dephasing-zero", "example4-alpha", "damping-r"])
+        "dephasing-zero", "example4-alpha", "damping-r"])
 def test_rejects_invalid_input(build, message):
     with pytest.raises(ValidationError, match=message):
         build()

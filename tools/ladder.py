@@ -21,7 +21,8 @@ path, the border on the core path).  The ladder is:
   K (x) delta(2) at Choi dimension 36, from ``perfbench``'s
   ``product_channel(1, 0..1)``;
 - with ``--xl``, ``upsilon``, ``upsilon_hat`` and ``upsilon_hat_dual`` on K (x) K
-  at Choi dimension 81, K the random channel ``RandomChannelSpec(3, 3, 2, 7)``
+  (the last of ``graphspace.tensor_powers``, as for ``--xxl``) at Choi
+  dimension 81, K the random channel ``RandomChannelSpec(3, 3, 2, 7)``
   (with ``--large``, about 11 s and 140 MB on a 2-core VM with one BLAS thread;
   each of the three n = 81 solves takes 1.3-1.8 s and ends ``optimal``);
 - with ``--xxl``, ``upsilon`` on K^(x)3 at Choi dimension 216 (m = 47 385), K
@@ -91,10 +92,12 @@ def ladder(large: bool, xl: bool, xxl: bool, boundary: bool):
                    gs.ncgraph_from_channel(gs.KrausChannel(6, 6, kraus)))
     if xl:
         spec = RandomChannelSpec(3, 3, 2, 7)
-        yield f"{spec.label()}^2", LARGE, gs.tensor_power(random_graph(spec), 2)
+        *_, K2 = gs.tensor_powers(random_graph(spec), 2)
+        yield f"{spec.label()}^2", LARGE, K2
     if xxl:
         spec = RandomChannelSpec(2, 3, 1, 5)
-        yield f"{spec.label()}^3", ("upsilon",), gs.tensor_power(random_graph(spec), 3)
+        *_, K3 = gs.tensor_powers(random_graph(spec), 3)
+        yield f"{spec.label()}^3", ("upsilon",), K3
     if boundary:
         for r in np.logspace(-6, -2, BOUNDARY_R):
             yield (f"boundary:amplitude-damping({float(r)!r})", ("upsilon",),
