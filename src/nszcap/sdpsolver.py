@@ -183,13 +183,16 @@ class _Rows:
         return np.where(self.im, E.imag, E.real)
 
     def matrix(self, v):
-        """The Hermitian matrices (..., p, p) whose rows read v (..., len)."""
-        p, i, j = self.p, self.i[self.p:], self.j[self.p:]
-        h = v if self.real else np.where(self.im, 1j * v, v)
-        Y = np.zeros(np.shape(v)[:-1] + (p, p), dtype=h.dtype)
-        Y[..., self.i[:p], self.i[:p]] = v[..., :p]
-        np.add.at(Y, (..., i, j), h[..., p:])
-        np.add.at(Y, (..., j, i), np.conj(h[..., p:]))
+        """The Hermitian matrices (..., p, p) whose rows read v (..., len), without
+        negative zeros."""
+        p, n = self.p, 1 if self.real else 2
+        i, j = self.i[p::n], self.j[p::n]           # one (i, j) per off-diagonal entry
+        h = v[..., p:] if self.real else v[..., p::2] + 1j * v[..., p + 1::2]
+        h = h + 0.0
+        Y = np.zeros(np.shape(v)[:-1] + (p, p), dtype=float if self.real else complex)
+        Y[..., self.i[:p], self.i[:p]] = v[..., :p] + 0.0
+        Y[..., i, j] = h
+        Y[..., j, i] = np.conj(h) + 0.0
         return Y
 
 
@@ -302,7 +305,8 @@ class _EntryFamily:
         self.c = c = _cast(c, dtype)
         # the rows a_1..a_t, conj(b_t)..conj(b_1) of :meth:`outer`, which pair up reversed
         self.ij = np.concatenate([i, j[:, ::-1]], axis=1)
-        self.u1 = np.stack([0.5 * np.conj(c), np.ones_like(c)], axis=1).repeat(self.t, 1)[:, :, None]
+        self.u1 = np.stack([0.5 * np.conj(c), np.ones_like(c)], axis=1).repeat(self.t, 1)[
+            :, :, None, None]
         self.G = None if frame is None else _cast(np.conj(np.asarray(frame)).T, dtype)
         if frame is not None:           # [G_0^dag; ...; G_t-1^dag], and the entries on Herm(p)
             self.Gs = np.conj(_side(self.G, self.t)).T
@@ -335,14 +339,21 @@ class _EntryFamily:
         out += _side(self.Gs @ acc, self.t) @ self.G
 
     def outer(self, X):
-        """Yield (rows e, ``X^dag A~_e X``) for X (r x r2), A~_e row e's frame matrix, in groups
-        of ``_SCHUR_BUDGET`` entries: ``sum_t a_t b_t^T + h.c.`` for ``a_t = u conj(X[i_t])``,
-        ``b_t = X[j_t]``, one (r2 x 2t) @ (2t x r2) product per row."""
-        step = max(1, _SCHUR_BUDGET // X.shape[1] ** 2)
+        """Yield (rows e, ``sum_a X_a^dag A~_e X_a``) for the s matrices X_a = X[:, a]
+        (r x r2) of X (r, s, r2), A~_e row e's frame matrix, in groups of
+        ``_SCHUR_BUDGET`` entries: ``sum_a,t a_at b_at^T + h.c.`` for
+        ``a_at = u conj(X_a[i_t])``, ``b_at = X_a[j_t]``, one (r2 x 2ts) @ (2ts x r2)
+        product per row."""
+        r2 = X.shape[-1]
+        step = max(1, _SCHUR_BUDGET // r2 ** 2)
         for e0 in range(0, len(self.k), step):
             e = slice(e0, e0 + step)
-            L = np.conj(X[self.ij[e]]) * self.u1[e]
-            yield e, np.matmul(L.transpose(0, 2, 1), np.conj(L[:, ::-1]))
+            L = X[self.ij[e]]                                       # (rows, 2t, s, r2)
+            np.conj(L, out=L)
+            L *= self.u1[e]
+            n = len(L)
+            yield e, np.matmul(L.reshape(n, -1, r2).transpose(0, 2, 1),
+                               np.conj(L[:, ::-1]).reshape(n, -1, r2))
 
     def schur(self, other, W, M):
         """M += ``<A_e, W A_f W>`` for rows e of this family and f of ``other``: the
@@ -350,7 +361,7 @@ class _EntryFamily:
         X = W if self.G is None else self.G @ W
         if other.G is not None:
             X = X @ np.conj(other.G).T
-        for e, R in self.outer(X):
+        for e, R in self.outer(X[:, None]):
             B = other._sum(R.reshape(len(R), -1).view(np.float64).take(other.flat, axis=1))
             if other.s is not None:
                 B *= other.s
@@ -402,6 +413,22 @@ _CORE_MIN_ROWS = 160
 _CORE_TAU = 1e-1
 
 
+def _kraus(t, dim, p, dtype):
+    """The Kraus operators Theta_a (dim x p) of a term, ``t(X) = scale sum_a
+    Theta_a^dag X Theta_a``, as one (dim, s, p) array: the identity for a frameless
+    Read, a frame's slices, and for a Lift the selections ``1_q (x) <beta|`` of
+    each of its principal q-blocks and each beta < d."""
+    if isinstance(t, Read):
+        return _cast(np.eye(p) if t.frame is None else np.asarray(t.frame), dtype).reshape(
+            dim, t.t, p)
+    q = p // t.d
+    Th = np.zeros((dim, t.t, t.d, q, t.d), dtype)       # [x, block s, beta, i, beta']
+    i, beta = np.arange(q)[:, None], np.arange(t.d)
+    for s in range(t.t):
+        Th[t.at + s * q + i, s, beta, i, beta] = 1.0
+    return Th.reshape(dim, t.t * t.d, p)
+
+
 class _CoreNewton:
     """The Newton solve of a program with a core equation, without the m x m M.
 
@@ -420,11 +447,17 @@ class _CoreNewton:
     ``Y~ = F^-1 Y F^-dag`` the A, B part is the diagonal
     ``den_ij = a_i a_j + b_i b_j``.  Coordinates with den >= _CORE_TAU max(den)
     are eliminated in closed form, the T_l part by Woodbury over the columns
-    ``T_l(G_l Z G_l^dag)`` (Z an orthonormal basis, ``W_l = G_l G_l^dag``),
+    ``F^dag T_l(G_l Z G_l^dag) F`` (Z an orthonormal basis, ``W_l = G_l G_l^dag``),
     whose capacitance matrix ``1 + V~^T V~``, ``V~ = D^-1/2 V``, is SPD and >= 1.
-    The other coordinates and the other equations' rows form the border, which
-    is Jacobi-scaled and factored by :class:`_Pivoted`; its other rows' corner
-    comes from their own entry families.
+    Each core term is a Kraus sum ``s sum_a Theta_a^dag X Theta_a`` (:func:`_kraus`),
+    so a column is ``s sum_a Psi_a^dag Z Psi_a`` for ``Psi_a = G_l^dag Theta_a F``:
+    two blocks of the Gram matrix of the rows of the Psi_a, one product of inner
+    dimension 2t per basis element, read by offsets.  The cross columns of the
+    other rows come from their families' outer products with all of the core
+    term's Kraus operators in the inner dimension (:meth:`columns`).  The other
+    coordinates and the other equations' rows form the border, which is
+    Jacobi-scaled and factored by :class:`_Pivoted`; its other rows' corner comes
+    from their own entry families.
 
     What the path needs is small scaled Woodbury columns V~, not a well
     conditioned A + B.  On n = 36 Upsilon-hat, cond(A + B) stays below 5 and
@@ -458,22 +491,75 @@ class _CoreNewton:
 
     def __init__(self, problem, rows, u, w, others):
         self.terms = terms = problem.constraints[-1].terms
-        self.rows = rows[-1]
-        self.m1, self.m = self.rows.k[0], self.rows.k[-1] + 1   # the other rows: ids 0..m1-1
-        self.wt = np.sqrt(1.0 / self.rows.norm2)      # wt_e E_e is an orthonormal basis
+        self.rows = rows = rows[-1]
+        self.m1, self.m = rows.k[0], rows.k[-1] + 1     # the other rows: ids 0..m1-1
+        self.wt = np.sqrt(1.0 / rows.norm2)             # wt_e E_e is an orthonormal basis
         self.u, self.su = u, terms[u].scale
         self.w, self.read_w = w, Read(terms[w].frame, abs(terms[w].scale))
+        self.others = others                            # the other rows' entry families
+        real, p = rows.real, rows.p
+        dtype = np.float64 if real else np.complex128
+        # the rows' offsets into the float view of a p x p matrix
+        self.flat = rows.i * p + rows.j if real else 2 * (rows.i * p + rows.j) + rows.im
+        # the Kraus operators of the low terms and of the terms on the other rows' blocks
+        self.kraus = {bi: _kraus(t, problem.blocks[bi].dim, p, dtype) for bi, t in terms.items()
+                      if bi not in (u, w) or any(f.b == bi for f in others)}
+        # per low term, the orthonormal basis Z = al E_xy + conj(al) E_yx of Herm(dim)
+        # (real: Sym(dim)) in the order of _Rows: al = 1/2 on the diagonal, then
+        # 1/sqrt2 (re) and i/sqrt2 (im) for each x < y
         self.low = []
         for bi, t in terms.items():
             if bi not in (u, w):
-                basis = _Rows(problem.blocks[bi].dim, self.rows.real)
-                self.low.append((bi, t, basis.matrix(np.diag(np.sqrt(basis.norm2)))))
-        self.others = others                            # the other rows' entry families
+                z = _Rows(problem.blocks[bi].dim, real)
+                al = np.where(z.im, 1j, 1.0) * np.where(z.i == z.j, 0.5, np.sqrt(0.5))
+                coef = _cast(np.stack([al, np.conj(al)], axis=1), dtype)[:, :, None, None]
+                self.low.append((bi, np.stack([z.i, z.j], 1), coef, t.scale))
+
+    def _read(self, H):
+        """The core rows' values (k, N) at matrices H (k, p, p), as ``rows.read``."""
+        return H.reshape(len(H), -1).view(np.float64).take(self.flat, axis=1)
+
+    def columns(self, Ws, Gs, F):
+        """The Woodbury columns V (N, k) and the other rows' cross columns C (N, m1), in
+        the orthonormal coordinates of the frame F, at the NT points ``W_b = G_b G_b^dag``."""
+        p, wt = self.rows.p, self.wt
+        # Theta_a F for each Kraus operator Theta_a of a term, as (dim, s, p)
+        ThF = {bi: (Th.reshape(-1, p) @ F).reshape(Th.shape) for bi, Th in self.kraus.items()}
+        # V: F^dag T_l(G_l Z G_l^dag) F = s sum_a Psi_a^dag Z Psi_a for Psi_a = G_l^dag Theta_a F,
+        # that is al Gam_xy + conj(al) Gam_yx for the blocks Gam_xy = sum_a Psi_a[x]^dag Psi_a[y]
+        # of the Gram matrix of the rows Psi_a[x]: per basis element one product of
+        # [Psi[x]; Psi[y]]^dag and [al Psi[y]; conj(al) Psi[x]], of inner dimension 2s
+        V = [np.zeros((0, len(wt)))]
+        for bi, xy, coef, s in self.low:
+            dim, t = ThF[bi].shape[:2]
+            Psi = (np.conj(Gs[bi]).T @ ThF[bi].reshape(dim, -1)).reshape(dim, t, p)
+            L = np.conj(Psi[xy]).reshape(len(xy), 2 * t, p)
+            R = Psi[xy[:, ::-1]]
+            R *= coef
+            H = np.matmul(L.transpose(0, 2, 1), R.reshape(len(xy), 2 * t, p))
+            V.append(self._read(H) * (s * wt))
+        V = np.concatenate(V).T                                            # (N, k)
+        # the cross columns <E_e, sum_b t_b(W_b A_f W_b)> over the core terms t_b:
+        # F^dag t_b(W_b A_f W_b) F is s times the sum over a of a family's outer
+        # products at X_a = G_f W_b Theta_a F, one product for all a
+        C = np.zeros((self.m1, len(wt)))                                   # (m1, N)
+        for f in self.others:
+            if f.b not in ThF:                      # the core equation does not read b
+                continue
+            Th = ThF[f.b]
+            X = Ws[f.b] if f.G is None else f.G @ Ws[f.b]
+            X = (X @ Th.reshape(len(Th), -1)).reshape(len(X), -1, p)
+            ws = self.terms[f.b].scale * wt
+            for e, R in f.outer(X):
+                B = self._read(R)
+                B *= ws
+                C[f.k[e]] += B
+        return V, C.T
 
     def reduce(self, Ws, Gs):
         """Frame and closed-form elimination at the NT points ``W_b = G_b G_b^dag``;
         returns the Jacobi-scaled border matrix."""
-        p, rows, wt = self.rows.p, self.rows, self.wt
+        p, rows = self.rows.p, self.rows
         # free the last iteration's arrays before building this one's: n = 216 peaks at
         # 0.8 GB instead of 1.4 GB
         self.Cb = self.Vt = self.Q = self.P = self.VK = None
@@ -485,28 +571,10 @@ class _CoreNewton:
         den = (np.outer(a, a) + np.outer(b, b))[rows.i, rows.j]
         self.F, self.E = F, den >= _CORE_TAU * den.max()
         K = ~self.E
-        cols = np.concatenate([np.zeros((0, p, p))] + [
-            t.apply(Gs[bi] @ Z @ np.conj(Gs[bi]).T, p) for bi, t, Z in self.low])
-        V = (wt * rows.read(Fh @ cols @ F)).T                              # (N, k)
-        # M11, the other rows' block of M, and their cross columns
-        # <E_e, sum_b t_b(W_b A_f W_b)> over the core terms t_b: for a Read t_b (Kraus
-        # operators Theta_a, scale s), F^dag t_b(W_b A_f W_b) F is s times the sum over a
-        # of a family's outer products at X_a = G_f W_b Theta_a F
-        C = np.zeros((len(rows), self.m1), order="F")                      # (N, m1)
+        V, C = self.columns(Ws, Gs, F)
+        # M11, the other rows' block of M
         M11 = np.zeros((self.m1, self.m1))
         _schur(self.others, Ws, M11)
-        for f in self.others:
-            t = self.terms.get(f.b)                 # None: the core equation does not read b
-            if t is None:
-                continue
-            kraus = [None] if t.frame is None else [
-                t.frame[:, a * p:(a + 1) * p] for a in range(t.t)]        # t is a Read
-            X = Ws[f.b] if f.G is None else f.G @ Ws[f.b]
-            for (e, R), *more in zip(*(f.outer((X if Th is None else X @ Th) @ F)
-                                       for Th in kraus)):
-                for _, Ra in more:
-                    R += Ra
-                C[:, f.k[e]] += (wt * (t.scale * rows.read(R))).T
         # eliminate E: with V~ = D_E^-1/2 V_E, C- = D_E^-1/2 C_E and the capacitance
         # 1 + V~^T V~ = L L^T, the border is [[D_K + P P^T, C_K - P Q], [., M11 - C-^T C- + Q^T Q]]
         # for P = V_K L^-T and Q = L^-1 V~^T C-
@@ -660,11 +728,12 @@ def _nt_frame(X, Z):
 
 
 def _max_step_scaled(lw, D):
-    """sup { a : diag(lw) + a D_s >= 0 } for each Hermitian D_s of a stack D
-    (k, dim, dim) in the NT frame, by one eigvalsh; 0 for a non-finite D_s."""
-    floor = max(float(lw[-1]) * 1e-14, 1e-150)
+    """sup { a : diag(lw_s) + a D_s >= 0 } for each Hermitian D_s of a stack D
+    (k, dim, dim) in the NT frame, with lw_s the rows of lw (k, dim) or lw (dim,)
+    for all, by one eigvalsh; 0 for a non-finite D_s."""
+    floor = np.maximum(lw[..., -1:] * 1e-14, 1e-150)
     s = 1.0 / np.sqrt(np.maximum(lw, floor))
-    B = D * np.outer(s, s)
+    B = D * (s[..., :, None] * s[..., None, :])
     finite = np.isfinite(B).all(axis=(1, 2))
     B[~finite] = 0.0
     try:
@@ -700,6 +769,8 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
 
     core = _CoreNewton.find(problem, families, rows)
     path = "dense" if core is None else "core"
+    dims = [bl.dim for bl in blocks]
+    same_dim = [[bi for bi, d in enumerate(dims) if d == dim] for dim in dict.fromkeys(dims)]
     X = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
     Z = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
     y = np.zeros(m)
@@ -817,15 +888,18 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
             """Primal and dual step bounds, and each block's directions in its
             frame: ``dz = G^dag dZ G`` and, as ``dX = Rc - W dZ W`` with
             ``Rc = G D G^dag``, ``dx = D - dz``.  ``Ds`` holds each block's D;
-            the predictor's ``Rc = -X`` has ``D = -diag(lw)``."""
+            the predictor's ``Rc = -X`` has ``D = -diag(lw)``.  The blocks of one
+            dimension share one :func:`_max_step_scaled` call."""
             ap = ad = np.inf
             scaled = []
             for bi, (G, lw) in enumerate(frames):
                 dz = _herm(np.conj(G).T @ dZs[bi] @ G)
                 dx = (-np.diag(lw) if Ds is None else Ds[bi]) - dz
-                sp, sd = _max_step_scaled(lw, np.stack([dx, dz]))
-                ap, ad = min(ap, sp), min(ad, sd)
                 scaled.append((dx, dz))
+            for group in same_dim:
+                lw = np.repeat([frames[bi][1] for bi in group], 2, axis=0)
+                steps = _max_step_scaled(lw, np.stack([D for bi in group for D in scaled[bi]]))
+                ap, ad = min(ap, steps[0::2].min()), min(ad, steps[1::2].min())
             return ap, ad, scaled
 
         # predictor (affine direction)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,24 @@ class TestEntryHelpers:
         assert np.array_equal(rows.read(rows.matrix(v)), v)
         assert np.iscomplexobj(rows.matrix(v)) != real
         assert list(rows.k) == list(range(5, 5 + len(rows)))
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matrix_inverts_read_bit_for_bit(self, real):
+        # matrix writes each entry once: matrix(read(H)) is H bit for bit, p = 1
+        # (no off-diagonal rows) included, and a negative zero comes back as +0.0
+        rng = np.random.default_rng(31)
+        for p in range(1, 6):
+            rows = _Rows(p, real)
+            H = _random_herm(rng, p, real)
+            for part in (H.real, H.imag) if not real else (H,):
+                zero = rng.random((p, p)) < 0.3
+                part[zero | zero.T] = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                Y, Yn = rows.matrix(rows.read(H)), rows.matrix(rows.read(-H))
+            assert Y.dtype == H.dtype and Y.tobytes() == H.tobytes()
+            assert np.signbit((-H).view(np.float64)).any()
+            assert Yn.tobytes() == (-H + 0.0).tobytes()
 
 
 def _stack_cases():
@@ -748,6 +767,56 @@ def _kraus_marginal(K):
     return SdpProblem(prob.blocks, prob.objective, [Equation(terms, marginal.rhs), coupling])
 
 
+def _nt_points(monkeypatch, prob):
+    """Solve ``prob`` on the core path, recording at each iteration the NT point
+    (Ws, Gs) and the right-hand sides of the Newton solves made there."""
+    points = []
+    reduce, core_solve = _CoreNewton.reduce, _CoreNewton.solve
+
+    def spy_reduce(self, Ws, Gs):
+        points.append(([W.copy() for W in Ws], [G.copy() for G in Gs], []))
+        return reduce(self, Ws, Gs)
+
+    def spy_solve(self, r):
+        points[-1][2].append(r.copy())
+        return core_solve(self, r)
+
+    monkeypatch.setattr(_CoreNewton, "reduce", spy_reduce)
+    monkeypatch.setattr(_CoreNewton, "solve", spy_solve)
+    sol = solve(prob)
+    monkeypatch.undo()
+    return sol, points
+
+
+def _explicit_columns(prob, core, Ws, Gs, extended=False):
+    """The core path's Woodbury columns ``T_l(G_l Z G_l^dag)`` over the orthonormal
+    basis Z of each low term's block, and each other row's cross column
+    ``sum_b t_b(W_b A_f W_b)`` over the core terms t_b, read through ``F^dag . F``;
+    ``extended``: in extended precision, from the same double inputs."""
+    terms, rows, F = prob.constraints[-1].terms, core.rows, core.F
+    if extended:
+        F, Ws, Gs = (F.astype(np.clongdouble), [W.astype(np.clongdouble) for W in Ws],
+                     [G.astype(np.clongdouble) for G in Gs])
+
+    def read(H):
+        return (core.wt * rows.read(np.conj(F).T @ H @ F)).T
+
+    V = []
+    for bi, t in terms.items():
+        if bi not in (core.u, core.w):
+            basis = _Rows(prob.blocks[bi].dim, rows.real)
+            Z = basis.matrix(np.diag(np.sqrt(basis.norm2)))
+            V.append(read(t.apply(Gs[bi] @ Z @ np.conj(Gs[bi]).T, rows.p)))
+    C = np.zeros((len(rows), core.m1))
+    for f in core.others:
+        if f.b in terms:
+            for k in f.k:
+                A = np.zeros_like(Ws[f.b])
+                f.scatter(np.eye(core.m)[k], A)
+                C[:, k] += read(terms[f.b].apply(Ws[f.b] @ _herm(A) @ Ws[f.b], rows.p))
+    return np.concatenate(V, axis=1), C
+
+
 class TestNewtonOracle:
     """The core path solves the Newton system M dy = r that the dense path
     factors: at the NT points of a real solve, its relative residual in M is
@@ -762,21 +831,7 @@ class TestNewtonOracle:
     def test_core_matches_dense_at_nt_points(self, monkeypatch, program):
         prob = program()
         _, families, _, b, rows = _preprocess(prob)
-        points = []
-        reduce, core_solve = _CoreNewton.reduce, _CoreNewton.solve
-
-        def spy_reduce(self, Ws, Gs):
-            points.append(([W.copy() for W in Ws], [G.copy() for G in Gs], []))
-            return reduce(self, Ws, Gs)
-
-        def spy_solve(self, r):
-            points[-1][2].append(r.copy())
-            return core_solve(self, r)
-
-        monkeypatch.setattr(_CoreNewton, "reduce", spy_reduce)
-        monkeypatch.setattr(_CoreNewton, "solve", spy_solve)
-        sol = solve(prob)
-        monkeypatch.undo()
+        sol, points = _nt_points(monkeypatch, prob)
         assert sol.optimal and {r["path"] for r in sol.trace} == {"core"}
         assert len(points) == sol.iterations - 1           # endgame included
 
@@ -790,6 +845,47 @@ class TestNewtonOracle:
                 res = [np.linalg.norm(M @ f.solve(r) - r) / np.linalg.norm(r)
                        for f in (dense, fast)]
                 assert res[1] <= 100 * res[0] + 1e-12
+
+    @staticmethod
+    def _column_errors(monkeypatch, prob, extended=False):
+        """Per NT point of a solve of ``prob``: the largest deviation of the core
+        path's V and C from :func:`_explicit_columns`, relative to its largest entry."""
+        _, families, _, _, rows = _preprocess(prob)
+        sol, points = _nt_points(monkeypatch, prob)
+        assert sol.optimal
+        core = _CoreNewton.find(prob, families, rows)
+        errors = []
+        for Ws, Gs, _ in points:
+            core.reduce(Ws, Gs)
+            got = core.columns(Ws, Gs, core.F)
+            want = _explicit_columns(prob, core, Ws, Gs, extended)
+            assert [A.shape for A in got] == [B.shape for B in want]
+            errors.append([float(np.abs(A - B).max() / np.abs(B).max()) for A, B in zip(got, want)])
+        return np.array(errors)
+
+    @pytest.mark.parametrize("program", [
+        lambda: cap.build_upsilon_problem(_k16(), hat=False),
+        lambda: cap.build_upsilon_problem(_k16(), hat=True),
+        lambda: cap.build_upsilon_problem(_lemma2_graph(), hat=False),
+        lambda: cap.build_upsilon_problem(_lemma2_graph(), hat=True),
+        lambda: cap.build_upsilon_hat_dual_problem(_lemma2_graph()),
+        lambda: _kraus_marginal(_k16()),
+    ], ids=["upsilon k16", "upsilon_hat k16", "upsilon lemma2", "upsilon_hat lemma2",
+            "dual lemma2", "map marginal"])
+    def test_columns_match_explicit_construction(self, monkeypatch, program):
+        # the Woodbury and cross columns, read from Gram and outer products of the
+        # terms' Kraus operators, equal the columns built term by term
+        assert self._column_errors(monkeypatch, program()).max() <= 1e-12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double has no extra precision on this platform")
+    def test_columns_at_ill_conditioned_frames(self, monkeypatch):
+        # on the k16 hat-dual, F^dag (A + B) F = 1 with a large cond(A + B) takes
+        # cond(F) to about 7e3: against an extended-precision construction the Gram
+        # columns stay within 1.2e-12, where the term-by-term one in doubles drifts
+        # to 1.7e-9
+        prob = cap.build_upsilon_hat_dual_problem(_k16())
+        assert self._column_errors(monkeypatch, prob, extended=True).max() <= 1e-11
 
     @pytest.mark.parametrize("rhs2,status", [(1.0, "optimal"), (2.0, "numerical-failure")],
                              ids=["consistent", "inconsistent"])
@@ -853,6 +949,24 @@ class TestNewtonOracle:
         assert dense.optimal and core.optimal
         assert core.primal_value == pytest.approx(dense.primal_value, rel=1e-8, abs=1e-8)
         assert abs(core.iterations - dense.iterations) <= 1
+
+
+@pytest.mark.parametrize("term,dim,p", [
+    (Read(), 4, 4),
+    (Read(np.arange(24.0).reshape(4, 6) / 10, 0.7, t=3), 4, 2),
+    (Lift(3, -1.0), 2, 6),
+    (Lift(2, 0.5, at=1, t=2), 6, 4),
+    (Lift(1, t=3), 6, 2),
+], ids=["frameless", "framed t=3", "S-lift", "lift at=1 t=2", "partial trace"])
+@pytest.mark.parametrize("real", [False, True])
+def test_kraus_operators_reproduce_the_term(term, dim, p, real):
+    # the core path's Kraus operators Theta_a of a term: scale sum_a Theta_a^dag X Theta_a
+    # is the term's own map, on a stack
+    rng = np.random.default_rng(32)
+    X = _random_herm(rng, dim, real, stack=(2,))
+    Th = sdpsolver._kraus(term, dim, p, np.float64 if real else np.complex128)
+    got = term.scale * np.einsum("xap,...xy,yaq->...pq", np.conj(Th), X, Th)
+    assert_allclose(got, term.apply(X, p), atol=1e-12)
 
 
 class TestCoreRule:
