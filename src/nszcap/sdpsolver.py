@@ -36,8 +36,10 @@ side, the dual multiplier matrices and the core path's coordinates all go
 through it.  Every row reads a sum of t scaled real or imaginary entries of
 ``F^dag X F``, F the frame of all t Kraus operators side by side (t principal
 blocks of X, for a Lift); the rows of one (block, frame, t) group form an entry
-family, whose Schur block comes in closed form from t pairs of outer products of
-rows of ``F^dag W F`` per row.
+family.  Every Schur-type product of these maps, the Schur blocks of the dense
+path and the core path's columns alike, is one family's outer products at
+matrices X_a, one per Kraus operator of the map it pairs with
+(:meth:`_EntryFamily.outer`).
 
 The Newton system takes one of two paths, chosen from the program alone: the
 dense path assembles M and factors it, and the core path (:class:`_CoreNewton`:
@@ -259,7 +261,7 @@ class SolverFailure(RuntimeError):
 # Preprocessed constraint data: the program's entry families, in block order
 # ---------------------------------------------------------------------------
 
-_SCHUR_BUDGET = 1 << 18  # frame-matrix entries per row group of entry-family Schur assembly
+_SCHUR_BUDGET = 1 << 18  # entries per row group of _EntryFamily.outer's gathers and products
 
 
 def _cast(arr, dtype):
@@ -296,8 +298,9 @@ class _EntryFamily:
     ``Re(c[e] sum_t (G V G^dag)[i[e, t], j[e, t]])``; ``G = F^dag`` maps block to
     frame coordinates (None: the identity).  Its matrix is ``G^dag A~ G`` for the frame
     matrix ``A~ = sum_t (u E_it,jt + h.c.)``, ``u = conj(c) / 2``; ``r`` is the frame's width.
-    A framed family of t Kraus operators has entries ``a p + (i, j)`` in the (t p)-wide
-    frame, and reads and scatters on Herm(p) through ``sum_a G_a V G_a^dag``."""
+    A framed family of t Kraus operators F_a (``G_a = F_a^dag``, the a-th p rows of
+    G) has entries ``a p + (i, j)`` in the (t p)-wide frame, and reads and scatters
+    on Herm(p) through ``sum_a G_a V G_a^dag``: one entry ``pij`` there per row."""
 
     def __init__(self, b, k, i, j, c, frame, r, dtype):
         self.b, self.k, self.i, self.j, self.r, self.t = b, k, i, j, r, i.shape[1]
@@ -311,16 +314,18 @@ class _EntryFamily:
         if frame is not None:           # [G_0^dag; ...; G_t-1^dag], and the entries on Herm(p)
             self.Gs = np.conj(_side(self.G, self.t)).T
             self.pij = i[:, 0], j[:, 0]
-        # as columns, the family reads scale * Re/Im of entries (i, j) of a frame
-        # matrix: the offsets into its float view, and the scales
-        flat = self.i * r + self.j
+            i, j, r = i[:, :1], j[:, :1], r // self.t
+        # as a partner in :meth:`schur`, the family reads scale * Re/Im of entries (i, j)
+        # of the r x r products of :meth:`outer` (framed: one on Herm(p) per row): the
+        # offsets into their float view, and the scales
+        flat = i * r + j
         self.flat = flat if np.isrealobj(c) else 2 * flat + (c.imag != 0)[:, None]
         scale = c.real - c.imag
         self.s = None if np.all(scale == 1.0) else scale
 
     def _sum(self, V):
-        """Each row's value from its t entries, the last axis of V."""
-        return V[..., 0] if self.t == 1 else V.sum(axis=-1)
+        """Each row's value from its entries, the last axis of V."""
+        return V[..., 0] if V.shape[-1] == 1 else V.sum(axis=-1)
 
     def read(self, V):
         """The family's values at block matrices V (..., dim, dim)."""
@@ -340,12 +345,15 @@ class _EntryFamily:
 
     def outer(self, X):
         """Yield (rows e, ``sum_a X_a^dag A~_e X_a``) for the s matrices X_a = X[:, a]
-        (r x r2) of X (r, s, r2), A~_e row e's frame matrix, in groups of
-        ``_SCHUR_BUDGET`` entries: ``sum_a,t a_at b_at^T + h.c.`` for
-        ``a_at = u conj(X_a[i_t])``, ``b_at = X_a[j_t]``, one (r2 x 2ts) @ (2ts x r2)
-        product per row."""
-        r2 = X.shape[-1]
-        step = max(1, _SCHUR_BUDGET // r2 ** 2)
+        (r x r2) of X (r, s, r2), A~_e row e's frame matrix: ``sum_a,t a_at b_at^T +
+        h.c.`` for ``a_at = u conj(X_a[i_t])``, ``b_at = X_a[j_t]``, one (r2 x 2ts) @
+        (2ts x r2) product per row.  This is the solver's one pairing kernel: for a
+        Kraus sum ``T(V) = sum_a Theta_a^dag V Theta_a`` and ``V = Y^dag A~_e Y``,
+        ``T(V) = sum_a X_a^dag A~_e X_a`` at ``X_a = Y Theta_a``.  Each row group holds
+        at most ``_SCHUR_BUDGET`` entries of its gathered rows (rows, 2t, s, r2) and
+        of its products (rows, r2, r2), or is one row."""
+        s, r2 = X.shape[1:]
+        step = max(1, _SCHUR_BUDGET // max(r2 * r2, self.ij.shape[1] * s * r2))
         for e0 in range(0, len(self.k), step):
             e = slice(e0, e0 + step)
             L = X[self.ij[e]]                                       # (rows, 2t, s, r2)
@@ -356,12 +364,15 @@ class _EntryFamily:
                                np.conj(L[:, ::-1]).reshape(n, -1, r2))
 
     def schur(self, other, W, M):
-        """M += ``<A_e, W A_f W>`` for rows e of this family and f of ``other``: the
-        other family reads :meth:`outer` at ``X = G_1 W G_2^dag`` at its entries."""
+        """M += ``<A_e, W A_f W>`` for rows e of this family and f of ``other``, that
+        is ``<A~_f, G_2 W A_e W G_2^dag>``: :meth:`outer` at ``X = G_1 W G_2^dag``, read
+        at the other family's entries.  A framed partner's Kraus operators go into
+        the inner dimension, ``X_a = G_1 W F_a``, so each row pairs through a p x p
+        matrix on Herm(p)."""
         X = W if self.G is None else self.G @ W
-        if other.G is not None:
-            X = X @ np.conj(other.G).T
-        for e, R in self.outer(X[:, None]):
+        X = X[:, None] if other.G is None else (X @ np.conj(other.G).T).reshape(
+            len(X), other.t, -1)
+        for e, R in self.outer(X):
             B = other._sum(R.reshape(len(R), -1).view(np.float64).take(other.flat, axis=1))
             if other.s is not None:
                 B *= other.s
@@ -450,11 +461,11 @@ class _CoreNewton:
     ``F^dag T_l(G_l Z G_l^dag) F`` (Z an orthonormal basis, ``W_l = G_l G_l^dag``),
     whose capacitance matrix ``1 + V~^T V~``, ``V~ = D^-1/2 V``, is SPD and >= 1.
     Each core term is a Kraus sum ``s sum_a Theta_a^dag X Theta_a`` (:func:`_kraus`),
-    so a column is ``s sum_a Psi_a^dag Z Psi_a`` for ``Psi_a = G_l^dag Theta_a F``:
-    two blocks of the Gram matrix of the rows of the Psi_a, one product of inner
-    dimension 2t per basis element, read by offsets.  The cross columns of the
-    other rows come from their families' outer products with all of the core
-    term's Kraus operators in the inner dimension (:meth:`columns`).  The other
+    and both column sets come from :meth:`_EntryFamily.outer` with all of a term's
+    Kraus operators in the inner dimension (:meth:`columns`): a Woodbury column is
+    ``s sum_a Psi_a^dag Z Psi_a`` for ``Psi_a = G_l^dag Theta_a F``, Z a row of the
+    basis held as an entry family, and another row's cross column is its own
+    family's outer product at ``G_f W_b Theta_a F``, both read by offsets.  The other
     coordinates and the other equations' rows form the border, which is
     Jacobi-scaled and factored by :class:`_Pivoted`; its other rows' corner comes
     from their own entry families.
@@ -504,16 +515,18 @@ class _CoreNewton:
         # the Kraus operators of the low terms and of the terms on the other rows' blocks
         self.kraus = {bi: _kraus(t, problem.blocks[bi].dim, p, dtype) for bi, t in terms.items()
                       if bi not in (u, w) or any(f.b == bi for f in others)}
-        # per low term, the orthonormal basis Z = al E_xy + conj(al) E_yx of Herm(dim)
-        # (real: Sym(dim)) in the order of _Rows: al = 1/2 on the diagonal, then
-        # 1/sqrt2 (re) and i/sqrt2 (im) for each x < y
-        self.low = []
+        # per low term, with its scale, the orthonormal basis Z_e of Herm(dim) (real:
+        # Sym(dim)) as a frameless family of rows e in the order of _Rows, numbered on
+        # from the last term's: E_ii, then (E_ij + E_ji) / sqrt2 (re) and
+        # i (E_ij - E_ji) / sqrt2 (im) for i < j; self.k counts them
+        self.low, self.k = [], 0
         for bi, t in terms.items():
             if bi not in (u, w):
-                z = _Rows(problem.blocks[bi].dim, real)
-                al = np.where(z.im, 1j, 1.0) * np.where(z.i == z.j, 0.5, np.sqrt(0.5))
-                coef = _cast(np.stack([al, np.conj(al)], axis=1), dtype)[:, :, None, None]
-                self.low.append((bi, np.stack([z.i, z.j], 1), coef, t.scale))
+                z = _Rows(problem.blocks[bi].dim, real, self.k)
+                c = np.where(z.im, -1j, 1.0) / np.sqrt(z.norm2)
+                f = _EntryFamily(bi, z.k, z.i[:, None], z.j[:, None], c, None, z.p, dtype)
+                self.low.append((f, t.scale))
+                self.k += len(z)
 
     def _read(self, H):
         """The core rows' values (k, N) at matrices H (k, p, p), as ``rows.read``."""
@@ -523,38 +536,22 @@ class _CoreNewton:
         """The Woodbury columns V (N, k) and the other rows' cross columns C (N, m1), in
         the orthonormal coordinates of the frame F, at the NT points ``W_b = G_b G_b^dag``."""
         p, wt = self.rows.p, self.wt
-        # Theta_a F for each Kraus operator Theta_a of a term, as (dim, s, p)
-        ThF = {bi: (Th.reshape(-1, p) @ F).reshape(Th.shape) for bi, Th in self.kraus.items()}
-        # V: F^dag T_l(G_l Z G_l^dag) F = s sum_a Psi_a^dag Z Psi_a for Psi_a = G_l^dag Theta_a F,
-        # that is al Gam_xy + conj(al) Gam_yx for the blocks Gam_xy = sum_a Psi_a[x]^dag Psi_a[y]
-        # of the Gram matrix of the rows Psi_a[x]: per basis element one product of
-        # [Psi[x]; Psi[y]]^dag and [al Psi[y]; conj(al) Psi[x]], of inner dimension 2s
-        V = [np.zeros((0, len(wt)))]
-        for bi, xy, coef, s in self.low:
-            dim, t = ThF[bi].shape[:2]
-            Psi = (np.conj(Gs[bi]).T @ ThF[bi].reshape(dim, -1)).reshape(dim, t, p)
-            L = np.conj(Psi[xy]).reshape(len(xy), 2 * t, p)
-            R = Psi[xy[:, ::-1]]
-            R *= coef
-            H = np.matmul(L.transpose(0, 2, 1), R.reshape(len(xy), 2 * t, p))
-            V.append(self._read(H) * (s * wt))
-        V = np.concatenate(V).T                                            # (N, k)
-        # the cross columns <E_e, sum_b t_b(W_b A_f W_b)> over the core terms t_b:
-        # F^dag t_b(W_b A_f W_b) F is s times the sum over a of a family's outer
-        # products at X_a = G_f W_b Theta_a F, one product for all a
-        C = np.zeros((self.m1, len(wt)))                                   # (m1, N)
-        for f in self.others:
-            if f.b not in ThF:                      # the core equation does not read b
-                continue
-            Th = ThF[f.b]
-            X = Ws[f.b] if f.G is None else f.G @ Ws[f.b]
-            X = (X @ Th.reshape(len(Th), -1)).reshape(len(X), -1, p)
-            ws = self.terms[f.b].scale * wt
-            for e, R in f.outer(X):
+        # Theta_a F for each Kraus operator Theta_a of a term, side by side (dim, s p)
+        ThF = {bi: (Th.reshape(-1, p) @ F).reshape(len(Th), -1) for bi, Th in self.kraus.items()}
+        # each column is a core term t_b = s sum_a Theta_a^dag . Theta_a at a family's
+        # matrix Y^dag A~_e Y, read through F^dag . F: s times the family's outer
+        # products at X_a = Y Theta_a F.  V: the low terms at G_l Z_e G_l^dag, Y = G_l^dag;
+        # C: the terms on the other rows' blocks at W_b A_f W_b, Y = G_f W_b
+        V, C = np.zeros((self.k, len(wt))), np.zeros((self.m1, len(wt)))
+        work = [(V, f, np.conj(Gs[f.b]).T, s) for f, s in self.low]
+        work += [(C, f, Ws[f.b] if f.G is None else f.G @ Ws[f.b], self.terms[f.b].scale)
+                 for f in self.others if f.b in ThF]       # else the core equation does not read b
+        for out, f, Y, s in work:
+            for e, R in f.outer((Y @ ThF[f.b]).reshape(len(Y), -1, p)):
                 B = self._read(R)
-                B *= ws
-                C[f.k[e]] += B
-        return V, C.T
+                B *= s * wt
+                out[f.k[e]] += B
+        return V.T, C.T
 
     def reduce(self, Ws, Gs):
         """Frame and closed-form elimination at the NT points ``W_b = G_b G_b^dag``;

@@ -1,6 +1,8 @@
-"""The equivalence ladder's record exits non-zero when a solve outside the boundary rung fails."""
+"""The equivalence ladder's record exits non-zero when a solve outside the boundary rung
+fails, and its comparison labels the per-rung seconds as single-run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,17 @@ def test_out_exit_code(monkeypatch, tmp_path, capsys, failed, code):
     assert ladder.main(["--out", str(tmp_path / "ladder.json")]) == code
     out = capsys.readouterr().out
     assert (f"{failed}: numerical-failure" in out) == bool(code)
+
+
+def test_compare_labels_rung_seconds_as_single_run(tmp_path, capsys):
+    # each record's rung seconds come from one run, so --compare says so next to them
+    keys = ["seed1:2->2/upsilon_hat", "K0xdelta(2)/upsilon_hat_dual"]
+    paths = []
+    for side in "ab":
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps({"solves": {k: _row("optimal") for k in keys}}))
+        paths.append(str(path))
+    assert ladder.main(["--compare", *paths]) == 0
+    rungs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("rung ")]
+    assert len(rungs) == 2
+    assert all("single-run seconds" in line and "not a timing comparison" in line for line in rungs)

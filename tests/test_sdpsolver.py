@@ -188,6 +188,37 @@ class TestEntryHelpers:
         want = 0.7 * sum(F[:, a:a + 2] @ Y @ np.conj(F[:, a:a + 2]).T for a in (0, 2, 4))
         assert_allclose(_herm(acc), want, atol=1e-12)
 
+    @pytest.mark.parametrize("budget", [100, 2000])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_outer_row_groups_within_budget(self, monkeypatch, real, budget):
+        # a wide Kraus stack (s = 40) on r2 = 3 columns, for the partial-trace rows
+        # of t = 2 entries: the gathered rows (rows, 2t, s, r2) outgrow the products
+        # (rows, r2, r2), and each row group bounds both or is one row; the groups
+        # join to the unchunked products bit for bit, and those are sum_a X_a^dag A~_e X_a
+        z = _Rows(3, real)
+        c = np.where(z.im, -1j, 1.0)
+        i, j = (np.stack([a, a + 3], axis=1) for a in (z.i, z.j))
+        dtype = np.float64 if real else np.complex128
+        f = sdpsolver._EntryFamily(0, z.k, i, j, c, None, 6, dtype)
+        rng = np.random.default_rng(34)
+        X = rng.standard_normal((6, 40, 3)) + (0 if real else 1j * rng.standard_normal((6, 40, 3)))
+        monkeypatch.setattr(sdpsolver, "_SCHUR_BUDGET", budget)
+        groups = list(f.outer(X))
+        assert len(groups) > 1
+        for e, R in groups:
+            n = len(range(len(f.k))[e])
+            assert R.shape == (n, 3, 3)
+            assert n == 1 or max(n * 2 * f.t * 40 * 3, n * 3 * 3) <= budget
+        monkeypatch.setattr(sdpsolver, "_SCHUR_BUDGET", 1 << 40)
+        (_, whole), = f.outer(X)
+        assert len(whole) == len(f.k)
+        assert np.concatenate([R for _, R in groups]).tobytes() == whole.tobytes()
+        for row, R in zip(range(len(f.k)), whole):
+            A = np.zeros((6, 6), dtype=complex)
+            A[i[row], j[row]] = np.conj(c[row]) / 2
+            want = sum(np.conj(X[:, a]).T @ (A + np.conj(A).T) @ X[:, a] for a in range(40))
+            assert_allclose(R, want, atol=1e-12)
+
     @pytest.mark.parametrize("real", [False, True])
     def test_matrix_inverts_read(self, real):
         # on a stack: matrix(read(Y)) = Y for Hermitian (real: symmetric) Y, and

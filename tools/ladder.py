@@ -24,10 +24,10 @@ path, the border on the core path).  The ladder is:
   (the last of ``graphspace.tensor_powers``, as for ``--xxl``) at Choi
   dimension 81, K the random channel ``RandomChannelSpec(3, 3, 2, 7)``
   (with ``--large``, about 11 s and 140 MB on a 2-core VM with one BLAS thread;
-  each of the three n = 81 solves takes 1.3-1.8 s and ends ``optimal``);
+  each of the three n = 81 solves takes 0.6-0.8 s and ends ``optimal``);
 - with ``--xxl``, ``upsilon`` on K^(x)3 at Choi dimension 216 (m = 47 385), K
   the random channel ``RandomChannelSpec(2, 3, 1, 5)``, whose value is 64 in
-  closed form (about 26 s and 0.8 GB peak RSS);
+  closed form (about 17 s and 0.76 GB peak RSS);
 - with ``--boundary``, ``upsilon`` of amplitude damping at 401 log-spaced r in
   [1e-6, 1e-2], where the true value is 1 and the dual witness grows like 1/r
   (about 20 s; many of these solves end ``numerical-failure``).
@@ -41,8 +41,11 @@ differ by at most 1.  It also reports how many solves are bit-identical (equal
 digests), in all, per Newton path (``dense/core`` where the two records took
 different paths) and per quantity, the largest relative value deviation, how
 many solves differ in their iteration counts, and the summed seconds of each
-record per rung (base, ``--large``, ``--xl``, ``--xxl``, ``--boundary``).  For the
-boundary rung it reports, per record, the failed solves and the ``optimal``
+record per rung (base, ``--large``, ``--xl``, ``--xxl``, ``--boundary``).  Those
+seconds come from the single run that wrote each record, and runs of the same
+code on a shared machine differ by up to 45 %, so they are not a timing
+comparison: time a change with repeated, alternating runs of both sides.  For
+the boundary rung it reports, per record, the failed solves and the ``optimal``
 values farther than ``sdpsolver.GAP_TOL (1 + v)`` from the true value 1.
 """
 
@@ -217,7 +220,7 @@ def main(argv=None) -> int:
     parser.add_argument("--xl", action="store_true",
                         help="also solve the n = 81 instance (about 5 s)")
     parser.add_argument("--xxl", action="store_true",
-                        help="also solve the n = 216 instance (about 26 s and 0.8 GB)")
+                        help="also solve the n = 216 instance (about 17 s and 0.76 GB)")
     parser.add_argument("--boundary", action="store_true",
                         help="also solve the 401-point amplitude-damping grid (about 20 s)")
     args = parser.parse_args(argv)
@@ -253,7 +256,8 @@ def main(argv=None) -> int:
             keys = [k for k in common if rung(k) == name]
             if keys:
                 secs = [sum(rec[k].get("seconds", 0.0) for k in keys) for rec in (a, b)]
-                print(f"rung {name}: {len(keys)} solves, {secs[0]:.2f} s vs {secs[1]:.2f} s")
+                print(f"rung {name}: {len(keys)} solves, single-run seconds {secs[0]:.2f} vs "
+                      f"{secs[1]:.2f} (one run per record, not a timing comparison)")
         if any(rung(k) == "boundary" for k in common):
             for side, rec in zip("AB", (a, b)):
                 print(f"boundary {side}: {boundary_report(rec)}")
