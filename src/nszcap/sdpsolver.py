@@ -382,6 +382,21 @@ class _EntryFamily:
                 _add(M, other.ids, rows, B.T)
 
 
+def _pair_all(families, mats, m):
+    """out[k] = sum_b <A_k, mats[b]> over the blocks b that row k reads; out holds
+    no -0.0, as each row adds to a +0.0."""
+    out = np.zeros(m)
+    for f in families:
+        v = f.read(mats[f.b])
+        k, runs = f.ids
+        if runs is None:
+            out[k] += v
+        else:
+            for mk, vk in runs:
+                out[mk] += v[vk]
+    return out
+
+
 def _schur(families, Ws, M):
     """M += ``<A_k, W_b A_l W_b>`` over each pair of families on one block b."""
     for a, f in enumerate(families):
@@ -404,7 +419,7 @@ class _Pivoted:
     def solve(self, r):
         x = np.zeros(self.size)
         if self.rank:
-            x[self.kept] = sla.cho_solve((self.U1, False), r[self.kept], check_finite=False)
+            x[self.kept] = sla.lapack.dpotrs(self.U1, r[self.kept])[0]
         return x
 
 
@@ -612,7 +627,7 @@ class _CoreNewton:
         xK, y1 = z[:nK], z[nK:]
         g = g - self.Vt @ (self.VK.T @ xK) - self.Cb @ y1
         x = np.empty(len(self.E))
-        x[self.E] = (g - self.Vt @ sla.cho_solve((self.L, True), self.Vt.T @ g)) / self.sD
+        x[self.E] = (g - self.Vt @ sla.lapack.dpotrs(self.L, self.Vt.T @ g, lower=1)[0]) / self.sD
         x[~self.E] = xK
         Y = self.F @ self.rows.matrix(x / self.wt) @ np.conj(self.F).T
         dy = np.zeros(self.m)
@@ -694,7 +709,8 @@ def _preprocess(problem: SdpProblem):
                 key, [[], [], [], [], frame, blocks[bi].dim if frame is None else t.t * r.p])
             for acc, new in zip(fam, entries):
                 acc.append(new)
-    C = [np.zeros((blk.dim, blk.dim), dtype) if Cb is None else _cast(np.asarray(Cb), dtype)
+    # exactly Hermitian, as the dual slacks Z = C - sum_k y_k A_k must stay
+    C = [np.zeros((blk.dim, blk.dim), dtype) if Cb is None else _herm(_cast(np.asarray(Cb), dtype))
          for blk, Cb in zip(blocks, problem.objective)]
     families = [_EntryFamily(bi, *map(np.concatenate, f[:4]), *f[4:], dtype)
                 for bi, group in enumerate(groups) for f in group.values()]
@@ -706,7 +722,21 @@ def _preprocess(problem: SdpProblem):
 # ---------------------------------------------------------------------------
 
 def _herm(M):
-    return 0.5 * (M + np.conj(M).T)
+    return 0.5 * (M + M.conj().T)       # conj() of a real array is the array itself
+
+
+_EVD = {np.dtype(np.float64): sla.lapack.dsyevd, np.dtype(np.complex128): sla.lapack.zheevd}
+
+
+def _eigh(A):
+    """``np.linalg.eigh(A)`` bit for bit, without its wrapper: LAPACK's divide and
+    conquer ?syevd / ?heevd on the lower triangle, as numpy calls it, with the
+    eigenvectors in C order, as numpy returns them (the products that follow
+    round differently on a Fortran-ordered V)."""
+    w, V, info = _EVD[A.dtype](A, compute_v=1, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, np.ascontiguousarray(V)
 
 
 def _nt_frame(X, Z):
@@ -714,25 +744,32 @@ def _nt_frame(X, Z):
     ``G^dag Z G = diag(lw)``, so ``W = G G^dag`` is the NT point, ``W Z W = X``.
 
     With the square root ``L = V diag(w)^1/2`` of ``X = V diag(w) V^dag`` and
-    ``L^dag Z L = Q diag(lw^2) Q^dag``, ``G = L Q diag(lw)^-1/2``.  The
-    eigenvalues w and lw^2 are floored at 1e-14, which bounds W by
-    ``1e7 ||X||``; ``G^dag Z G = diag(lw)`` holds where lw^2 is above it."""
-    w, V = np.linalg.eigh(X)
+    ``L^dag Z L = Q diag(lw^2) Q^dag``, ``G = L Q diag(lw)^-1/2``: two
+    :func:`_eigh` calls.  The eigenvalues w and lw^2 are floored at 1e-14, which
+    bounds W by ``1e7 ||X||``; ``G^dag Z G = diag(lw)`` holds where lw^2 is above it."""
+    w, V = _eigh(X)
     L = V * np.sqrt(np.maximum(w, 1e-14))
-    lw2, Q = np.linalg.eigh(_herm(np.conj(L).T @ Z @ L))
+    lw2, Q = _eigh(_herm(L.conj().T @ Z @ L))
     lw = np.sqrt(np.maximum(lw2, 1e-14))
     return (L @ Q) / np.sqrt(lw), lw
 
 
-def _max_step_scaled(lw, D):
-    """sup { a : diag(lw_s) + a D_s >= 0 } for each Hermitian D_s of a stack D
-    (k, dim, dim) in the NT frame, with lw_s the rows of lw (k, dim) or lw (dim,)
-    for all, by one eigvalsh; 0 for a non-finite D_s."""
-    floor = np.maximum(lw[..., -1:] * 1e-14, 1e-150)
-    s = 1.0 / np.sqrt(np.maximum(lw, floor))
-    B = D * (s[..., :, None] * s[..., None, :])
-    finite = np.isfinite(B).all(axis=(1, 2))
-    B[~finite] = 0.0
+def _step_scale(lw):
+    """The scales ``s_i s_j``, ``s = max(lw, floor)^-1/2``, that turn a step from
+    diag(lw) along D into one from the identity along ``D s_i s_j``; lw (dim,)
+    ascending, the floor ``max(1e-14 lw_max, 1e-150)``."""
+    s = 1.0 / np.sqrt(np.maximum(lw, np.maximum(lw[-1:] * 1e-14, 1e-150)))
+    return s[:, None] * s[None, :]
+
+
+def _max_step_scaled(B):
+    """sup { a : 1 + a B_s >= 0 } for each Hermitian B_s of a stack B (k, dim, dim),
+    a direction scaled by :func:`_step_scale`, by one eigvalsh; 0 for a
+    non-finite B_s, which is zeroed in place."""
+    finite = True
+    if not np.isfinite(B).all():
+        finite = np.isfinite(B).all(axis=(1, 2))
+        B[~finite] = 0.0
     try:
         lo = np.linalg.eigvalsh(B)[:, 0]
     except np.linalg.LinAlgError:
@@ -772,13 +809,6 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
     Z = [np.eye(bl.dim, dtype=dtype) * eta for bl in blocks]
     y = np.zeros(m)
 
-    def pair_all(mats):
-        """out[k] = sum_b <A_k, mats[b]> over the blocks b that row k reads."""
-        out = np.zeros(m)
-        for f in families:
-            out[f.k] += f.read(mats[f.b])
-        return out
-
     def scatter(yv):
         """Per block b, the Hermitian part of sum_k yv[k] A_k on b."""
         out = [np.zeros(c.shape, c.dtype) for c in C]
@@ -814,11 +844,12 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
         record = dict(pobj=pobj, dobj=dobj, gap=None, pinf=None, dinf=None, mu=None, path=path,
                       sigma=None, alpha_p=None, alpha_d=None, size=None, rank=None)
         trace.append(record)
-        if not (np.isfinite(pobj) and np.isfinite(dobj)) \
-                or not all(np.all(np.isfinite(x)) for x in X):
+        # every C block is a full matrix, so pobj is not finite when X is not
+        if not (np.isfinite(pobj) and np.isfinite(dobj)):
             status = _STATUS_NUMFAIL
             break
-        r_p = b - pair_all(X)
+        pX = _pair_all(families, X, m)
+        r_p = b - pX
         Ay = scatter(y)
         R_d = []
         dres = 0.0
@@ -854,8 +885,11 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
         try:
             for x, z in zip(X, Z):
                 G, lw = _nt_frame(x, z)
-                Ws.append(_herm(G @ np.conj(G).T))
+                Ws.append(_herm(G @ G.conj().T))
                 frames.append((G, lw))
+            # per dimension, its blocks' step scales (g, 1, dim, dim), for both directions
+            scales = [np.stack([_step_scale(frames[bi][1]) for bi in group])[:, None]
+                      for group in same_dim]
 
             # the Schur complement M, or the core path's border, and its pivoted Cholesky
             lap("scaling")
@@ -872,10 +906,11 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
             status = _STATUS_NUMFAIL
             break
         record.update(size=fac.size, rank=fac.rank)
-        A_WRdW = pair_all([_herm(W @ rd @ W) for W, rd in zip(Ws, R_d)])
+        A_WRdW = _pair_all(families, [_herm(W @ rd @ W) for W, rd in zip(Ws, R_d)], m)
 
-        def newton(Rc):
-            rhs = pair_all(Rc) + A_WRdW - r_p
+        def newton(Rc, pRc):
+            """The Newton direction for the complementarity residual Rc, paired as pRc."""
+            rhs = pRc + A_WRdW - r_p
             dy = fac.solve(rhs)
             dZ = [ay - rd for ay, rd in zip(scatter(dy), R_d)]
             dX = [_herm(rc - W @ dz @ W) for rc, W, dz in zip(Rc, Ws, dZ)]
@@ -886,22 +921,26 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
             frame: ``dz = G^dag dZ G`` and, as ``dX = Rc - W dZ W`` with
             ``Rc = G D G^dag``, ``dx = D - dz``.  ``Ds`` holds each block's D;
             the predictor's ``Rc = -X`` has ``D = -diag(lw)``.  The blocks of one
-            dimension share one :func:`_max_step_scaled` call."""
-            ap = ad = np.inf
+            dimension share one :func:`_max_step_scaled` call, on their (dx, dz)
+            stack times the iteration's step scales."""
             scaled = []
             for bi, (G, lw) in enumerate(frames):
-                dz = _herm(np.conj(G).T @ dZs[bi] @ G)
+                dz = _herm(G.conj().T @ dZs[bi] @ G)
                 dx = (-np.diag(lw) if Ds is None else Ds[bi]) - dz
                 scaled.append((dx, dz))
-            for group in same_dim:
-                lw = np.repeat([frames[bi][1] for bi in group], 2, axis=0)
-                steps = _max_step_scaled(lw, np.stack([D for bi in group for D in scaled[bi]]))
+            ap = ad = np.inf
+            for group, S in zip(same_dim, scales):
+                B = np.empty((len(group), 2) + S.shape[2:], dtype)
+                for q, bi in enumerate(group):
+                    B[q, 0], B[q, 1] = scaled[bi]
+                B *= S
+                steps = _max_step_scaled(B.reshape(-1, *S.shape[2:]))
                 ap, ad = min(ap, steps[0::2].min()), min(ad, steps[1::2].min())
             return ap, ad, scaled
 
-        # predictor (affine direction)
-        Rc_aff = [(-x) for x in X]
-        dX_a, _, dZ_a = newton(Rc_aff)
+        # predictor (affine direction): Rc = -X, whose pairing is 0.0 - pX bit for
+        # bit, as every read is odd and _pair_all holds no -0.0
+        dX_a, _, dZ_a = newton([-x for x in X], 0.0 - pX)
         ap, ad, scaled_a = max_steps(dZ_a)
         a_aff = min(1.0, ap)
         b_aff = min(1.0, ad)
@@ -915,11 +954,11 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
         Rc, Ds = [], []
         for (G, lw), (dx, dz) in zip(frames, scaled_a):
             H = -_herm(dx @ dz)
-            H[np.diag_indices(len(lw))] += sigma * mu - lw * lw
+            H.flat[::len(lw) + 1] += sigma * mu - lw * lw
             D = H / (0.5 * (lw[:, None] + lw[None, :]))
-            Rc.append(_herm(G @ D @ np.conj(G).T))
+            Rc.append(_herm(G @ D @ G.conj().T))
             Ds.append(D)
-        dX, dy, dZ = newton(Rc)
+        dX, dy, dZ = newton(Rc, _pair_all(families, Rc, m))
         lap("newton")
         ap, ad, _ = max_steps(dZ, Ds)
         a_step = min(1.0, tau * ap)
@@ -930,8 +969,9 @@ def _solve_loop(problem: SdpProblem) -> SdpSolution:
             break
         tau = min(0.99, 0.90 + 0.09 * min(a_step, b_step))
 
-        X = [_herm(x + a_step * dx) for x, dx in zip(X, dX)]
-        Z = [_herm(z + b_step * dz) for z, dz in zip(Z, dZ)]
+        # no second _herm: the terms are exactly Hermitian, and so are their sums
+        X = [x + a_step * dx for x, dx in zip(X, dX)]
+        Z = [z + b_step * dz for z, dz in zip(Z, dZ)]
         y = y + b_step * dy
 
     lap("step")

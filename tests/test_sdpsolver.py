@@ -19,14 +19,18 @@ from nszcap.sdpsolver import (
     Read,
     SdpProblem,
     SolverFailure,
+    _cast,
     _CoreNewton,
+    _eigh,
     _herm,
     _max_step_scaled,
     _nt_frame,
+    _pair_all,
     _Pivoted,
     _preprocess,
     _Rows,
     _schur,
+    _step_scale,
     solve,
 )
 from nszcap.theoremsuite import RandomChannelSpec, random_cq_graph, random_graph
@@ -450,36 +454,44 @@ class TestNumericalFailureExits:
             G, lw = _nt_frame(X, Z)
             return (G * np.nan if len(calls) > 2 * len(self.PROBLEM.blocks) else G), lw
 
-        def step(lw, D):
-            return np.where(np.isfinite(D).all(axis=(1, 2)), _max_step_scaled(lw, D), 1.0)
+        def step(B):
+            return np.where(np.isfinite(B).all(axis=(1, 2)), _max_step_scaled(B), 1.0)
 
         sol = self._solve(monkeypatch, step, nan_frame)
         assert sol.iterations == 4 and sol.trace[-1]["gap"] is None
 
     def test_stall(self, monkeypatch):
         # steps of 1e-6 leave the residuals in place: 15 iterations without progress
-        sol = self._solve(monkeypatch, lambda lw, D: np.full(len(D), 1e-6))
+        sol = self._solve(monkeypatch, lambda B: np.full(len(B), 1e-6))
         assert sol.iterations == 16 and sol.trace[-1]["alpha_p"] is None
 
     def test_zero_step(self, monkeypatch):
-        sol = self._solve(monkeypatch, lambda lw, D: np.zeros(len(D)))
+        sol = self._solve(monkeypatch, lambda B: np.zeros(len(B)))
         assert sol.iterations == 1 and sol.trace[0]["alpha_p"] == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_direction_takes_no_step(self, bad):
         D = np.diag([-1.0, 1.0])[None]
-        assert _max_step_scaled(np.ones(2), D).tolist() == [1.0]
+        assert _max_step_scaled(D).tolist() == [1.0]
         D[0, 0, 1] = D[0, 1, 0] = bad
-        assert _max_step_scaled(np.ones(2), D).tolist() == [0.0]
+        assert _max_step_scaled(D).tolist() == [0.0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_dual_direction_keeps_the_primal_step(self, bad):
         # a block's primal and dual directions share one stack: only the
         # non-finite one takes no step
         D = np.stack([np.diag([-0.5, 1.0]), np.diag([-1.0, 1.0])])
-        assert _max_step_scaled(np.ones(2), D).tolist() == [2.0, 1.0]
+        assert _max_step_scaled(D).tolist() == [2.0, 1.0]
         D[1, 0, 1] = D[1, 1, 0] = bad
-        assert _max_step_scaled(np.ones(2), D).tolist() == [2.0, 0.0]
+        assert _max_step_scaled(D).tolist() == [2.0, 0.0]
+
+    def test_scaled_step_is_the_step_from_the_frame(self):
+        # the step from diag(lw) along D is the largest a that keeps diag(lw) + a D
+        # PSD, where its least eigenvalue is 0; the diagonal alone would allow 1/2
+        lw, D = np.array([1.0, 4.0]), np.array([[-1.0, 0.5], [0.5, -8.0]])
+        a = _max_step_scaled((D * _step_scale(lw))[None])[0]
+        assert np.linalg.eigvalsh(np.diag(lw) + a * D)[0] == pytest.approx(0.0, abs=1e-12)
+        assert a < 0.5
 
 
 class TestValidation:
@@ -762,6 +774,79 @@ class TestSchurOracle:
                    if isinstance(t, Read) and t.frame is not None]
         assert kernels
         assert all(sum(f.b == b for f in families) == 2 for b in kernels)
+
+
+class TestBitIdentities:
+    """The identities by which an iteration computes each quantity once and its
+    solves stay bit for bit those that compute it again."""
+
+    PROGRAMS = {f"{name}, {g}": (builders[name], graphs[g])
+                for graphs, builders in ((_NC_GRAPHS, _NC_BUILDERS), (_CQ_GRAPHS, _CQ_BUILDERS))
+                for g in graphs for name in builders}
+
+    def test_the_programs_cover_every_kind_of_family(self):
+        kinds = set()
+        for build, graph in self.PROGRAMS.values():
+            problem = build(graph())
+            for terms, _ in problem.constraints:
+                kinds |= {(type(t).__name__, t.t > 1, getattr(t, "at", 0) > 0,
+                           getattr(t, "frame", None) is not None, problem.real)
+                          for t in terms.values()}
+        for real in (True, False):
+            assert ("Lift", True, False, False, real) in kinds
+            assert ("Read", True, False, True, real) in kinds
+            assert ("Read", False, False, True, real) in kinds
+        assert any(k[:3] == ("Lift", False, True) for k in kinds)
+
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_pairing_of_the_negation(self, program):
+        # each read is odd, bit for bit up to the sign of a zero, and a row's
+        # pairing adds to +0.0: the predictor's pair_all(-X) is 0.0 - pair_all(X)
+        build, graph = self.PROGRAMS[program]
+        problem = build(graph())
+        C, families, dtype, b, _ = _preprocess(problem)
+        rng = np.random.default_rng(43)
+        V = [_herm(_random_herm(rng, blk.dim, dtype == np.float64)) for blk in problem.blocks]
+        neg = [-v for v in V]
+        for f in families:
+            assert (0.0 + f.read(neg[f.b])).tobytes() == (0.0 - f.read(V[f.b])).tobytes()
+        paired = _pair_all(families, V, len(b))
+        assert _pair_all(families, neg, len(b)).tobytes() == (0.0 - paired).tobytes()
+        # the objective, symmetrized once, is the program's own
+        for c, raw in zip(C, problem.objective):
+            if raw is not None:
+                assert c.tobytes() == _cast(np.asarray(raw), dtype).tobytes()
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_update_of_hermitian_terms_is_hermitian(self, real):
+        # X + a dX and Z + b dZ, dZ = A*(y) - (C + Z - A*(y)), from _herm outputs
+        # and the identity start, need no second _herm; half of the complex cases
+        # have zero imaginary parts, and some directions zero rows
+        rng = np.random.default_rng(44)
+        for d in range(1, 10):
+            for case in range(24):
+                X, dX, C, Ay = (_herm(_random_herm(rng, d, real)) for _ in range(4))
+                if not real and case % 2:
+                    X, dX = _herm(X.real + 0j), _herm(dX.real + 0j)
+                if case % 3 == 0:
+                    dX[0], dX[:, 0] = 0.0, 0.0
+                if case % 4 == 0:
+                    X = np.eye(d, dtype=X.dtype) * 1.7
+                a = 1.0 if case % 5 == 0 else rng.uniform(1e-6, 1.0)
+                for x, dx in ((X, dX), (X, Ay - (C + X - Ay))):
+                    U = x + a * dx
+                    assert _herm(U).tobytes() == U.tobytes()
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_direct_eigendecomposition_is_numpys(self, real):
+        rng = np.random.default_rng(45)
+        for d in range(1, 41):
+            A = _herm(_random_herm(rng, d, real))
+            for M in (A, A @ A.conj().T):        # indefinite, and PSD
+                w, V = _eigh(M)
+                w0, V0 = np.linalg.eigh(M)
+                assert w.tobytes() == w0.tobytes() and V.tobytes() == V0.tobytes()
+                assert V.flags.c_contiguous
 
 
 def _with_path(monkeypatch, path):
